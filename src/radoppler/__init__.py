@@ -28,7 +28,7 @@ from .ingest import (
     write_matrix,
     write_radar_cube,
 )
-from .linspec import Spectrogram, log_view, stft_spectrogram
+from .linspec import Spectrogram, log_view, spectrogram_from_cube, stft_spectrogram
 from .preprocess import RangeProfileMatrix, clutter_filter, range_transform
 from .ra_core import (
     CornerResult,
@@ -64,6 +64,7 @@ __all__ = [
     "write_radar_cube",
     "Spectrogram",
     "log_view",
+    "spectrogram_from_cube",
     "stft_spectrogram",
     "RangeProfileMatrix",
     "clutter_filter",

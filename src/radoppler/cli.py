@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import RadopplerError
 from .ingest import (
-    PipelineConfig,
+    _cube_paths,
     format_kv,
     kv_as_dict,
     load_config,
@@ -38,8 +38,7 @@ from .ingest import (
     write_matrix,
     write_radar_cube,
 )
-from .linspec import Spectrogram, load_spectrogram, save_spectrogram, stft_spectrogram
-from .preprocess import clutter_filter, range_transform
+from .linspec import load_spectrogram, save_spectrogram, spectrogram_from_cube
 from .ra_core import load_ra_sidecar, ra_transform, save_ra_spectrogram
 from .simulator import load_scenario, synthesize
 from .tracker import track_signature, write_track_csv
@@ -78,13 +77,6 @@ def _write_manifest(out_path, command, argv, inputs, outputs, config=None, extra
     log.info("wrote %s", manifest)
 
 
-def _spectrogram_from_cube(cube_path, cfg: PipelineConfig) -> Spectrogram:
-    cube = load_radar_cube(cube_path)
-    profiles = range_transform(cube)
-    profiles = clutter_filter(profiles, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
-    return stft_spectrogram(profiles, cfg)
-
-
 def _sidecar_of(path) -> Path:
     path = Path(path)
     return path.with_name(path.name + ".meta")
@@ -106,7 +98,7 @@ def cmd_simulate(args, argv) -> None:
 
 def cmd_spectrogram(args, argv) -> None:
     cfg = load_config(args.config_path)
-    spec = _spectrogram_from_cube(args.cube_path, cfg)
+    spec = spectrogram_from_cube(load_radar_cube(args.cube_path), cfg)
     out = Path(args.out_path)
     if args.format == "pgm":
         # frequency on image rows so a steady tone reads as one bright row
@@ -116,23 +108,16 @@ def cmd_spectrogram(args, argv) -> None:
         save_spectrogram(spec, out, format=args.format)
         outputs = [out, _sidecar_of(out)]
     log.info("wrote %s (%d frames x %d bins)", out, spec.num_frames, spec.num_freq_bins)
-    inputs = [args.cube_path, _cube_sidecar(args.cube_path), args.config_path]
+    inputs = [args.cube_path, _cube_paths(args.cube_path)[1], args.config_path]
     _write_manifest(out, "spectrogram", argv, inputs=inputs, outputs=outputs, config=cfg)
-
-
-def _cube_sidecar(path) -> Path:
-    payload = Path(path)
-    if payload.suffix != ".iq":
-        payload = payload.with_suffix(".iq")
-    return payload.with_suffix(".meta")
 
 
 def cmd_ra(args, argv) -> None:
     cfg = load_config(args.config_path)
     in_path = Path(args.input_path)
     if in_path.suffix == ".iq":
-        spec = _spectrogram_from_cube(in_path, cfg)
-        inputs = [in_path, _cube_sidecar(in_path), args.config_path]
+        spec = spectrogram_from_cube(load_radar_cube(in_path), cfg)
+        inputs = [in_path, _cube_paths(in_path)[1], args.config_path]
     else:
         spec = load_spectrogram(in_path)
         inputs = [in_path, _sidecar_of(in_path), args.config_path]
@@ -262,3 +247,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,19 +10,21 @@ import numpy as np
 from .errors import DegenerateInputError, FileFormatError
 from .ingest import (
     PipelineConfig,
+    RadarCube,
     format_kv,
     kv_as_dict,
     load_matrix,
     parse_kv,
     write_matrix,
 )
-from .preprocess import RangeProfileMatrix
+from .preprocess import RangeProfileMatrix, clutter_filter, range_transform
 
 __all__ = [
     "Spectrogram",
     "window_function",
     "slow_time_signal",
     "stft_spectrogram",
+    "spectrogram_from_cube",
     "log_view",
     "save_spectrogram",
     "load_spectrogram",
@@ -99,15 +101,19 @@ def slow_time_signal(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> np.nd
     Coherent mode sums the complex x(r,n) over r (the sum sits inside the
     transform's modulus); non-coherent mode sums magnitudes instead.
     """
-    if cfg.range_bin_end >= profiles.num_range_bins:
-        raise ValueError(
-            f"range bins [{cfg.range_bin_start}, {cfg.range_bin_end}] exceed "
-            f"the {profiles.num_range_bins} available bins"
-        )
+    _check_range_bins(cfg, profiles.num_range_bins)
     block = profiles.values[cfg.range_bin_start : cfg.range_bin_end + 1, :]
     if cfg.coherent:
         return block.sum(axis=0)
     return np.abs(block).sum(axis=0).astype(np.complex128)
+
+
+def _check_range_bins(cfg: PipelineConfig, num_range_bins: int) -> None:
+    if cfg.range_bin_end >= num_range_bins:
+        raise ValueError(
+            f"range bins [{cfg.range_bin_start}, {cfg.range_bin_end}] exceed "
+            f"the {num_range_bins} available bins"
+        )
 
 
 def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spectrogram:
@@ -133,6 +139,37 @@ def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spect
     freq_axis = (np.arange(cfg.fft_length) - cfg.fft_length // 2) * (prf / cfg.fft_length)
     time_axis = offsets * (1.0 / prf)
     return Spectrogram(power=power, freq_axis=freq_axis, time_axis=time_axis, f_max=prf / 2.0)
+
+
+def spectrogram_from_cube(cube: RadarCube, cfg: PipelineConfig) -> Spectrogram:
+    """Raw cube to spectrogram: range FFT, clutter filter, range collapse, STFT.
+
+    Coherent mode collapses first. The range FFT followed by the sum over
+    bins [range_bin_start, range_bin_end] is one linear functional per
+    chirp, w[i] = sum_r exp(-2j*pi*r*i/N), and the clutter filter is linear,
+    time-invariant and starts from a state linear in the first sample. So
+    one dot product per chirp gives the slow-time series, and filtering it
+    once equals summing the filtered range bins. Non-coherent mode sums
+    magnitudes, which does not commute with the filter, so it filters
+    every range bin first.
+    """
+    n = cube.params.num_fast_samples
+    _check_range_bins(cfg, n // 2)
+    if not cfg.coherent:
+        profiles = clutter_filter(range_transform(cube), cutoff=cfg.notch_cutoff,
+                                  order=cfg.notch_order)
+        return stft_spectrogram(profiles, cfg)
+    bins = np.arange(cfg.range_bin_start, cfg.range_bin_end + 1)
+    # reduce r*i modulo N so every twiddle angle stays below 2*pi
+    twiddles = np.exp(-2j * np.pi * (np.outer(bins, np.arange(n)) % n) / n)
+    collapsed = RangeProfileMatrix(
+        values=(twiddles.sum(axis=0) @ cube.samples)[np.newaxis, :],
+        range_resolution=cube.params.range_resolution,
+        chirp_repetition_freq=cube.params.chirp_repetition_freq,
+    )
+    filtered = clutter_filter(collapsed, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
+    # the collapsed series is the one range bin of its own matrix
+    return stft_spectrogram(filtered, replace(cfg, range_bin_start=0, range_bin_end=0))
 
 
 def log_view(spec: Spectrogram, floor: float = 1e-12) -> np.ndarray:

@@ -5,11 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .ingest import RadarCube
 
-__all__ = ["RangeProfileMatrix", "range_transform", "clutter_filter"]
+__all__ = [
+    "RangeProfileMatrix",
+    "range_transform",
+    "clutter_filter",
+    "highpass_sos",
+    "step_state",
+    "sosfilt",
+]
+
+BLOCK = 64  # samples the filter runner advances per matrix product
 
 
 @dataclass(frozen=True)
@@ -68,11 +76,12 @@ def clutter_filter(
     """High-pass each range bin along slow time to remove static returns.
 
     A Butterworth high-pass (default 4th order, 0.01 Hz cutoff, bilinear
-    design) runs causally as cascaded second-order sections over the
-    chirp axis, real and imaginary parts identically. The section states
-    start at the step response of each row's first sample, so a constant
-    row is annihilated to numerical precision instead of decaying over a
-    multi-second settling time.
+    design, see ``highpass_sos``) runs causally as cascaded second-order
+    sections over the chirp axis, real and imaginary parts identically.
+    The section states start at the step response of each row's first
+    sample, so a constant row is annihilated to numerical precision
+    instead of decaying over a multi-second settling time. The design and
+    the runner are in this module; scipy is not needed.
     """
     prf = profiles.chirp_repetition_freq
     if not 0 < cutoff < prf / 2:
@@ -81,12 +90,138 @@ def clutter_filter(
         raise ValueError(f"order must be even and >= 2, got {order}")
     if profiles.num_chirps < 2:
         raise ValueError("need at least 2 chirps to filter along slow time")
-    sos = signal.butter(order, cutoff, btype="highpass", fs=prf, output="sos")
-    zi = signal.sosfilt_zi(sos)  # steady-state unit-step initial conditions
-    zi = zi[:, np.newaxis, :] * profiles.values[np.newaxis, :, 0, np.newaxis]
-    filtered, _ = signal.sosfilt(sos, profiles.values, axis=1, zi=zi)
+    sos = highpass_sos(order, cutoff, prf)
+    zi = step_state(sos)[:, np.newaxis, :] * profiles.values[np.newaxis, :, 0, np.newaxis]
     return RangeProfileMatrix(
-        values=filtered,
+        values=sosfilt(sos, profiles.values, zi),
         range_resolution=profiles.range_resolution,
         chirp_repetition_freq=prf,
     )
+
+
+# ---------------------------------------------------------------------------
+# Butterworth high-pass: design, initial state, block runner
+# ---------------------------------------------------------------------------
+
+def highpass_sos(order: int, cutoff: float, fs: float) -> np.ndarray:
+    """Digital Butterworth high-pass as second-order sections [order/2, 6].
+
+    Bilinear transform of the analog prototype with the cutoff prewarped,
+    following scipy.signal.butter(order, cutoff, "highpass", fs=fs,
+    output="sos") step for step: every section holds the double zero at
+    z = 1 and one conjugate pole pair, pairs nearer the unit circle come
+    later, and the overall gain sits in the first section. ``order`` is
+    even.
+    """
+    proto = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2) / (2 * order))
+    warped = 4.0 * np.tan(np.pi * cutoff / fs)  # bilinear rate 2 on the Nyquist-normalised axis
+    analog = warped / proto  # low-pass to high-pass
+    gain = np.real(1.0 / np.prod(-proto)) * np.real(4.0**order / np.prod(4.0 - analog))
+    # the lower-half prototype poles map to the upper-half digital poles
+    poles = (4.0 + analog[order // 2 :]) / (4.0 - analog[order // 2 :])
+    poles = poles[np.argsort(np.abs(poles))]
+    sos = np.zeros((order // 2, 6))
+    sos[:, :3] = 1.0, -2.0, 1.0
+    sos[:, 3] = 1.0
+    sos[:, 4] = -2.0 * poles.real
+    sos[:, 5] = poles.real**2 + poles.imag**2
+    sos[0, :3] *= gain
+    return sos
+
+
+def step_state(sos: np.ndarray) -> np.ndarray:
+    """Section states [sections, 2] of the steady response to a unit step.
+
+    Computed as scipy.signal.sosfilt_zi does: per section, solve
+    (I - A^T) z = b[1:] - a[1:] * b0 with A the companion matrix of the
+    denominator, scaled by the DC gain B(1)/A(1) of the sections before
+    it. The solve is ill-conditioned for a cutoff far below the sample
+    rate (about 1e-7 relative at 0.01 Hz and 2 kHz); keeping it rather
+    than the exact closed form keeps the filtered output, and so every
+    artifact, the same as the scipy-based filter produced.
+    """
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for k, (b0, b1, b2, a0, a1, a2) in enumerate(sos):
+        i_minus_a = np.array([[1.0 + a1, -1.0], [a2, 1.0]])
+        zi[k] = scale * np.linalg.solve(i_minus_a, [b1 - a1 * b0, b2 - a2 * b0])
+        scale *= (b0 + b1 + b2) / (a0 + a1 + a2)
+    return zi
+
+
+def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Filter x along its last axis through the cascade, starting from zi.
+
+    Same recurrence and state layout as scipy.signal.sosfilt (transposed
+    direct form II per section, zi shaped [sections, ..., 2] with a0 = 1),
+    without the final state. The cascade runs as a linear state-space
+    system BLOCK samples at a time: each block's response is one matrix
+    product with the lower-triangular Toeplitz of the impulse response,
+    plus the response to the state carried in from the previous block.
+    """
+    x = np.asarray(x)
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    zi = np.moveaxis(np.asarray(zi), 0, -2).reshape(rows.shape[0], 2 * len(sos))
+    # real coefficients: real and imaginary parts run as separate rows
+    parts = (np.real, np.imag) if np.iscomplexobj(rows) or np.iscomplexobj(zi) else (np.real,)
+    blocks = -(-n // BLOCK)
+    u = np.zeros((len(parts), rows.shape[0], blocks * BLOCK))
+    for k, part in enumerate(parts):
+        u[k, :, :n] = part(rows)
+    state = np.concatenate([part(zi) for part in parts])
+    y = _run_blocks(_block_operators(sos), u.reshape(-1, blocks * BLOCK), state)
+    y = y.reshape(len(parts), rows.shape[0], -1)[:, :, :n]
+    if len(parts) == 1:
+        return y[0].reshape(x.shape)
+    filtered = np.empty(rows.shape, dtype=np.complex128)
+    filtered.real, filtered.imag = y
+    return filtered.reshape(x.shape)
+
+
+def _block_operators(sos: np.ndarray):
+    """(forward, observe, advance) matrices that step the cascade by BLOCK.
+
+    For a row state s (the section states flattened) and a block of input
+    u, the block's output is u @ forward[:, :BLOCK] + s @ observe and the
+    state after it is s @ advance + u @ forward[:, BLOCK:].
+    """
+    n_state = 2 * len(sos)
+    # one step of the recurrence on each unit state and on a unit input
+    # gives the row-vector state space s' = s A + u b, y = s c + u d
+    basis = np.eye(n_state + 1)
+    state, x = basis[:, :n_state].copy(), basis[:, n_state]
+    for k, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        y = b0 * x + state[:, 2 * k]
+        state[:, 2 * k] = b1 * x - a1 * y + state[:, 2 * k + 1]
+        state[:, 2 * k + 1] = b2 * x - a2 * y
+        x = y
+    a, b, c, d = state[:n_state], state[n_state], x[:n_state], x[n_state]
+
+    powers = [np.eye(n_state)]
+    for _ in range(BLOCK):
+        powers.append(powers[-1] @ a)
+    powers = np.stack(powers)  # A^0 .. A^BLOCK
+    observe = (powers[:BLOCK] @ c).T  # column i: A^i c
+    impulse = np.concatenate([[d], b @ observe[:, :-1]])
+    idx = np.arange(BLOCK)
+    lag = idx[None, :] - idx[:, None]  # output index minus input index
+    toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+    drive = b @ powers[BLOCK - 1 :: -1]  # row j: b A^(BLOCK-1-j)
+    return np.hstack([toeplitz, drive]), observe, powers[BLOCK]
+
+
+def _run_blocks(operators, u: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Filter real rows u [m, blocks * BLOCK] from real row states [m, n_state]."""
+    forward, observe, advance = operators
+    m = u.shape[0]
+    blocks = u.shape[1] // BLOCK
+    out = u.reshape(m * blocks, BLOCK) @ forward
+    driven = out[:, BLOCK:].reshape(m, blocks, -1)
+    starts = np.empty((m, blocks, state.shape[1]))
+    for j in range(blocks):
+        starts[:, j] = state
+        state = state @ advance + driven[:, j]
+    y = starts.reshape(m * blocks, -1) @ observe
+    y += out[:, :BLOCK]
+    return y.reshape(m, blocks * BLOCK)

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +19,7 @@ from radoppler.ingest import (
     write_config,
     write_radar_cube,
 )
-from radoppler.linspec import load_spectrogram, save_spectrogram, stft_spectrogram
-from radoppler.preprocess import clutter_filter, range_transform
+from radoppler.linspec import load_spectrogram, save_spectrogram, spectrogram_from_cube
 from radoppler.simulator import DEFAULT_PARAMS, preset, save_scenario
 
 
@@ -57,6 +60,30 @@ class TestParser:
         assert err.value.code == 2
 
 
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_python(*args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestEntry:
+    def test_import_loads_no_scipy(self, tmp_path):
+        code = ("import sys, radoppler, radoppler.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = run_python("-c", code, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_module_run_executes_main(self, tmp_path):
+        done = run_python("-m", "radoppler.cli", "track", "none.bin", "t.csv", cwd=tmp_path)
+        assert done.returncode == 2
+        assert "error:" in done.stderr
+
+
 class TestSimulate:
     def test_artifacts_and_manifest(self, workdir):
         cube = workdir / "cube.iq"
@@ -95,10 +122,7 @@ class TestSpectrogram:
         # the .iq payload is float32, so rebuild from the stored cube
         spec = load_spectrogram(workdir / "spec.bin")
         cube = load_radar_cube(workdir / "cube.iq")
-        cfg = PipelineConfig()
-        profiles = clutter_filter(range_transform(cube),
-                                  cutoff=cfg.notch_cutoff, order=cfg.notch_order)
-        expect = stft_spectrogram(profiles, cfg)
+        expect = spectrogram_from_cube(cube, PipelineConfig())
         np.testing.assert_array_equal(spec.power, expect.power)
         assert spec.f_max == expect.f_max
 

@@ -12,10 +12,12 @@ from radoppler.linspec import (
     log_view,
     save_spectrogram,
     slow_time_signal,
+    spectrogram_from_cube,
     stft_spectrogram,
     window_function,
 )
-from radoppler.preprocess import RangeProfileMatrix
+from radoppler.preprocess import RangeProfileMatrix, clutter_filter, range_transform
+from radoppler.simulator import PRESET_NAMES, preset, synthesize
 
 
 def profiles_of(signal_row, prf=1000.0, copies=1):
@@ -56,6 +58,37 @@ class TestSlowTimeSignal:
                              hop=4, fft_length=16)
         with pytest.raises(ValueError, match="range bins"):
             slow_time_signal(pm, cfg)
+
+
+class TestSpectrogramFromCube:
+    @pytest.fixture(scope="class")
+    def cubes(self):
+        return {name: synthesize(preset(name)) for name in PRESET_NAMES}
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_per_row_path(self, cubes, name, coherent):
+        cube = cubes[name]
+        cfg = PipelineConfig(coherent=coherent)
+        per_row = stft_spectrogram(
+            clutter_filter(range_transform(cube), cutoff=cfg.notch_cutoff, order=cfg.notch_order),
+            cfg)
+        ours = spectrogram_from_cube(cube, cfg)
+        # static_like's filtered power is rounding residue, so scale the bound
+        # by the unfiltered peak
+        unfiltered_peak = stft_spectrogram(range_transform(cube), cfg).power.max()
+        assert ours.power.shape == per_row.power.shape
+        assert np.abs(ours.power - per_row.power).max() <= 1e-8 * unfiltered_peak
+        np.testing.assert_array_equal(ours.time_axis, per_row.time_axis)
+        np.testing.assert_array_equal(ours.freq_axis, per_row.freq_axis)
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_interval_beyond_bins_rejected(self, cubes, coherent):
+        cube = cubes["walk_like"]
+        bins = cube.params.num_fast_samples // 2
+        cfg = PipelineConfig(range_bin_end=bins, coherent=coherent)
+        with pytest.raises(ValueError, match=rf"range bins \[0, {bins}\] exceed the {bins}"):
+            spectrogram_from_cube(cube, cfg)
 
 
 class TestStftSpectrogram:

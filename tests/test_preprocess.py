@@ -4,7 +4,15 @@ from scipy import signal
 
 from _oracles import sos_response
 from radoppler.ingest import RadarCube, RadarParams
-from radoppler.preprocess import RangeProfileMatrix, clutter_filter, range_transform
+from radoppler.preprocess import (
+    BLOCK,
+    RangeProfileMatrix,
+    clutter_filter,
+    highpass_sos,
+    range_transform,
+    sosfilt,
+    step_state,
+)
 
 
 def params8(**overrides):
@@ -140,6 +148,51 @@ class TestClutterFilter:
     def test_needs_two_chirps(self):
         with pytest.raises(ValueError, match="chirps"):
             clutter_filter(profiles_from(np.ones((4, 1), dtype=complex)))
+
+
+DESIGNS = [(order, cutoff, fs) for order in (2, 4, 6, 8)
+           for cutoff, fs in ((0.01, 2000.0), (0.01, 20.0), (5.0, 100.0), (100.0, 2000.0))]
+
+
+class TestInRepoFilter:
+    """The scipy-free design, initial state and runner, with scipy as oracle."""
+
+    @pytest.mark.parametrize("order,cutoff,fs", DESIGNS)
+    def test_transfer_function_matches_scipy_butter(self, order, cutoff, fs):
+        ours = highpass_sos(order, cutoff, fs)
+        ref = signal.butter(order, cutoff, btype="highpass", fs=fs, output="sos")
+        freqs = np.concatenate([[0.0], np.geomspace(cutoff / 100, fs / 2, 60)])
+        worst = max(abs(sos_response(ours, f, fs) - sos_response(ref, f, fs)) for f in freqs)
+        assert worst <= 1e-12  # passband gain is 1, so this is relative to it
+
+    @pytest.mark.parametrize("order,cutoff,fs", DESIGNS)
+    def test_step_state_matches_sosfilt_zi(self, order, cutoff, fs):
+        sos = highpass_sos(order, cutoff, fs)
+        np.testing.assert_allclose(step_state(sos), signal.sosfilt_zi(sos), rtol=0, atol=1e-15)
+
+    def test_runner_matches_sosfilt_on_rows(self, rng):
+        sos = highpass_sos(4, 0.01, 2000.0)
+        x = rng.standard_normal((64, 6000)) + 1j * rng.standard_normal((64, 6000))
+        zi = signal.sosfilt_zi(sos)[:, None, :] * x[None, :, 0, None]
+        ref, _ = signal.sosfilt(sos, x, zi=zi)
+        np.testing.assert_allclose(sosfilt(sos, x, zi), ref, rtol=0, atol=1e-8 * np.abs(ref).max())
+
+    def test_runner_matches_sosfilt_on_long_series(self, rng):
+        sos = highpass_sos(4, 0.01, 2000.0)
+        x = rng.standard_normal(120_000)
+        zi = signal.sosfilt_zi(sos) * x[0]
+        ref, _ = signal.sosfilt(sos, x, zi=zi)
+        out = sosfilt(sos, x, zi)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_runner_block_edges(self, rng, n):
+        sos = highpass_sos(6, 5.0, 100.0)
+        x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        zi = rng.standard_normal((3, 3, 2))
+        ref, _ = signal.sosfilt(sos, x, zi=zi)
+        np.testing.assert_allclose(sosfilt(sos, x, zi), ref, rtol=0, atol=1e-12)
 
 
 class TestRangeProfileMatrix:
