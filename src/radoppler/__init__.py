@@ -28,7 +28,13 @@ from .ingest import (
     write_matrix,
     write_radar_cube,
 )
-from .linspec import Spectrogram, log_view, spectrogram_from_cube, stft_spectrogram
+from .linspec import (
+    Spectrogram,
+    log_view,
+    spectrogram_from_cube,
+    spectrogram_from_file,
+    stft_spectrogram,
+)
 from .preprocess import RangeProfileMatrix, clutter_filter, range_transform
 from .ra_core import (
     CornerResult,
@@ -65,6 +71,7 @@ __all__ = [
     "Spectrogram",
     "log_view",
     "spectrogram_from_cube",
+    "spectrogram_from_file",
     "stft_spectrogram",
     "RangeProfileMatrix",
     "clutter_filter",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
+import math
 import os
 import shlex
 import sys
@@ -33,17 +34,18 @@ from .ingest import (
     kv_as_dict,
     load_config,
     load_matrix,
-    load_radar_cube,
     parse_kv,
     write_matrix,
     write_radar_cube,
 )
-from .linspec import load_spectrogram, save_spectrogram, spectrogram_from_cube
+from .linspec import load_spectrogram, save_spectrogram, spectrogram_from_file
 from .ra_core import load_ra_sidecar, ra_transform, save_ra_spectrogram
 from .simulator import load_scenario, synthesize
 from .tracker import track_signature, write_track_csv
 
 log = logging.getLogger("radoppler")
+
+HASH_CHUNK = 1 << 20  # bytes per read while hashing manifest inputs and outputs
 
 
 def _configure_logging() -> None:
@@ -57,7 +59,11 @@ def _configure_logging() -> None:
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_manifest(out_path, command, argv, inputs, outputs, config=None, extra=()):
@@ -98,7 +104,7 @@ def cmd_simulate(args, argv) -> None:
 
 def cmd_spectrogram(args, argv) -> None:
     cfg = load_config(args.config_path)
-    spec = spectrogram_from_cube(load_radar_cube(args.cube_path), cfg)
+    spec = spectrogram_from_file(args.cube_path, cfg)
     out = Path(args.out_path)
     if args.format == "pgm":
         # frequency on image rows so a steady tone reads as one bright row
@@ -116,7 +122,7 @@ def cmd_ra(args, argv) -> None:
     cfg = load_config(args.config_path)
     in_path = Path(args.input_path)
     if in_path.suffix == ".iq":
-        spec = spectrogram_from_cube(load_radar_cube(in_path), cfg)
+        spec = spectrogram_from_file(in_path, cfg)
         inputs = [in_path, _cube_paths(in_path)[1], args.config_path]
     else:
         spec = load_spectrogram(in_path)
@@ -191,6 +197,17 @@ def cmd_track(args, argv) -> None:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """argparse type for float options: NaN, infinities and non-numbers exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radoppler",
@@ -215,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config_path")
     p.add_argument("out_path")
     p.add_argument("--M", type=int, default=None, help="filter count per half axis")
-    p.add_argument("--force-fc", type=float, default=None, dest="force_fc",
+    p.add_argument("--force-fc", type=_finite_float, default=None, dest="force_fc",
                    help="skip corner detection and use this corner frequency in Hz")
     p.add_argument("--format", choices=("csv", "bin", "pgm"), default="bin")
     p.set_defaults(func=cmd_ra)
@@ -223,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="matrix -> dominant-signature CSV track")
     p.add_argument("matrix_path")
     p.add_argument("out_csv")
-    p.add_argument("--q", type=float, default=10.0, help="process noise density")
-    p.add_argument("--r", type=float, default=4.0, help="measurement noise variance")
+    p.add_argument("--q", type=_finite_float, default=10.0, help="process noise density")
+    p.add_argument("--r", type=_finite_float, default=4.0, help="measurement noise variance")
     p.set_defaults(func=cmd_track)
     return parser
 

@@ -24,6 +24,7 @@ import math
 import struct
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -35,6 +36,8 @@ _MATRIX_MAGIC = b"RDMX"
 _MATRIX_HEADER = struct.Struct("<4sB3sII")
 
 WINDOW_KINDS = ("hann", "hamming", "rect")
+
+CHIRP_BLOCK = 4096  # chirps per read or write of a cube payload
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +119,10 @@ class PipelineConfig:
     coherent: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"PipelineConfig.{f.name} must be finite, got {value!r}")
         if not (0 <= self.range_bin_start <= self.range_bin_end):
             raise ValueError("need 0 <= range_bin_start <= range_bin_end")
         if not (1 <= self.hop <= self.window_length <= self.fft_length):
@@ -212,51 +219,82 @@ def write_radar_cube(cube: RadarCube, path) -> Path:
         ("center_freq", p.center_freq),
         ("bandwidth", p.bandwidth),
     ]))
-    # chirp-major on disk: transpose so fast time varies fastest
-    chirp_major = np.ascontiguousarray(cube.samples.T)
-    iq = np.empty(chirp_major.shape + (2,), dtype="<f4")
-    iq[..., 0] = chirp_major.real
-    iq[..., 1] = chirp_major.imag
-    payload_path.write_bytes(iq.tobytes())
+    # chirp-major on disk, so each block is transposed; a little-endian
+    # complex64 is one interleaved float32 I/Q pair
+    with payload_path.open("wb") as fh:
+        for start in range(0, p.num_chirps, CHIRP_BLOCK):
+            fh.write(np.ascontiguousarray(cube.samples[:, start : start + CHIRP_BLOCK].T,
+                                          dtype="<c8"))
     return payload_path
 
 
+class CubeReader:
+    """A cube file whose sidecar and payload size have been checked.
+
+    Constructing one parses and validates ``<name>.meta`` and compares the
+    payload's size on disk with the declared shape; nothing of the payload
+    is read yet. Iterating reads it CHIRP_BLOCK chirps at a time into one
+    reused float32 buffer, checks each block for non-finite values, and
+    yields it as a complex64 [chirps, num_fast_samples] view. The next
+    block overwrites that view, so consume or copy it before advancing.
+    """
+
+    def __init__(self, path):
+        self.payload, meta_path = _cube_paths(path)
+        if not self.payload.exists():
+            raise FileFormatError(f"cube payload not found: {self.payload}")
+        if not meta_path.exists():
+            raise FileFormatError(f"cube sidecar not found: {meta_path}")
+
+        meta = kv_as_dict(parse_kv(meta_path.read_text()), source=str(meta_path))
+        required = {
+            "num_fast_samples": int,
+            "num_chirps": int,
+            "sample_rate": float,
+            "chirp_repetition_freq": float,
+            "center_freq": float,
+            "bandwidth": float,
+        }
+        missing = sorted(set(required) - set(meta))
+        if missing:
+            raise FileFormatError(f"{meta_path}: missing keys {missing}")
+        values = {k: _coerce(meta[k], kind, k) for k, kind in required.items()}
+        try:
+            self.params = RadarParams(**values)
+        except ValueError as exc:
+            raise FileFormatError(f"{meta_path}: {exc}") from exc
+
+        expected = 2 * self.params.num_fast_samples * self.params.num_chirps
+        size = self.payload.stat().st_size
+        if size != 4 * expected:
+            held = f"{size // 4} floats" if size % 4 == 0 else f"{size} bytes"
+            raise FileFormatError(
+                f"{self.payload}: payload holds {held}, metadata declares {expected}"
+            )
+
+    def __iter__(self):
+        p = self.params
+        buffer = np.empty((min(CHIRP_BLOCK, p.num_chirps), p.num_fast_samples, 2), dtype="<f4")
+        with self.payload.open("rb") as fh:
+            for start in range(0, p.num_chirps, CHIRP_BLOCK):
+                block = buffer[: min(CHIRP_BLOCK, p.num_chirps - start)]
+                if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
+                    raise FileFormatError(f"{self.payload}: payload ended while being read")
+                if not np.all(np.isfinite(block)):
+                    raise FileFormatError(f"{self.payload}: payload contains non-finite samples")
+                yield block.view("<c8")[..., 0]
+
+
 def load_radar_cube(path) -> RadarCube:
-    payload_path, meta_path = _cube_paths(path)
-    if not payload_path.exists():
-        raise FileFormatError(f"cube payload not found: {payload_path}")
-    if not meta_path.exists():
-        raise FileFormatError(f"cube sidecar not found: {meta_path}")
-
-    meta = kv_as_dict(parse_kv(meta_path.read_text()), source=str(meta_path))
-    required = {
-        "num_fast_samples": int,
-        "num_chirps": int,
-        "sample_rate": float,
-        "chirp_repetition_freq": float,
-        "center_freq": float,
-        "bandwidth": float,
-    }
-    missing = sorted(set(required) - set(meta))
-    if missing:
-        raise FileFormatError(f"{meta_path}: missing keys {missing}")
-    values = {k: _coerce(meta[k], kind, k) for k, kind in required.items()}
-    try:
-        params = RadarParams(**values)
-    except ValueError as exc:
-        raise FileFormatError(f"{meta_path}: {exc}") from exc
-
-    raw = np.frombuffer(payload_path.read_bytes(), dtype="<f4")
-    expected = 2 * params.num_fast_samples * params.num_chirps
-    if raw.size != expected:
-        raise FileFormatError(
-            f"{payload_path}: payload holds {raw.size} floats, metadata declares {expected}"
-        )
-    iq = raw.reshape(params.num_chirps, params.num_fast_samples, 2).astype(np.float64)
-    samples = (iq[..., 0] + 1j * iq[..., 1]).T
-    if not np.all(np.isfinite(raw)):
-        raise FileFormatError(f"{payload_path}: payload contains non-finite samples")
-    return RadarCube(params=params, samples=samples)
+    """Read a whole cube into memory (see CubeReader for the checks)."""
+    reader = CubeReader(path)
+    p = reader.params
+    chirp_major = np.empty((p.num_chirps, p.num_fast_samples), dtype=np.complex128)
+    start = 0
+    for block in reader:
+        chirp_major[start : start + len(block)] = block
+        start += len(block)
+    return RadarCube(params=p, samples=chirp_major.T)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +337,12 @@ def _write_matrix_bin(matrix: np.ndarray, path: Path) -> None:
     header = _MATRIX_HEADER.pack(_MATRIX_MAGIC, 1 if complex_kind else 0, b"\x00" * 3, rows, cols)
     if complex_kind:
         payload = np.ascontiguousarray(matrix, dtype=np.complex128)
-        body = payload.view(np.float64).astype("<f8").tobytes()
+        body = payload.view(np.float64).astype("<f8", copy=False)
     else:
-        body = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
-    path.write_bytes(header + body)
+        body = np.ascontiguousarray(matrix, dtype="<f8")
+    with path.open("wb") as fh:
+        fh.write(header)
+        fh.write(body)
 
 
 def _load_matrix_bin(path: Path) -> np.ndarray:
@@ -395,38 +435,14 @@ def load_config(path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"config file not found: {path}")
-    known = {f.name: f.type for f in fields(PipelineConfig)}
-    kinds = {"window_kind": str, "coherent": bool}
+    kinds = get_type_hints(PipelineConfig)
     overrides = {}
     for key, value in parse_kv(path.read_text()):
-        if key not in known:
+        if key not in kinds:
             raise FileFormatError(f"{path}: unknown config key {key!r}")
-        kind = kinds.get(key)
-        if kind is None:
-            kind = int if key in (
-                "range_bin_start", "range_bin_end", "window_length",
-                "hop", "fft_length", "notch_order", "num_filters",
-            ) else float
+        kind = kinds[key]
         overrides[key] = value if kind is str else _coerce(value, kind, key)
     try:
         return replace(PipelineConfig(), **overrides)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-
-
-def matrices_close(a: np.ndarray, b: np.ndarray, rtol: float = 1e-9) -> bool:
-    """Relative comparison helper used by format cross-checks."""
-    if a.shape != b.shape:
-        return False
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
-    return bool(np.abs(a - b).max() <= rtol * scale)
-
-
-def isfinite_matrix(matrix: np.ndarray) -> bool:
-    if np.iscomplexobj(matrix):
-        return bool(np.all(np.isfinite(matrix.real)) and np.all(np.isfinite(matrix.imag)))
-    return bool(np.all(np.isfinite(matrix)))
-
-
-def nearly_equal(a: float, b: float, tol: float = 1e-12) -> bool:
-    return math.isclose(a, b, rel_tol=tol, abs_tol=tol)

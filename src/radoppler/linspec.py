@@ -9,11 +9,14 @@ import numpy as np
 
 from .errors import DegenerateInputError, FileFormatError
 from .ingest import (
+    CubeReader,
     PipelineConfig,
     RadarCube,
+    RadarParams,
     format_kv,
     kv_as_dict,
     load_matrix,
+    load_radar_cube,
     parse_kv,
     write_matrix,
 )
@@ -25,10 +28,13 @@ __all__ = [
     "slow_time_signal",
     "stft_spectrogram",
     "spectrogram_from_cube",
+    "spectrogram_from_file",
     "log_view",
     "save_spectrogram",
     "load_spectrogram",
 ]
+
+FRAME_BLOCK = 512  # STFT frames transformed per batch
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,8 @@ def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spect
 
     Frame t covers samples [t*hop, t*hop + window_length); each windowed
     frame is zero-padded to fft_length, transformed, fftshifted so
-    negative Doppler comes first, and squared.
+    negative Doppler comes first, and squared. Frames are transformed
+    FRAME_BLOCK at a time straight into the power matrix.
     """
     s = slow_time_signal(profiles, cfg)
     if cfg.window_length > s.size:
@@ -130,10 +137,14 @@ def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spect
         )
     num_frames = (s.size - cfg.window_length) // cfg.hop + 1
     offsets = cfg.hop * np.arange(num_frames)
-    frames = s[offsets[:, None] + np.arange(cfg.window_length)[None, :]]
-    frames = frames * window_function(cfg.window_kind, cfg.window_length)[None, :]
-    spectrum = np.fft.fftshift(np.fft.fft(frames, n=cfg.fft_length, axis=1), axes=1)
-    power = spectrum.real**2 + spectrum.imag**2
+    taps = np.arange(cfg.window_length)
+    window = window_function(cfg.window_kind, cfg.window_length)
+    power = np.empty((num_frames, cfg.fft_length))
+    for first in range(0, num_frames, FRAME_BLOCK):
+        starts = offsets[first : first + FRAME_BLOCK]
+        spectrum = np.fft.fft(s[starts[:, None] + taps] * window, n=cfg.fft_length, axis=1)
+        power[first : first + starts.size] = np.fft.fftshift(
+            spectrum.real**2 + spectrum.imag**2, axes=1)
 
     prf = profiles.chirp_repetition_freq
     freq_axis = (np.arange(cfg.fft_length) - cfg.fft_length // 2) * (prf / cfg.fft_length)
@@ -153,19 +164,51 @@ def spectrogram_from_cube(cube: RadarCube, cfg: PipelineConfig) -> Spectrogram:
     magnitudes, which does not commute with the filter, so it filters
     every range bin first.
     """
-    n = cube.params.num_fast_samples
-    _check_range_bins(cfg, n // 2)
+    _check_range_bins(cfg, cube.params.num_fast_samples // 2)
     if not cfg.coherent:
         profiles = clutter_filter(range_transform(cube), cutoff=cfg.notch_cutoff,
                                   order=cfg.notch_order)
         return stft_spectrogram(profiles, cfg)
+    return _collapse_first(cube.params, [cube.samples], cfg)
+
+
+def spectrogram_from_file(path, cfg: PipelineConfig) -> Spectrogram:
+    """Cube file to spectrogram; equals spectrogram_from_cube(load_radar_cube(path), cfg).
+
+    Coherent mode never holds the cube: each chirp block read by
+    CubeReader is collapsed to its slow-time samples before the next one
+    is read, so memory follows the spectrogram, not the cube. Non-coherent
+    mode filters every range bin, which needs the whole cube, so it loads it.
+    """
+    if not cfg.coherent:
+        return spectrogram_from_cube(load_radar_cube(path), cfg)
+    reader = CubeReader(path)
+    _check_range_bins(cfg, reader.params.num_fast_samples // 2)
+    return _collapse_first(
+        reader.params, (block.astype(np.complex128).T for block in reader), cfg)
+
+
+def _collapse_first(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
+    """Coherent front end over complex [num_fast_samples, chirps] chunks in chirp order."""
+    n = params.num_fast_samples
     bins = np.arange(cfg.range_bin_start, cfg.range_bin_end + 1)
     # reduce r*i modulo N so every twiddle angle stays below 2*pi
-    twiddles = np.exp(-2j * np.pi * (np.outer(bins, np.arange(n)) % n) / n)
+    w = np.exp(-2j * np.pi * (np.outer(bins, np.arange(n)) % n) / n).sum(axis=0)
+    series = np.empty(params.num_chirps, dtype=np.complex128)
+    start = 0
+    for chunk in chunks:
+        count = chunk.shape[1]
+        # numpy takes a one-column product as a dot product, which rounds
+        # differently from the matrix-vector kernel every other chirp sees;
+        # the copy keeps each chirp contiguous, as the kernel saw it
+        if count == 1:
+            chunk = np.repeat(chunk.T, 2, axis=0).T
+        series[start : start + count] = (w @ chunk)[:count]
+        start += count
     collapsed = RangeProfileMatrix(
-        values=(twiddles.sum(axis=0) @ cube.samples)[np.newaxis, :],
-        range_resolution=cube.params.range_resolution,
-        chirp_repetition_freq=cube.params.chirp_repetition_freq,
+        values=series[np.newaxis, :],
+        range_resolution=params.range_resolution,
+        chirp_repetition_freq=params.chirp_repetition_freq,
     )
     filtered = clutter_filter(collapsed, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
     # the collapsed series is the one range bin of its own matrix

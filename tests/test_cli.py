@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radoppler import cli
+from radoppler import cli, ingest
 from radoppler.ingest import (
     load_radar_cube,
     PipelineConfig,
@@ -79,9 +79,10 @@ class TestEntry:
         assert done.stdout.strip() == "[]"
 
     def test_module_run_executes_main(self, tmp_path):
-        done = run_python("-m", "radoppler.cli", "track", "none.bin", "t.csv", cwd=tmp_path)
-        assert done.returncode == 2
-        assert "error:" in done.stderr
+        for module in ("radoppler.cli", "radoppler"):
+            done = run_python("-m", module, "track", "none.bin", "t.csv", cwd=tmp_path)
+            assert done.returncode == 2, module
+            assert "error:" in done.stderr, module
 
 
 class TestSimulate:
@@ -279,6 +280,62 @@ class TestTrack:
 
     def test_missing_input_exits_two(self, tmp_path, capsys):
         assert cli.main(["track", str(tmp_path / "none.bin"), str(tmp_path / "t.csv")]) == 2
+
+
+def exit_code(argv):
+    """cli.main's exit code, also when argparse rejects the command line."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("command,config,name", [
+        (["ra", "SPEC", "CFG", "OUT", "--force-fc", "inf"], "", "--force-fc"),
+        (["track", "SPEC", "OUT", "--q", "nan"], "", "--q"),
+        (["track", "SPEC", "OUT", "--r", "inf"], "", "--r"),
+        (["ra", "SPEC", "CFG", "OUT"], "log_floor = nan\n", "log_floor"),
+        (["spectrogram", "CUBE", "CFG", "OUT"], "notch_cutoff = inf\n", "notch_cutoff"),
+    ])
+    def test_exits_two_naming_the_value(self, workdir, tmp_path, capsys, command, config, name):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        paths = {"SPEC": workdir / "spec.bin", "CUBE": workdir / "cube.iq", "CFG": cfg,
+                 "OUT": out}
+        assert exit_code([str(paths.get(a, a)) for a in command]) == 2
+        assert name in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
+class TestCorruptCube:
+    @pytest.fixture(params=["nan_in_later_block", "truncated"])
+    def bad_cube(self, request, workdir, tmp_path, monkeypatch):
+        # 1024 chirps in read blocks of 256
+        monkeypatch.setattr(ingest, "CHIRP_BLOCK", 256)
+        raw = np.fromfile(workdir / "cube.iq", dtype="<f4")
+        if request.param == "nan_in_later_block":
+            raw[2 * DEFAULT_PARAMS.num_fast_samples * 700] = np.nan
+            message = "payload contains non-finite samples"
+        else:
+            raw = raw[:-2]
+            message = "payload holds"
+        path = tmp_path / "cube" / "bad.iq"
+        path.parent.mkdir()
+        raw.tofile(path)
+        shutil.copyfile(workdir / "cube.meta", path.with_suffix(".meta"))
+        return path, message
+
+    @pytest.mark.parametrize("command", ["spectrogram", "ra"])
+    def test_exits_two_and_writes_nothing(self, bad_cube, workdir, tmp_path, capsys, command):
+        path, message = bad_cube
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main([command, str(path), str(workdir / "pipeline.cfg"),
+                         str(out / "x.bin")]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestDiagnostics:

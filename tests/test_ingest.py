@@ -1,6 +1,10 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from radoppler import ingest
 from radoppler.errors import FileFormatError
 from radoppler.ingest import (
     SPEED_OF_LIGHT,
@@ -97,6 +101,47 @@ class TestCubeFiles:
         payload.write_bytes(payload.read_bytes()[:-8])
         with pytest.raises(FileFormatError, match="payload"):
             load_radar_cube(payload)
+
+    def test_blocks_round_trip(self, tmp_path, rng, monkeypatch):
+        # 8 chirps in blocks of 3: two full blocks and a 2-chirp tail
+        monkeypatch.setattr(ingest, "CHIRP_BLOCK", 3)
+        samples = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+        payload = write_radar_cube(RadarCube(params=small_params(), samples=samples),
+                                   tmp_path / "c.iq")
+        expected = np.stack([samples.T.real, samples.T.imag], axis=-1).astype("<f4")
+        assert payload.read_bytes() == expected.tobytes()
+        loaded = load_radar_cube(payload)
+        np.testing.assert_array_equal(loaded.samples.real, samples.real.astype(np.float32))
+        np.testing.assert_array_equal(loaded.samples.imag, samples.imag.astype(np.float32))
+
+    def test_non_finite_in_later_block_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "CHIRP_BLOCK", 3)
+        samples = np.ones((16, 8), dtype=complex)
+        payload = write_radar_cube(RadarCube(params=small_params(), samples=samples),
+                                   tmp_path / "c.iq")
+        raw = np.fromfile(payload, dtype="<f4")
+        raw[2 * 16 * 7 + 5] = np.inf  # chirp 7 sits in the third block
+        raw.tofile(payload)
+        with pytest.raises(FileFormatError, match="non-finite samples"):
+            load_radar_cube(payload)
+
+    def test_payload_size_checked_before_reading(self, tmp_path, monkeypatch):
+        cube = RadarCube(params=small_params(), samples=np.ones((16, 8), dtype=complex))
+        payload = write_radar_cube(cube, tmp_path / "c.iq")
+        payload.write_bytes(payload.read_bytes() + b"\x00" * 8)
+        monkeypatch.setattr(ingest.CubeReader, "__iter__",
+                            lambda self: pytest.fail("payload read before its size was checked"))
+        with pytest.raises(FileFormatError,
+                           match="payload holds 258 floats, metadata declares 256"):
+            load_radar_cube(payload)
+
+    def test_payload_shrinking_after_the_check_rejected(self, tmp_path):
+        cube = RadarCube(params=small_params(), samples=np.ones((16, 8), dtype=complex))
+        payload = write_radar_cube(cube, tmp_path / "c.iq")
+        reader = ingest.CubeReader(payload)
+        payload.write_bytes(payload.read_bytes()[:-8])
+        with pytest.raises(FileFormatError, match="payload ended while being read"):
+            list(reader)
 
     def test_missing_sidecar(self, tmp_path):
         cube = RadarCube(params=small_params(), samples=np.ones((16, 8), dtype=complex))
@@ -248,6 +293,13 @@ class TestPipelineConfig:
     def test_rejects_invalid(self, overrides, pattern):
         with pytest.raises(ValueError, match=pattern):
             PipelineConfig(**overrides)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)
+                                      if isinstance(getattr(PipelineConfig(), f.name), float)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(ValueError, match=rf"PipelineConfig\.{name} must be finite"):
+            PipelineConfig(**{name: value})
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = PipelineConfig(range_bin_end=31, window_kind="hamming", hop=8,

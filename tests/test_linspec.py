@@ -1,11 +1,15 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import dft_frame
+from radoppler import linspec
 from radoppler.errors import DegenerateInputError, FileFormatError
-from radoppler.ingest import PipelineConfig
+from radoppler.ingest import CHIRP_BLOCK, PipelineConfig, load_radar_cube, write_radar_cube
 from radoppler.linspec import (
     Spectrogram,
     load_spectrogram,
@@ -13,6 +17,7 @@ from radoppler.linspec import (
     save_spectrogram,
     slow_time_signal,
     spectrogram_from_cube,
+    spectrogram_from_file,
     stft_spectrogram,
     window_function,
 )
@@ -91,7 +96,78 @@ class TestSpectrogramFromCube:
             spectrogram_from_cube(cube, cfg)
 
 
+class TestSpectrogramFromFile:
+    @pytest.fixture(scope="class")
+    def dwell(self, tmp_path_factory):
+        """A walk_like cube of 30 000 chirps: seven full read blocks and a partial one."""
+        scenario = preset("walk_like")
+        scenario = dataclasses.replace(
+            scenario, params=dataclasses.replace(scenario.params, num_chirps=30_000))
+        return write_radar_cube(synthesize(scenario),
+                                tmp_path_factory.mktemp("dwell") / "dwell.iq")
+
+    def test_peak_memory_below_payload(self, dwell):
+        tracemalloc.start()
+        try:
+            spectrogram_from_file(dwell, PipelineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dwell.stat().st_size
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_matches_loaded_cube(self, dwell, coherent):
+        assert 30_000 % CHIRP_BLOCK != 0
+        cfg = PipelineConfig(coherent=coherent)
+        ours = spectrogram_from_file(dwell, cfg)
+        expect = spectrogram_from_cube(load_radar_cube(dwell), cfg)
+        np.testing.assert_array_equal(ours.power, expect.power)
+        np.testing.assert_array_equal(ours.time_axis, expect.time_axis)
+        np.testing.assert_array_equal(ours.freq_axis, expect.freq_axis)
+
+    def test_single_chirp_tail_block(self, tmp_path):
+        # 4097 chirps leave a last read block of one chirp; hop 1 and a rect
+        # window (hann ends in a zero tap) let that chirp reach the power
+        scenario = preset("limp_like")
+        scenario = dataclasses.replace(
+            scenario, params=dataclasses.replace(scenario.params, num_chirps=CHIRP_BLOCK + 1))
+        path = write_radar_cube(synthesize(scenario), tmp_path / "c.iq")
+        cfg = PipelineConfig(hop=1, window_kind="rect")
+        np.testing.assert_array_equal(spectrogram_from_file(path, cfg).power,
+                                      spectrogram_from_cube(load_radar_cube(path), cfg).power)
+
+    def test_non_finite_in_later_block_rejected(self, dwell, tmp_path):
+        raw = np.fromfile(dwell, dtype="<f4")
+        raw[2 * 128 * (CHIRP_BLOCK + 10)] = np.nan  # a chirp of the second read block
+        bad = tmp_path / "bad.iq"
+        raw.tofile(bad)
+        bad.with_suffix(".meta").write_text(dwell.with_suffix(".meta").read_text())
+        with pytest.raises(FileFormatError, match="payload contains non-finite samples"):
+            spectrogram_from_file(bad, PipelineConfig())
+
+    def test_truncated_payload_rejected(self, dwell, tmp_path):
+        bad = tmp_path / "short.iq"
+        bad.write_bytes(dwell.read_bytes()[:-8])
+        bad.with_suffix(".meta").write_text(dwell.with_suffix(".meta").read_text())
+        with pytest.raises(FileFormatError, match=r"payload holds \d+ floats, metadata declares"):
+            spectrogram_from_file(bad, PipelineConfig())
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_interval_beyond_bins_rejected(self, dwell, coherent):
+        cfg = PipelineConfig(range_bin_end=64, coherent=coherent)
+        with pytest.raises(ValueError, match=r"range bins \[0, 64\] exceed the 64"):
+            spectrogram_from_file(dwell, cfg)
+
+
 class TestStftSpectrogram:
+    def test_frame_blocks_match_one_batch(self, rng, monkeypatch):
+        signal = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        whole = stft_spectrogram(profiles_of(signal), CFG)
+        assert whole.num_frames < linspec.FRAME_BLOCK
+        monkeypatch.setattr(linspec, "FRAME_BLOCK", 7)
+        blocked = stft_spectrogram(profiles_of(signal), CFG)
+        np.testing.assert_array_equal(blocked.power, whole.power)
+
     def test_single_tone_argmax(self):
         prf = 1000.0
         spec = stft_spectrogram(profiles_of(tone(prf / 8, prf, 512), prf), CFG)
