@@ -21,6 +21,7 @@ Matrix ``pgm``
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -37,7 +38,7 @@ _MATRIX_HEADER = struct.Struct("<4sB3sII")
 
 WINDOW_KINDS = ("hann", "hamming", "rect")
 
-CHIRP_BLOCK = 4096  # chirps per read or write of a cube payload
+CHIRP_BLOCK = 4096  # chirps per read, write or rendered tile of a cube payload
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,10 @@ class RadarParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"RadarParams.{f.name} must be finite, got {value!r}")
+            if value <= 0:
                 raise ValueError(f"RadarParams.{f.name} must be strictly positive")
         if self.chirp_repetition_freq > self.sample_rate:
             raise ValueError("chirp_repetition_freq must not exceed sample_rate")
@@ -346,24 +350,26 @@ def _write_matrix_bin(matrix: np.ndarray, path: Path) -> None:
 
 
 def _load_matrix_bin(path: Path) -> np.ndarray:
-    blob = path.read_bytes()
-    if len(blob) < _MATRIX_HEADER.size:
-        raise FileFormatError(f"{path}: truncated header")
-    magic, dtype, _, rows, cols = _MATRIX_HEADER.unpack_from(blob)
-    if magic != _MATRIX_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
-    if dtype not in (0, 1):
-        raise FileFormatError(f"{path}: unknown dtype code {dtype}")
-    per_value = 16 if dtype else 8
-    expected = _MATRIX_HEADER.size + rows * cols * per_value
-    if len(blob) != expected:
-        raise FileFormatError(
-            f"{path}: payload is {len(blob)} bytes, header declares {expected}"
-        )
-    flat = np.frombuffer(blob, dtype="<f8", offset=_MATRIX_HEADER.size)
-    if dtype:
-        return (flat[0::2] + 1j * flat[1::2]).reshape(rows, cols)
-    return flat.reshape(rows, cols).copy()
+    """Check the header and the size on disk, then read the payload into
+    one preallocated array (a complex128 is an interleaved re/im pair)."""
+    with path.open("rb") as fh:
+        head = fh.read(_MATRIX_HEADER.size)
+        if len(head) < _MATRIX_HEADER.size:
+            raise FileFormatError(f"{path}: truncated header")
+        magic, dtype, _, rows, cols = _MATRIX_HEADER.unpack(head)
+        if magic != _MATRIX_MAGIC:
+            raise FileFormatError(f"{path}: bad magic {magic!r}")
+        if dtype not in (0, 1):
+            raise FileFormatError(f"{path}: unknown dtype code {dtype}")
+        per_value = 16 if dtype else 8
+        expected = _MATRIX_HEADER.size + rows * cols * per_value
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FileFormatError(f"{path}: payload is {size} bytes, header declares {expected}")
+        matrix = np.empty((rows, cols), dtype="<c16" if dtype else "<f8")
+        if fh.readinto(memoryview(matrix).cast("B")) != matrix.nbytes:
+            raise FileFormatError(f"{path}: payload ended while being read")
+    return matrix
 
 
 def _format_value(v) -> str:

@@ -7,7 +7,11 @@ the production code is checked against arithmetic it does not share.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from radoppler.ingest import SPEED_OF_LIGHT
 
 TINY_MEAN = 1e-300
 
@@ -86,3 +90,29 @@ def triangle_weight(p: np.ndarray, m: int, f: float) -> float:
     if f <= mid:
         return (f - lo) / (mid - lo)
     return (hi - f) / (hi - mid)
+
+
+def synthesize_reference(scenario) -> np.ndarray:
+    """Whole-grid cube render: one exp over the full [fast, slow] grid per
+    scatterer, then the complex noise of the whole grid, real part first."""
+    p = scenario.params
+    t_chirp = p.chirp_duration
+    fast = np.arange(p.num_fast_samples)[:, None]
+    t_slow = np.arange(p.num_chirps) / p.chirp_repetition_freq
+
+    samples = np.zeros((p.num_fast_samples, p.num_chirps), dtype=np.complex128)
+    for sc in scenario.scatterers:
+        rng_range = sc.range_at(t_slow)
+        beat = 2.0 * p.bandwidth * rng_range / (SPEED_OF_LIGHT * t_chirp)
+        phase = 2.0 * math.pi * (
+            beat[None, :] * fast / p.sample_rate
+            + 2.0 * p.center_freq * rng_range[None, :] / SPEED_OF_LIGHT
+        )
+        samples += sc.rcs * np.exp(1j * phase)
+
+    if scenario.noise_power > 0:
+        rng = np.random.default_rng(scenario.seed)
+        sigma = math.sqrt(scenario.noise_power / 2.0)
+        samples += sigma * rng.standard_normal(samples.shape)
+        samples += 1j * sigma * rng.standard_normal(samples.shape)
+    return samples

@@ -309,6 +309,29 @@ class TestNonFiniteInputs:
         assert list(tmp_path.iterdir()) == [cfg]
 
 
+class TestNonFiniteParams:
+    def test_cube_meta_exits_two_naming_the_key(self, workdir, tmp_path, capsys):
+        shutil.copyfile(workdir / "cube.iq", tmp_path / "cube.iq")
+        meta = (workdir / "cube.meta").read_text()
+        assert "sample_rate = 2000000.0" in meta
+        (tmp_path / "cube.meta").write_text(meta.replace("sample_rate = 2000000.0",
+                                                         "sample_rate = nan"))
+        out = tmp_path / "spec.bin"
+        assert cli.main(["spectrogram", str(tmp_path / "cube.iq"),
+                         str(workdir / "pipeline.cfg"), str(out)]) == 2
+        assert "sample_rate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scenario_exits_two_naming_the_key(self, workdir, tmp_path, capsys):
+        scene = (workdir / "scene.scn").read_text()
+        assert "sample_rate = 2000000.0" in scene
+        path = tmp_path / "bad.scn"
+        path.write_text(scene.replace("sample_rate = 2000000.0", "sample_rate = nan"))
+        assert cli.main(["simulate", str(path), str(tmp_path / "c.iq")]) == 2
+        assert "sample_rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "c.iq").exists()
+
+
 class TestCorruptCube:
     @pytest.fixture(params=["nan_in_later_block", "truncated"])
     def bad_cube(self, request, workdir, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +54,14 @@ class TestRadarParams:
     def test_rejects_non_positive(self, field):
         with pytest.raises(ValueError, match=field):
             small_params(**{field: 0})
+
+    @pytest.mark.parametrize("field", [
+        "sample_rate", "chirp_repetition_freq", "center_freq", "bandwidth",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=rf"RadarParams\.{field} must be finite"):
+            small_params(**{field: value})
 
     def test_rejects_prf_above_sample_rate(self):
         with pytest.raises(ValueError, match="chirp_repetition_freq"):
@@ -154,6 +164,16 @@ class TestCubeFiles:
         with pytest.raises(FileFormatError, match="payload"):
             load_radar_cube(tmp_path / "absent.iq")
 
+    @pytest.mark.parametrize("key, value", [("sample_rate", "nan"), ("center_freq", "inf")])
+    def test_sidecar_non_finite_value_rejected(self, tmp_path, key, value):
+        cube = RadarCube(params=small_params(), samples=np.ones((16, 8), dtype=complex))
+        payload = write_radar_cube(cube, tmp_path / "c.iq")
+        meta = payload.with_suffix(".meta")
+        meta.write_text(meta.read_text().replace(
+            f"{key} = {getattr(cube.params, key)!r}", f"{key} = {value}"))
+        with pytest.raises(FileFormatError, match=rf"c\.meta: RadarParams\.{key} must be finite"):
+            ingest.CubeReader(payload)
+
     def test_sidecar_missing_key(self, tmp_path):
         cube = RadarCube(params=small_params(), samples=np.ones((16, 8), dtype=complex))
         payload = write_radar_cube(cube, tmp_path / "c.iq")
@@ -218,6 +238,45 @@ class TestMatrixFormats:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FileFormatError, match="declares"):
             load_matrix(path)
+
+    def test_bin_grown(self, tmp_path, rng):
+        path = write_matrix(rng.standard_normal((4, 4)), tmp_path / "m.bin", format="bin")
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(FileFormatError, match="payload is 152 bytes, header declares 144"):
+            load_matrix(path)
+
+    def test_bin_huge_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(ingest._MATRIX_HEADER.pack(b"RDMX", 0, bytes(3), 2**32 - 1, 2**32 - 1))
+        with pytest.raises(FileFormatError, match="payload is 16 bytes"):
+            load_matrix(path)
+
+    def test_bin_shrinking_after_the_check_rejected(self, tmp_path, rng, monkeypatch):
+        path = write_matrix(rng.standard_normal((4, 4)), tmp_path / "m.bin", format="bin")
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(ingest.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(FileFormatError, match="payload ended while being read"):
+            load_matrix(path)
+
+    def test_bin_complex_keeps_every_bit(self, tmp_path):
+        m = np.array([[complex(-0.0, 1.0), complex(2.5, math.inf)],
+                      [complex(-0.0, -0.0), complex(-math.inf, 3.0)]])
+        loaded = load_matrix(write_matrix(m, tmp_path / "m.bin", format="bin"))
+        assert loaded.dtype == np.complex128
+        np.testing.assert_array_equal(loaded.view(np.uint64), m.view(np.uint64))
+
+    def test_bin_peak_memory_one_payload(self, tmp_path, rng):
+        m = rng.standard_normal((1000, 1024))
+        path = write_matrix(m, tmp_path / "m.bin", format="bin")
+        tracemalloc.start()
+        try:
+            loaded = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded, m)
+        assert peak < 1.1 * m.nbytes
 
     def test_csv_ragged(self, tmp_path):
         path = tmp_path / "m.csv"

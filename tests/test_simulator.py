@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from radoppler import simulator
 from radoppler.errors import AliasingError, FileFormatError
 from radoppler.ingest import SPEED_OF_LIGHT, PipelineConfig, RadarParams
 from radoppler.linspec import stft_spectrogram
@@ -19,6 +22,8 @@ from radoppler.simulator import (
     synthesize,
 )
 from radoppler.tracker import peak_track
+
+from _oracles import synthesize_reference
 
 SHORT_PARAMS = dataclasses.replace(DEFAULT_PARAMS, num_chirps=256)
 
@@ -151,6 +156,79 @@ class TestSynthesize:
         assert cube.samples.dtype == np.complex128
 
 
+def assert_bits_equal(actual, expect):
+    np.testing.assert_array_equal(actual.view(np.uint64), expect.view(np.uint64))
+
+
+NOISY_SCENE = Scenario(
+    params=dataclasses.replace(DEFAULT_PARAMS, num_fast_samples=40, num_chirps=5000),
+    scatterers=(
+        ScattererSpec(base_range=1.7, micro_amp=0.9, micro_freq=1.3, micro_phase=0.4, rcs=0.8),
+        ScattererSpec(base_range=2.4, base_velocity=-0.2, micro_amp=0.5, micro_freq=0.6),
+        ScattererSpec(base_range=2.9, micro_amp=0.3, micro_freq=2.0, micro_phase=5.0, rcs=0.55),
+    ),
+    noise_power=3e-3,
+    seed=4242,
+)
+
+
+class TestBlockedRender:
+    """synthesize equals the whole-grid formula bit for bit."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name):
+        scenario = preset(name)
+        assert_bits_equal(synthesize(scenario).samples, synthesize_reference(scenario))
+
+    def test_noisy_multi_scatterer_scene(self):
+        assert NOISY_SCENE.params.num_chirps % simulator.CHIRP_BLOCK != 0
+        assert_bits_equal(synthesize(NOISY_SCENE).samples, synthesize_reference(NOISY_SCENE))
+
+    @pytest.mark.parametrize("num_fast_samples, num_chirps", [(13, 300), (128, 1), (5, 1)])
+    def test_partial_blocks(self, num_fast_samples, num_chirps):
+        assert num_fast_samples % simulator.ROW_BLOCK != 0 or num_chirps == 1
+        scenario = dataclasses.replace(NOISY_SCENE, params=dataclasses.replace(
+            NOISY_SCENE.params, num_fast_samples=num_fast_samples, num_chirps=num_chirps))
+        assert_bits_equal(synthesize(scenario).samples, synthesize_reference(scenario))
+
+    def test_moving_scatterer_with_zero_rate_oscillation(self):
+        scenario = Scenario(
+            params=SHORT_PARAMS,
+            scatterers=(ScattererSpec(base_range=2.0, base_velocity=0.35, micro_amp=0.2,
+                                      micro_freq=0.0, micro_phase=1.0),
+                        ScattererSpec(base_range=2.6, base_velocity=-0.5, rcs=0.7)),
+            noise_power=1e-4, seed=9)
+        assert_bits_equal(synthesize(scenario).samples, synthesize_reference(scenario))
+
+    @pytest.mark.parametrize("row_block, chirp_block, cores", [(3, 7, 1), (1, 4999, 8), (64, 1, 2)])
+    def test_independent_of_blocks_and_threads(self, monkeypatch, row_block, chirp_block, cores):
+        # more workers than cores and frequent thread switches: a row whose
+        # noise lands before its render finishes would change the bits
+        expect = synthesize_reference(NOISY_SCENE)
+        monkeypatch.setattr(simulator, "ROW_BLOCK", row_block)
+        monkeypatch.setattr(simulator, "CHIRP_BLOCK", chirp_block)
+        monkeypatch.setattr(simulator, "_available_cores", lambda: cores)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            samples = synthesize(NOISY_SCENE).samples
+        finally:
+            sys.setswitchinterval(interval)
+        assert_bits_equal(samples, expect)
+
+    def test_peak_memory_about_one_cube(self):
+        scenario = Scenario(
+            params=dataclasses.replace(DEFAULT_PARAMS, num_chirps=30_000),
+            scatterers=NOISY_SCENE.scatterers[:2], noise_power=1e-4, seed=3)
+        tracemalloc.start()
+        try:
+            cube = synthesize(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * cube.samples.nbytes
+
+
 class TestPresets:
     def test_names(self):
         assert PRESET_NAMES == ("fall_like", "limp_like", "walk_like", "static_like")
@@ -228,6 +306,13 @@ class TestScenarioFiles:
         path = tmp_path / "bad.scn"
         path.write_text(self._minimal(f"scatterer = {block}\n"))
         with pytest.raises(FileFormatError, match=message):
+            load_scenario(path)
+
+    def test_non_finite_param_rejected(self, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_text(self._minimal("scatterer = {base_range: 2.0}\n").replace(
+            "sample_rate = 2e6", "sample_rate = nan"))
+        with pytest.raises(FileFormatError, match=r"RadarParams\.sample_rate must be finite"):
             load_scenario(path)
 
     def test_defaults_for_noise_and_seed(self, tmp_path):
