@@ -42,7 +42,6 @@ from .ra_core import (
     FilterBank,
     RASpectrogram,
     build_filter_bank,
-    corner_backends,
     energy_profile,
     find_corners,
     ra_transform,
@@ -81,7 +80,6 @@ __all__ = [
     "FilterBank",
     "RASpectrogram",
     "build_filter_bank",
-    "corner_backends",
     "energy_profile",
     "find_corners",
     "ra_transform",

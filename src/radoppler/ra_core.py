@@ -17,22 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _corner_fallback
 from .errors import DegenerateCornerError, DegenerateInputError, FilterBankError, FileFormatError
 from .ingest import format_kv, kv_as_dict, load_matrix, parse_kv, write_matrix
 from .linspec import Spectrogram, log_view
-
-try:
-    from . import _corner
-except ImportError:
-    _corner = None
 
 __all__ = [
     "EnergyProfile",
     "CornerResult",
     "FilterBank",
     "RASpectrogram",
-    "corner_backends",
     "energy_profile",
     "log_ms",
     "find_corners",
@@ -44,6 +37,8 @@ __all__ = [
 ]
 
 TINY_MEAN = 1e-300
+
+CORNER_BLOCK = 1 << 16  # objective values per corner-search block
 
 LOG10_2 = math.log10(2.0)
 
@@ -204,29 +199,67 @@ def log_ms(profile: EnergyProfile, n: int, m: int) -> float:
 
 
 def corner_backends() -> tuple[str, ...]:
-    """Names of the available search backends, preferred first."""
-    return ("compiled", "python") if _corner is not None else ("python",)
+    """Names of the corner-search implementations, for run records: one."""
+    return ("python",)
 
 
-def _resolve_backend(backend):
-    if backend is None:
-        backend = corner_backends()[0]
-    if backend == "compiled":
-        if _corner is None:
-            raise ValueError("compiled corner backend is not built")
-        return _corner.search
-    if backend == "python":
-        return _corner_fallback.search
-    raise ValueError(f"unknown corner backend {backend!r}")
+def _search(prefix: np.ndarray, zero_index: int) -> tuple[int, int, float]:
+    """Minimize the three-segment objective on a prefix-summed profile.
+
+    prefix[i] holds the sum of the squared profile over indices < i.
+    Returns (i1, i2, J): the left split index in [1, zero_index), the
+    right split index in (zero_index, L-2], and the objective value.
+
+    The (i1, i2) grid is scored CORNER_BLOCK values at a time, a block of
+    i1 rows against every i2, so memory stays bounded at any axis length.
+    Each value is the segment mean floored at 1e-300 before the log, and
+    the objective is associated as (t1 + t2) + t3. Ties resolve to the
+    tightest band and then the smaller i2; that key is carried across
+    blocks, so the block size never changes the result.
+    """
+    L = prefix.shape[0] - 1
+    i1 = np.arange(1, zero_index)
+    i2 = np.arange(zero_index + 1, L - 1)
+
+    n1 = (i1 + 1).astype(np.float64)
+    t1 = n1 * np.log10(np.maximum(prefix[i1 + 1] / n1, TINY_MEAN))
+    n3 = (L - i2).astype(np.float64)
+    t3 = n3 * np.log10(np.maximum((prefix[L] - prefix[i2]) / n3, TINY_MEAN))
+    right = prefix[i2 + 1]
+
+    rows = max(1, CORNER_BLOCK // i2.size)
+    best = None  # (J, span, i2) of the best split so far
+    for start in range(0, i1.size, rows):
+        left = i1[start : start + rows]
+        n2 = (i2[None, :] - left[:, None] + 1).astype(np.float64)
+        t2 = right[None, :] - prefix[left][:, None]
+        t2 /= n2
+        np.maximum(t2, TINY_MEAN, out=t2)
+        np.log10(t2, out=t2)
+        t2 *= n2
+        J = t1[start : start + rows, None] + t2
+        J += t3
+        j = J.min()
+        if best is not None and j > best[0]:
+            continue
+        r, c = np.nonzero(J == j)
+        span = i2[c] - left[r]
+        pick = np.lexsort((i2[c], span))[0]
+        key = (float(j), int(span[pick]), int(i2[c[pick]]))
+        if best is None or key < best:
+            best = key
+    j, span, right_split = best
+    return right_split - span, right_split, j
 
 
-def find_corners(profile: EnergyProfile, backend: str | None = None) -> CornerResult:
+def find_corners(profile: EnergyProfile) -> CornerResult:
     """Exhaustive search for the negative/positive corner bins.
 
     Scores every split (f1, f2) with f1 in [min_bin+1, -1] and f2 in
     [1, max_bin-1] as the sum of three shared-endpoint segment scores and
     returns the global minimum. Ties resolve to the tightest band, then
-    the smaller positive corner. Cost is O(F²) via prefix sums of e².
+    the smaller positive corner. Cost is O(F²) time via prefix sums of e²,
+    in blocks of CORNER_BLOCK objective values.
     """
     if profile.zero_index < 2 or profile.max_bin < 2:
         raise DegenerateInputError(
@@ -237,7 +270,7 @@ def find_corners(profile: EnergyProfile, backend: str | None = None) -> CornerRe
     prefix = np.empty(e2.size + 1)
     prefix[0] = 0.0
     np.cumsum(e2, out=prefix[1:])
-    i1, i2, j = _resolve_backend(backend)(prefix, profile.zero_index)
+    i1, i2, j = _search(prefix, profile.zero_index)
     f_nc = i1 - profile.zero_index
     f_pc = i2 - profile.zero_index
     f_c = max(-f_nc, f_pc)
@@ -326,7 +359,6 @@ def ra_transform(
     num_filters: int = 64,
     floor: float = 1e-12,
     force_fc: float | None = None,
-    backend: str | None = None,
 ) -> RASpectrogram:
     """Full resolution-adaptive pipeline on one spectrogram.
 
@@ -342,7 +374,7 @@ def ra_transform(
         corner = CornerResult(f_nc=-fc_bins, f_pc=fc_bins, f_c=fc_bins,
                               objective_value=math.nan)
     else:
-        corner = find_corners(profile, backend=backend)
+        corner = find_corners(profile)
     bank = build_filter_bank(float(corner.f_c), half, num_filters)
 
     # positive half covers bins 0..half, aliasing the Nyquist bin from index 0

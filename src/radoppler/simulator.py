@@ -49,6 +49,10 @@ class ScattererSpec:
     rcs: float = 1.0  # linear amplitude
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"ScattererSpec.{f.name} must be finite, got {value!r}")
         if self.base_range <= 0:
             raise ValueError("base_range must be positive")
         if self.micro_freq < 0 or self.micro_amp < 0:
@@ -84,6 +88,8 @@ class Scenario:
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
         if not self.scatterers:
             raise ValueError("scenario needs at least one scatterer")
+        if not math.isfinite(self.noise_power):
+            raise ValueError(f"Scenario.noise_power must be finite, got {self.noise_power!r}")
         if self.noise_power < 0:
             raise ValueError("noise_power must be non-negative")
 

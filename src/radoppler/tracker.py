@@ -15,6 +15,8 @@ __all__ = [
     "write_track_csv",
 ]
 
+PEAK_BLOCK = 1 << 16  # matrix elements per peak-picking block
+
 
 @dataclass(frozen=True)
 class SignatureTrack:
@@ -40,6 +42,8 @@ def peak_track(power: np.ndarray, axis: np.ndarray) -> np.ndarray:
 
     Ties go to the bin whose axis value is nearest zero frequency, then
     to the lower bin index, so flat frames resolve deterministically.
+    Frames are reordered and searched PEAK_BLOCK elements at a time, so
+    the matrix is never copied whole.
     """
     power = np.asarray(power, dtype=np.float64)
     axis = np.asarray(axis, dtype=np.float64)
@@ -48,8 +52,11 @@ def peak_track(power: np.ndarray, axis: np.ndarray) -> np.ndarray:
     if axis.shape != (power.shape[1],):
         raise ValueError("axis length must match the column count")
     prefer = np.lexsort((np.arange(axis.size), np.abs(axis)))
-    # argmax keeps the first occurrence, i.e. the most preferred tied bin
-    pick = power[:, prefer].argmax(axis=1)
+    rows = max(1, PEAK_BLOCK // axis.size)
+    pick = np.empty(power.shape[0], dtype=np.intp)
+    for start in range(0, power.shape[0], rows):
+        # argmax keeps the first occurrence, i.e. the most preferred tied bin
+        pick[start : start + rows] = power[start : start + rows, prefer].argmax(axis=1)
     return axis[prefer[pick]]
 
 

@@ -47,6 +47,43 @@ def brute_force_corners(e: np.ndarray, zero_index: int) -> tuple[int, int, float
     return best
 
 
+def dense_corner_search(prefix: np.ndarray, zero_index: int) -> tuple[int, int, float]:
+    """Whole-grid corner search: the objective over every (i1, i2) split at
+    once, then every minimum and the (span, i2) tie-break among them.
+
+    Same arithmetic as find_corners (prefix sums, mean floored at 1e-300,
+    (t1 + t2) + t3), holding the full O(F²) grid. Returns (i1, i2, J) in
+    array indices.
+    """
+    L = prefix.shape[0] - 1
+    i1 = np.arange(1, zero_index)
+    i2 = np.arange(zero_index + 1, L - 1)
+
+    n1 = (i1 + 1).astype(np.float64)
+    t1 = n1 * np.log10(np.maximum(prefix[i1 + 1] / n1, TINY_MEAN))
+    n3 = (L - i2).astype(np.float64)
+    t3 = n3 * np.log10(np.maximum((prefix[L] - prefix[i2]) / n3, TINY_MEAN))
+    n2 = (i2[None, :] - i1[:, None] + 1).astype(np.float64)
+    s2 = prefix[i2 + 1][None, :] - prefix[i1][:, None]
+    t2 = n2 * np.log10(np.maximum(s2 / n2, TINY_MEAN))
+
+    J = (t1[:, None] + t2) + t3[None, :]
+    rows, cols = np.nonzero(J == J.min())
+    span = i2[cols] - i1[rows]
+    pick = np.lexsort((i2[cols], span))[0]  # tightest band, then smaller i2
+    return int(i1[rows[pick]]), int(i2[cols[pick]]), float(J.min())
+
+
+def peak_track_reference(power: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Per-frame peak by argmax over the whole column-reordered matrix.
+
+    Columns are ordered by |axis|, then index, so argmax's first
+    occurrence is the preferred tied bin.
+    """
+    prefer = np.lexsort((np.arange(axis.size), np.abs(axis)))
+    return axis[prefer[power[:, prefer].argmax(axis=1)]]
+
+
 def dft_frame(frame: np.ndarray, fft_length: int) -> np.ndarray:
     """Definition-level DFT of one zero-padded frame, fftshifted."""
     padded = np.zeros(fft_length, dtype=np.complex128)

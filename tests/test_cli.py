@@ -331,6 +331,25 @@ class TestNonFiniteParams:
         assert "sample_rate must be finite" in capsys.readouterr().err
         assert not (tmp_path / "c.iq").exists()
 
+    @pytest.mark.parametrize("old, new, name", [
+        ("{base_range: 2.0,", "{base_range: nan,", "ScattererSpec.base_range"),
+        ("noise_power = 0.0001", "noise_power = inf", "Scenario.noise_power"),
+    ])
+    def test_scenario_field_exits_two_before_rendering(self, workdir, tmp_path, capsys,
+                                                       monkeypatch, old, new, name):
+        scene = (workdir / "scene.scn").read_text()
+        assert old in scene
+        path = tmp_path / "bad.scn"
+        path.write_text(scene.replace(old, new, 1))
+
+        def no_render(scenario):
+            raise AssertionError("rendered a scenario with a non-finite field")
+
+        monkeypatch.setattr(cli, "synthesize", no_render)
+        assert cli.main(["simulate", str(path), str(tmp_path / "c.iq")]) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "c.iq").exists()
+
 
 class TestCorruptCube:
     @pytest.fixture(params=["nan_in_later_block", "truncated"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from _oracles import (
     brute_force_corners,
+    dense_corner_search,
     energy_profile_direct,
     triangle_weight,
 )
-from radoppler import _corner_fallback
+from radoppler import ra_core
 from radoppler.errors import DegenerateCornerError, DegenerateInputError, FilterBankError
 from radoppler.linspec import Spectrogram
 from radoppler.ra_core import (
@@ -18,7 +20,6 @@ from radoppler.ra_core import (
     EnergyProfile,
     FilterBank,
     build_filter_bank,
-    corner_backends,
     energy_profile,
     find_corners,
     log_ms,
@@ -176,15 +177,10 @@ class TestFindCorners:
             assert (got.f_nc, got.f_pc) == (f_nc, f_pc)
 
     def test_flat_profile_tie_break(self):
-        # every split ties, so backends must fall back to the tightest band
+        # every split ties, so the search falls back to the tightest band
         prefix = np.concatenate([[0.0], np.cumsum(np.ones(41))])
-        for name in corner_backends():
-            if name == "python":
-                i1, i2, _ = _corner_fallback.search(prefix, 20)
-            else:
-                from radoppler import _corner
-                i1, i2, _ = _corner.search(prefix, 20)
-            assert (i1 - 20, i2 - 20) == (-1, 1)
+        i1, i2, _ = ra_core._search(prefix, 20)
+        assert (i1 - 20, i2 - 20) == (-1, 1)
 
     def test_flat_profile_degenerate_corner(self):
         with pytest.raises(DegenerateCornerError, match="f_c"):
@@ -196,33 +192,77 @@ class TestFindCorners:
         b = find_corners(ep)
         assert (a.f_nc, a.f_pc, a.objective_value) == (b.f_nc, b.f_pc, b.objective_value)
 
-    @pytest.mark.skipif(len(corner_backends()) < 2, reason="compiled backend not built")
-    def test_backend_equivalence(self, rng):
-        from radoppler import _corner
-
-        for _ in range(30):
-            ep = random_profile(rng, integer=bool(rng.integers(0, 2)))
-            e2 = ep.e * ep.e
-            prefix = np.concatenate([[0.0], np.cumsum(e2)])
-            a = _corner.search(prefix, ep.zero_index)
-            b = _corner_fallback.search(prefix, ep.zero_index)
-            assert a[:2] == b[:2]
-            assert a[2] == pytest.approx(b[2], rel=1e-12)
-
     def test_axis_too_short(self):
         with pytest.raises(DegenerateInputError, match="segments"):
             find_corners(EnergyProfile(e=np.ones(5), zero_index=1))
-
-    def test_unknown_backend(self):
-        ep = step_profile(8, -3, 3)
-        with pytest.raises(ValueError, match="backend"):
-            find_corners(ep, backend="gpu")
 
     def test_corner_result_invariants(self):
         with pytest.raises(ValueError, match="straddle"):
             CornerResult(f_nc=1, f_pc=2, f_c=2, objective_value=0.0)
         with pytest.raises(ValueError, match="f_c"):
             CornerResult(f_nc=-3, f_pc=2, f_c=2, objective_value=0.0)
+
+
+def prefix_sums(e):
+    prefix = np.empty(e.size + 1)
+    prefix[0] = 0.0
+    np.cumsum(e * e, out=prefix[1:])
+    return prefix
+
+
+def bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+class TestBlockedSearch:
+    """find_corners against the whole-grid search, bit for bit, whatever
+    the number of i1 rows in a block."""
+
+    @staticmethod
+    def profiles(gen):
+        # zero runs sit at the 1e-300 mean floor, where the objective is linear
+        # in the segment lengths: split (4, 7) ties (5, 9) in a later i1 row
+        yield EnergyProfile(e=np.array([1, 1, 1, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0.0]),
+                            zero_index=6)
+        for length in (9, 10, 31, 64, 257, 1024, 4096):
+            zero = length // 2
+            yield EnergyProfile(e=gen.uniform(0.1, 10.0, size=length), zero_index=zero)
+            # few distinct values: the objective ties exactly across splits
+            ints = gen.integers(1, 4, size=length).astype(np.float64)
+            yield EnergyProfile(e=ints, zero_index=zero)
+            yield EnergyProfile(e=np.ones(length), zero_index=zero)
+
+    def test_matches_dense_search_at_every_block_size(self, rng, monkeypatch):
+        default = ra_core.CORNER_BLOCK
+        for ep in self.profiles(rng):
+            zero = ep.zero_index
+            prefix = prefix_sums(ep.e)
+            i1, i2, j = dense_corner_search(prefix, zero)
+            columns = ep.e.size - 2 - zero
+            for block in (columns, 3 * columns, 7 * columns, default):
+                monkeypatch.setattr(ra_core, "CORNER_BLOCK", block)
+                got = ra_core._search(prefix, zero)
+                assert got[:2] == (i1, i2) and bits(got[2]) == bits(j)
+                if max(zero - i1, i2 - zero) < 2:  # flat: the corner collapses
+                    with pytest.raises(DegenerateCornerError):
+                        find_corners(ep)
+                    continue
+                corner = find_corners(ep)
+                assert (corner.f_nc, corner.f_pc) == (i1 - zero, i2 - zero)
+                assert bits(corner.objective_value) == bits(j)
+
+    def test_memory_bounded_at_4096_bins(self, rng):
+        e = rng.uniform(0.1, 10.0, size=4096)
+        e[1500:2700] += 50.0
+        ep = EnergyProfile(e=e, zero_index=2048)
+        tracemalloc.start()
+        try:
+            find_corners(ep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-grid search peaks at about 168 MB here
+        assert peak <= 8 * 2**20, f"find_corners peaked at {peak / 2**20:.1f} MB"
 
 
 class TestScale:

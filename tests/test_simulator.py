@@ -42,6 +42,12 @@ class TestScattererSpec:
         with pytest.raises(ValueError, match="rcs"):
             ScattererSpec(base_range=1.0, rcs=0.0)
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScattererSpec)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"ScattererSpec.{name} must be finite"):
+            ScattererSpec(**{"base_range": 2.0, name: value})
+
     def test_peak_doppler(self):
         sc = ScattererSpec(base_range=2.0, base_velocity=1.0, micro_amp=0.5)
         expect = 2.0 * 1.5 * 77e9 / SPEED_OF_LIGHT
@@ -79,6 +85,12 @@ class TestScenario:
         with pytest.raises(ValueError, match="noise_power"):
             Scenario(params=SHORT_PARAMS,
                      scatterers=(ScattererSpec(base_range=2.0),), noise_power=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_noise(self, value):
+        with pytest.raises(ValueError, match="Scenario.noise_power must be finite"):
+            Scenario(params=SHORT_PARAMS,
+                     scatterers=(ScattererSpec(base_range=2.0),), noise_power=value)
 
 
 class TestSynthesize:

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from _oracles import peak_track_reference
+from radoppler import tracker
 from radoppler.tracker import (
     SignatureTrack,
     kalman_smooth,
@@ -40,6 +44,30 @@ class TestPeakTrack:
         j = np.flatnonzero(axis == 250.0)[0]
         power[0, [k, j]] = 1.0
         assert peak_track(power, axis)[0] == -250.0
+
+    @pytest.mark.parametrize("block", [1, 40, 1000, None])
+    def test_matches_whole_matrix_argmax(self, rng, monkeypatch, block):
+        # flat, mirror-tied and quantised frames, in blocks of 1, 3, 76 and all rows
+        if block is not None:
+            monkeypatch.setattr(tracker, "PEAK_BLOCK", block)
+        axis = shifted_axis(13)
+        power = rng.integers(0, 3, size=(200, 13)).astype(np.float64)
+        power[::5] = 1.0
+        power[1::7] = 0.0
+        power[2::9, [2, 10]] = 9.0  # a mirror pair, ±4 bins
+        np.testing.assert_array_equal(peak_track(power, axis),
+                                      peak_track_reference(power, axis))
+
+    def test_memory_well_below_one_matrix(self, rng):
+        power = rng.uniform(0, 1, size=(4000, 256))  # 7.8 MB
+        axis = shifted_axis(256)
+        tracemalloc.start()
+        try:
+            peak_track(power, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < power.nbytes / 4, f"peak_track peaked at {peak / 2**20:.2f} MB"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="2-D"):
