@@ -16,6 +16,7 @@ from .errors import (
     DegenerateInputError,
     FileFormatError,
     FilterBankError,
+    ForcedCornerError,
     RadopplerError,
 )
 from .ingest import (
@@ -58,6 +59,7 @@ __all__ = [
     "DegenerateInputError",
     "FileFormatError",
     "FilterBankError",
+    "ForcedCornerError",
     "RadopplerError",
     "PipelineConfig",
     "RadarCube",

@@ -20,26 +20,26 @@ import math
 import os
 import shlex
 import sys
-from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import RadopplerError
+from .errors import ForcedCornerError, RadopplerError
 from .ingest import (
     _cube_paths,
+    field_pairs,
     format_kv,
-    kv_as_dict,
     load_config,
     load_matrix,
-    parse_kv,
+    read_sidecar,
+    sidecar_path,
     write_matrix,
     write_radar_cube,
 )
 from .linspec import load_spectrogram, save_spectrogram, spectrogram_from_file
-from .ra_core import load_ra_sidecar, ra_transform, save_ra_spectrogram
+from .ra_core import ra_transform, save_ra_spectrogram
 from .simulator import load_scenario, synthesize
 from .tracker import track_signature, write_track_csv
 
@@ -73,7 +73,7 @@ def _write_manifest(out_path, command, argv, inputs, outputs, config=None, extra
         ("argv", shlex.join(str(a) for a in argv)),
     ]
     if config is not None:
-        pairs += [(f"config_{f.name}", getattr(config, f.name)) for f in fields(config)]
+        pairs += [(f"config_{name}", value) for name, value in field_pairs(config)]
     pairs += [("input", f"{p} sha256:{_sha256(p)}") for p in inputs if Path(p).exists()]
     pairs += [("output", f"{p} sha256:{_sha256(p)}") for p in outputs if Path(p).exists()]
     pairs += list(extra)
@@ -81,11 +81,6 @@ def _write_manifest(out_path, command, argv, inputs, outputs, config=None, extra
     manifest = Path(str(out_path) + ".manifest")
     manifest.write_text(format_kv(pairs))
     log.info("wrote %s", manifest)
-
-
-def _sidecar_of(path) -> Path:
-    path = Path(path)
-    return path.with_name(path.name + ".meta")
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +91,7 @@ def cmd_simulate(args, argv) -> None:
     scenario = load_scenario(args.scenario_path)
     cube = synthesize(scenario)
     payload = write_radar_cube(cube, args.out_cube_path)
-    sidecar = payload.with_suffix(".meta")
+    sidecar = _cube_paths(payload)[1]
     log.info("wrote %s (%d chirps)", payload, cube.params.num_chirps)
     _write_manifest(payload, "simulate", argv,
                     inputs=[args.scenario_path], outputs=[payload, sidecar])
@@ -112,7 +107,7 @@ def cmd_spectrogram(args, argv) -> None:
         outputs = [out]
     else:
         save_spectrogram(spec, out, format=args.format)
-        outputs = [out, _sidecar_of(out)]
+        outputs = [out, sidecar_path(out)]
     log.info("wrote %s (%d frames x %d bins)", out, spec.num_frames, spec.num_freq_bins)
     inputs = [args.cube_path, _cube_paths(args.cube_path)[1], args.config_path]
     _write_manifest(out, "spectrogram", argv, inputs=inputs, outputs=outputs, config=cfg)
@@ -126,16 +121,15 @@ def cmd_ra(args, argv) -> None:
         inputs = [in_path, _cube_paths(in_path)[1], args.config_path]
     else:
         spec = load_spectrogram(in_path)
-        inputs = [in_path, _sidecar_of(in_path), args.config_path]
+        inputs = [in_path, sidecar_path(in_path), args.config_path]
 
     num_filters = args.M if args.M is not None else cfg.num_filters
-    force_bins = None
-    if args.force_fc is not None:
-        if args.force_fc <= 0:
-            raise ValueError("--force-fc must be a positive frequency in Hz")
-        force_bins = args.force_fc / spec.hz_per_bin
-    ra = ra_transform(spec, num_filters=num_filters, floor=cfg.log_floor,
-                      force_fc=force_bins)
+    force_bins = None if args.force_fc is None else args.force_fc / spec.hz_per_bin
+    try:
+        ra = ra_transform(spec, num_filters=num_filters, floor=cfg.log_floor,
+                          force_fc=force_bins)
+    except ForcedCornerError as exc:
+        raise ForcedCornerError(f"--force-fc {args.force_fc:g}: {exc}") from None
     log.info("corner: f_nc=%d f_pc=%d f_c=%d bins (%.2f Hz)%s",
              ra.corner.f_nc, ra.corner.f_pc, ra.corner.f_c,
              ra.corner.f_c * ra.hz_per_bin, " [forced]" if ra.corner.forced else "")
@@ -146,7 +140,7 @@ def cmd_ra(args, argv) -> None:
         outputs = [out]
     else:
         save_ra_spectrogram(ra, out, format=args.format)
-        outputs = [out, _sidecar_of(out)]
+        outputs = [out, sidecar_path(out)]
     extra = [
         ("f_nc_bins", ra.corner.f_nc),
         ("f_pc_bins", ra.corner.f_pc),
@@ -160,17 +154,15 @@ def cmd_ra(args, argv) -> None:
 
 def cmd_track(args, argv) -> None:
     in_path = Path(args.matrix_path)
-    sidecar = _sidecar_of(in_path)
-    kind = None
-    if sidecar.exists():
-        kind = kv_as_dict(parse_kv(sidecar.read_text()), source=str(sidecar)).get("kind")
+    sidecar = sidecar_path(in_path)
+    meta = read_sidecar(in_path, None) if sidecar.exists() else {}
+    kind = meta.get("kind")
 
     if kind == "spectrogram":
         spec = load_spectrogram(in_path)
         power, axis, times = spec.power, spec.freq_axis, spec.time_axis
         axis_kind = "doppler_hz"
     elif kind == "ra_spectrogram":
-        meta = load_ra_sidecar(in_path)
         power = np.asarray(load_matrix(in_path)).real
         m_count = int(meta["num_filters"])
         hz_per_bin = float(meta["hz_per_bin"])

@@ -22,6 +22,10 @@ class DegenerateCornerError(DegenerateInputError):
     """Corner search landed below the minimum usable corner frequency."""
 
 
+class ForcedCornerError(RadopplerError, ValueError):
+    """A forced corner frequency does not round to a bin inside the axis."""
+
+
 class FilterBankError(RadopplerError):
     """Filter-bank break points collapsed; the warp is not resolvable."""
 

@@ -6,11 +6,13 @@ Cube payload ``<name>.iq``
     Interleaved I/Q as 32-bit little-endian IEEE-754 floats. The fast-time
     index varies fastest: all samples of chirp 0, then chirp 1, and so on.
 Cube sidecar ``<name>.meta``
-    Plain-text ``key = value`` lines (see RadarParams field names).
+    Plain-text ``key = value`` lines, one per RadarParams field.
 Matrix ``bin``
     16-byte header: magic ``RDMX``, u8 dtype (0 = f64 real, 1 = c128
     complex), 3 reserved bytes, u32 rows, u32 cols, little-endian;
     row-major f64 payload (complex values as re/im pairs).
+Matrix sidecar ``<matrix file name>.meta``
+    ``key = value`` lines; ``kind`` says what the matrix holds.
 Matrix ``csv``
     One matrix row per line, comma-separated, ``%.17g`` formatting.
 Matrix ``pgm``
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -186,6 +188,8 @@ def kv_as_dict(pairs, *, source: str = "sidecar") -> dict[str, str]:
 
 def _coerce(value: str, kind: type, key: str):
     try:
+        if kind is str:
+            return value
         if kind is bool:
             lowered = value.lower()
             if lowered in ("true", "1", "yes"):
@@ -197,7 +201,54 @@ def _coerce(value: str, kind: type, key: str):
             return int(value)
         return float(value)
     except ValueError:
-        raise FileFormatError(f"key {key!r}: cannot parse {value!r} as {kind.__name__}") from None
+        raise ValueError(f"key {key!r}: cannot parse {value!r} as {kind.__name__}") from None
+
+
+def field_pairs(obj) -> list[tuple[str, object]]:
+    """A dataclass instance as (field name, value) pairs in declaration order."""
+    return [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+
+
+def from_kv(cls, pairs, source, defaults: bool = False, **given):
+    """Build dataclass ``cls`` from parsed ``key = value`` pairs.
+
+    Each key names a field and is parsed by the field's annotation. Fields
+    passed in ``given`` are not read from the pairs. Duplicate and unknown
+    keys are rejected, and so are missing ones unless ``defaults`` lets
+    them keep the field defaults. Every error, including the checks of
+    ``cls`` itself, becomes a FileFormatError that names ``source``.
+    """
+    values = kv_as_dict(pairs, source=str(source))
+    kinds = {name: kind for name, kind in get_type_hints(cls).items() if name not in given}
+    unknown = sorted(set(values) - set(kinds))
+    if unknown:
+        raise FileFormatError(f"{source}: unknown keys {unknown}")
+    missing = [] if defaults else sorted(set(kinds) - set(values))
+    if missing:
+        raise FileFormatError(f"{source}: missing keys {missing}")
+    try:
+        parsed = {key: _coerce(value, kinds[key], key) for key, value in values.items()}
+        return cls(**parsed, **given)
+    except ValueError as exc:
+        raise FileFormatError(f"{source}: {exc}") from exc
+
+
+def sidecar_path(path) -> Path:
+    """The ``<name>.meta`` sidecar of a matrix file ``<name>``."""
+    path = Path(path)
+    return path.with_name(path.name + ".meta")
+
+
+def read_sidecar(path, kind: str | None) -> dict[str, str]:
+    """The sidecar of a matrix file as a dict, checked to exist and, unless
+    ``kind`` is None, to declare ``kind = <kind>``."""
+    sidecar = sidecar_path(path)
+    if not sidecar.exists():
+        raise FileFormatError(f"sidecar not found: {sidecar}")
+    meta = kv_as_dict(parse_kv(sidecar.read_text()), source=str(sidecar))
+    if kind is not None and meta.get("kind") != kind:
+        raise FileFormatError(f"{sidecar}: not a {kind} sidecar")
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +266,7 @@ def write_radar_cube(cube: RadarCube, path) -> Path:
     """Write ``<name>.iq`` + ``<name>.meta``; returns the payload path."""
     payload_path, meta_path = _cube_paths(path)
     p = cube.params
-    meta_path.write_text(format_kv([
-        ("num_fast_samples", p.num_fast_samples),
-        ("num_chirps", p.num_chirps),
-        ("sample_rate", p.sample_rate),
-        ("chirp_repetition_freq", p.chirp_repetition_freq),
-        ("center_freq", p.center_freq),
-        ("bandwidth", p.bandwidth),
-    ]))
+    meta_path.write_text(format_kv(field_pairs(p)))
     # chirp-major on disk, so each block is transposed; a little-endian
     # complex64 is one interleaved float32 I/Q pair
     with payload_path.open("wb") as fh:
@@ -250,23 +294,7 @@ class CubeReader:
         if not meta_path.exists():
             raise FileFormatError(f"cube sidecar not found: {meta_path}")
 
-        meta = kv_as_dict(parse_kv(meta_path.read_text()), source=str(meta_path))
-        required = {
-            "num_fast_samples": int,
-            "num_chirps": int,
-            "sample_rate": float,
-            "chirp_repetition_freq": float,
-            "center_freq": float,
-            "bandwidth": float,
-        }
-        missing = sorted(set(required) - set(meta))
-        if missing:
-            raise FileFormatError(f"{meta_path}: missing keys {missing}")
-        values = {k: _coerce(meta[k], kind, k) for k, kind in required.items()}
-        try:
-            self.params = RadarParams(**values)
-        except ValueError as exc:
-            raise FileFormatError(f"{meta_path}: {exc}") from exc
+        self.params = from_kv(RadarParams, parse_kv(meta_path.read_text()), meta_path)
 
         expected = 2 * self.params.num_fast_samples * self.params.num_chirps
         size = self.payload.stat().st_size
@@ -432,7 +460,7 @@ def _write_matrix_pgm(matrix: np.ndarray, path: Path, floor: float = 1e-12) -> N
 
 def write_config(cfg: PipelineConfig, path) -> Path:
     path = Path(path)
-    path.write_text(format_kv([(f.name, getattr(cfg, f.name)) for f in fields(cfg)]))
+    path.write_text(format_kv(field_pairs(cfg)))
     return path
 
 
@@ -441,14 +469,4 @@ def load_config(path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"config file not found: {path}")
-    kinds = get_type_hints(PipelineConfig)
-    overrides = {}
-    for key, value in parse_kv(path.read_text()):
-        if key not in kinds:
-            raise FileFormatError(f"{path}: unknown config key {key!r}")
-        kind = kinds[key]
-        overrides[key] = value if kind is str else _coerce(value, kind, key)
-    try:
-        return replace(PipelineConfig(), **overrides)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    return from_kv(PipelineConfig, parse_kv(path.read_text()), path, defaults=True)

@@ -14,10 +14,10 @@ from .ingest import (
     RadarCube,
     RadarParams,
     format_kv,
-    kv_as_dict,
     load_matrix,
     load_radar_cube,
-    parse_kv,
+    read_sidecar,
+    sidecar_path,
     write_matrix,
 )
 from .preprocess import RangeProfileMatrix, clutter_filter, range_transform
@@ -222,22 +222,18 @@ def log_view(spec: Spectrogram, floor: float = 1e-12) -> np.ndarray:
     peak = spec.power.max()
     if peak <= 0:
         raise DegenerateInputError("degenerate input: all-zero spectrogram has no log view")
-    return np.log10(np.maximum(spec.power, floor * peak))
+    floored = np.maximum(spec.power, floor * peak)
+    return np.log10(floored, out=floored)
 
 
 # ---------------------------------------------------------------------------
 # persistence: matrix payload + axis sidecar
 # ---------------------------------------------------------------------------
 
-def _sidecar_path(path) -> Path:
-    path = Path(path)
-    return path.with_name(path.name + ".meta")
-
-
 def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
     """Write the power matrix plus a ``<name>.meta`` axis sidecar."""
     out = write_matrix(spec.power, path, format=format)
-    _sidecar_path(out).write_text(format_kv([
+    sidecar_path(out).write_text(format_kv([
         ("kind", "spectrogram"),
         ("num_frames", spec.num_frames),
         ("num_freq_bins", spec.num_freq_bins),
@@ -248,16 +244,10 @@ def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
 
 
 def load_spectrogram(path) -> Spectrogram:
-    path = Path(path)
-    sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise FileFormatError(f"axis sidecar not found: {sidecar}")
-    meta = kv_as_dict(parse_kv(sidecar.read_text()), source=str(sidecar))
-    if meta.get("kind") != "spectrogram":
-        raise FileFormatError(f"{sidecar}: not a spectrogram sidecar")
+    meta = read_sidecar(path, "spectrogram")
     missing = sorted({"f_max", "frame_dt"} - set(meta))
     if missing:
-        raise FileFormatError(f"{sidecar}: missing keys {missing}")
+        raise FileFormatError(f"{sidecar_path(path)}: missing keys {missing}")
     power = np.asarray(load_matrix(path)).real
     num_bins = power.shape[1]
     f_max = float(meta["f_max"])

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateCornerError, DegenerateInputError, FilterBankError, FileFormatError
-from .ingest import format_kv, kv_as_dict, load_matrix, parse_kv, write_matrix
+from .errors import DegenerateCornerError, DegenerateInputError, FilterBankError, ForcedCornerError
+from .ingest import format_kv, sidecar_path, write_matrix
 from .linspec import Spectrogram, log_view
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "FilterBank",
     "RASpectrogram",
     "energy_profile",
-    "log_ms",
     "find_corners",
     "scale_forward",
     "scale_inverse",
@@ -183,21 +182,6 @@ def energy_profile(spec: Spectrogram, floor: float = 1e-12) -> EnergyProfile:
     return EnergyProfile(e=e, zero_index=spec.num_freq_bins // 2)
 
 
-def log_ms(profile: EnergyProfile, n: int, m: int) -> float:
-    """Segment score (m-n+1) * log10(mean of e² over bins n..m inclusive).
-
-    The mean is floored at 1e-300 so silent segments stay finite. This is
-    the direct reference evaluation; find_corners uses prefix sums.
-    """
-    if n > m:
-        raise ValueError(f"empty segment: n={n} > m={m}")
-    if n < profile.min_bin or m > profile.max_bin:
-        raise ValueError(f"segment [{n}, {m}] outside axis")
-    seg = profile.e[profile.zero_index + n : profile.zero_index + m + 1]
-    mean = max(float(np.sum(seg * seg)) / seg.size, TINY_MEAN)
-    return seg.size * math.log10(mean)
-
-
 def corner_backends() -> tuple[str, ...]:
     """Names of the corner-search implementations, for run records: one."""
     return ("python",)
@@ -339,19 +323,16 @@ def build_filter_bank(f_c: float, f_max: int, num_filters: int) -> FilterBank:
         )
 
     bins = np.arange(f_max + 1, dtype=np.float64)
-    weights = np.zeros((num_filters, f_max + 1))
-    for k in range(num_filters + 1):
-        lo, hi = p[k], p[k + 1]
-        # half-open interval; the final interval keeps its right edge
-        mask = (bins >= lo) & ((bins <= hi) if k == num_filters else (bins < hi))
-        if not mask.any():
-            continue
-        rise = (bins[mask] - lo) / (hi - lo)
-        if k + 1 <= num_filters:
-            weights[k, mask] = rise
-        if k >= 1:
-            weights[k - 1, mask] = 1.0 - rise
-    return FilterBank(break_points=p, weights=weights)
+    # interval k = [p_k, p_{k+1}) of each bin; the final interval keeps its right edge
+    k = np.searchsorted(p[1:-1], bins, side="right")
+    rise = (bins - p[k]) / (p[k + 1] - p[k])
+    # filter k+1 rises and filter k falls over interval k; rows 0 and M+1
+    # of the padded array catch the halves that belong to no filter
+    padded = np.zeros((num_filters + 2, f_max + 1))
+    columns = np.arange(f_max + 1)
+    padded[k + 1, columns] = rise
+    padded[k, columns] = 1.0 - rise
+    return FilterBank(break_points=p, weights=padded[1:-1])
 
 
 def ra_transform(
@@ -365,12 +346,20 @@ def ra_transform(
     Detects the corner from the energy profile (unless force_fc, in bins,
     overrides it), builds the warped filter bank, and applies it to the
     positive and mirrored negative frequency halves. Output columns run
-    from the most negative warped frequency to the most positive.
+    from the most negative warped frequency to the most positive. A
+    forced corner that rounds outside [1, half - 1] bins raises
+    ForcedCornerError (a ValueError).
     """
     profile = energy_profile(spec, floor)
     half = spec.num_freq_bins // 2
     if force_fc is not None:
-        fc_bins = min(max(int(round(force_fc)), 1), half - 1)
+        if not (math.isfinite(force_fc) and 1 <= round(force_fc) <= half - 1):
+            raise ForcedCornerError(
+                f"forced corner {force_fc:.6g} bins ({force_fc * spec.hz_per_bin:.6g} Hz) "
+                f"does not round into [1, {half - 1}] bins "
+                f"({spec.hz_per_bin:.6g} Hz per bin)"
+            )
+        fc_bins = int(round(force_fc))
         corner = CornerResult(f_nc=-fc_bins, f_pc=fc_bins, f_c=fc_bins,
                               objective_value=math.nan)
     else:
@@ -418,18 +407,5 @@ def save_ra_spectrogram(ra: RASpectrogram, path, format: str = "bin") -> Path:
         ("f_c_hz", ra.corner.f_c * ra.hz_per_bin),
     ]
     pairs += [(f"p_{m}", float(v)) for m, v in enumerate(ra.bank.break_points)]
-    sidecar = out.with_name(out.name + ".meta")
-    sidecar.write_text(format_kv(pairs))
+    sidecar_path(out).write_text(format_kv(pairs))
     return out
-
-
-def load_ra_sidecar(path) -> dict[str, str]:
-    """Raw key/value sidecar of a saved RA spectrogram."""
-    path = Path(path)
-    sidecar = path.with_name(path.name + ".meta")
-    if not sidecar.exists():
-        raise FileFormatError(f"sidecar not found: {sidecar}")
-    meta = kv_as_dict(parse_kv(sidecar.read_text()), source=str(sidecar))
-    if meta.get("kind") != "ra_spectrogram":
-        raise FileFormatError(f"{sidecar}: not an RA spectrogram sidecar")
-    return meta

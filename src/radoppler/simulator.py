@@ -18,7 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AliasingError, FileFormatError
-from .ingest import CHIRP_BLOCK, SPEED_OF_LIGHT, RadarCube, RadarParams, format_kv, parse_kv
+from .ingest import (
+    CHIRP_BLOCK,
+    SPEED_OF_LIGHT,
+    RadarCube,
+    RadarParams,
+    field_pairs,
+    format_kv,
+    from_kv,
+    parse_kv,
+)
 
 __all__ = [
     "ScattererSpec",
@@ -92,6 +101,8 @@ class Scenario:
             raise ValueError(f"Scenario.noise_power must be finite, got {self.noise_power!r}")
         if self.noise_power < 0:
             raise ValueError("noise_power must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"Scenario.seed must be non-negative, got {self.seed}")
 
 
 def _check_aliasing(scenario: Scenario) -> None:
@@ -295,57 +306,26 @@ def _parse_scatterer(block: str, source: str) -> ScattererSpec:
 
 def save_scenario(scenario: Scenario, path) -> Path:
     path = Path(path)
-    p = scenario.params
-    pairs = [
-        ("num_fast_samples", p.num_fast_samples),
-        ("num_chirps", p.num_chirps),
-        ("sample_rate", p.sample_rate),
-        ("chirp_repetition_freq", p.chirp_repetition_freq),
-        ("center_freq", p.center_freq),
-        ("bandwidth", p.bandwidth),
-        ("noise_power", scenario.noise_power),
-        ("seed", scenario.seed),
-    ]
+    pairs = field_pairs(scenario.params)
+    pairs += [("noise_power", scenario.noise_power), ("seed", scenario.seed)]
     pairs += [("scatterer", _format_scatterer(sc)) for sc in scenario.scatterers]
     path.write_text(format_kv(pairs))
     return path
 
 
 def load_scenario(path) -> Scenario:
+    """Read a scenario file: the RadarParams keys, noise_power and seed
+    (both optional), and one ``scatterer`` line per scatterer."""
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"scenario file not found: {path}")
-    scalars: dict[str, str] = {}
-    scatterers = []
+    geometry_keys = {f.name for f in fields(RadarParams)}
+    geometry, scalars, scatterers = [], [], []
     for key, value in parse_kv(path.read_text()):
         if key == "scatterer":
             scatterers.append(_parse_scatterer(value, str(path)))
-        elif key in scalars:
-            raise FileFormatError(f"{path}: duplicate key {key!r}")
         else:
-            scalars[key] = value
-
-    param_kinds = {
-        "num_fast_samples": int,
-        "num_chirps": int,
-        "sample_rate": float,
-        "chirp_repetition_freq": float,
-        "center_freq": float,
-        "bandwidth": float,
-    }
-    missing = sorted(set(param_kinds) - set(scalars))
-    if missing:
-        raise FileFormatError(f"{path}: missing keys {missing}")
-    unknown = sorted(set(scalars) - set(param_kinds) - {"noise_power", "seed"})
-    if unknown:
-        raise FileFormatError(f"{path}: unknown keys {unknown}")
-    try:
-        params = RadarParams(**{k: kind(scalars[k]) for k, kind in param_kinds.items()})
-        return Scenario(
-            params=params,
-            scatterers=tuple(scatterers),
-            noise_power=float(scalars.get("noise_power", "0")),
-            seed=int(scalars.get("seed", "0")),
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+            (geometry if key in geometry_keys else scalars).append((key, value))
+    params = from_kv(RadarParams, geometry, path)
+    return from_kv(Scenario, scalars, path, defaults=True,
+                   params=params, scatterers=tuple(scatterers))

@@ -129,6 +129,27 @@ def triangle_weight(p: np.ndarray, m: int, f: float) -> float:
     return (hi - f) / (hi - mid)
 
 
+def filter_bank_weights_loop(p: np.ndarray, f_max: int, num_filters: int) -> np.ndarray:
+    """Triangular bank weights by one masked pass per break-point interval.
+
+    Interval k is [p_k, p_{k+1}), the last one closed; filter k+1 rises
+    and filter k falls over it, by the same formulas as build_filter_bank.
+    """
+    bins = np.arange(f_max + 1, dtype=np.float64)
+    weights = np.zeros((num_filters, f_max + 1))
+    for k in range(num_filters + 1):
+        lo, hi = p[k], p[k + 1]
+        mask = (bins >= lo) & ((bins <= hi) if k == num_filters else (bins < hi))
+        if not mask.any():
+            continue
+        rise = (bins[mask] - lo) / (hi - lo)
+        if k + 1 <= num_filters:
+            weights[k, mask] = rise
+        if k >= 1:
+            weights[k - 1, mask] = 1.0 - rise
+    return weights
+
+
 def synthesize_reference(scenario) -> np.ndarray:
     """Whole-grid cube render: one exp over the full [fast, slow] grid per
     scatterer, then the complex noise of the whole grid, real part first."""

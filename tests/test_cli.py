@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radoppler import cli, ingest
 from radoppler.ingest import (
@@ -200,6 +205,15 @@ class TestRA:
         assert code == 2
         assert "force-fc" in capsys.readouterr().err
 
+    def test_force_fc_above_nyquist_exits_two(self, workdir, tmp_path, capsys):
+        out = tmp_path / "ra.bin"
+        code = cli.main(["ra", str(workdir / "spec.bin"), str(workdir / "pipeline.cfg"),
+                         str(out), "--force-fc", "5000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--force-fc 5000" in err and "[1, 127] bins" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_m_option_overrides_config(self, workdir, tmp_path):
         out = tmp_path / "ra_m8.bin"
         assert cli.main(["ra", str(workdir / "spec.bin"), str(workdir / "pipeline.cfg"),
@@ -349,6 +363,85 @@ class TestNonFiniteParams:
         assert cli.main(["simulate", str(path), str(tmp_path / "c.iq")]) == 2
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "c.iq").exists()
+
+
+class TestBadScenarioValues:
+    @pytest.mark.parametrize("old, new, named", [
+        ("num_chirps = 1024", "num_chirps = 1.5", "key 'num_chirps': cannot parse '1.5' as int"),
+        ("noise_power = 0.0001", "noise_power = lots",
+         "key 'noise_power': cannot parse 'lots' as float"),
+        ("seed = 1234", "seed = -3", "Scenario.seed must be non-negative, got -3"),
+    ])
+    def test_exits_two_naming_the_key_before_rendering(self, workdir, tmp_path, capsys,
+                                                       monkeypatch, old, new, named):
+        scene = (workdir / "scene.scn").read_text()
+        assert old in scene
+        path = tmp_path / "bad.scn"
+        path.write_text(scene.replace(old, new))
+        monkeypatch.setattr(cli, "synthesize", lambda scenario: pytest.fail("rendered"))
+        assert cli.main(["simulate", str(path), str(tmp_path / "c.iq")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "c.iq").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A 256-chirp scene, its cube and the default config, all runnable."""
+    root = tmp_path_factory.mktemp("fuzz")
+    scenario = preset("limp_like")
+    scenario = dataclasses.replace(
+        scenario, params=dataclasses.replace(scenario.params, num_chirps=256))
+    save_scenario(scenario, root / "scene.scn")
+    write_config(PipelineConfig(), root / "pipeline.cfg")
+    assert cli.main(["simulate", str(root / "scene.scn"), str(root / "cube.iq")]) == 0
+    return root
+
+
+GARBLE = st.text(alphabet="xyz!?@%", min_size=1, max_size=6)
+
+
+class TestKeyValueFuzz:
+    """One broken key in a scenario, cube sidecar or config: exit 0 or 2, never 1."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(target=st.sampled_from(["scene.scn", "cube.meta", "pipeline.cfg"]),
+           line=st.integers(0, 63),
+           mutation=st.sampled_from(["drop", "duplicate", "garble", "unknown", "nan", "inf"]),
+           garble=GARBLE)
+    def test_exit_code_and_message(self, fuzz_base, target, line, mutation, garble):
+        lines = (fuzz_base / target).read_text().splitlines()
+        index = line % len(lines)
+        key = lines[index].partition("=")[0].strip()
+        named = {"drop": key, "duplicate": key, "unknown": f"unknown_{garble}",
+                 "garble": garble, "nan": "nan", "inf": "inf"}[mutation]
+        if mutation == "drop":
+            del lines[index]
+        elif mutation == "duplicate":
+            lines.append(lines[index])
+        elif mutation == "unknown":
+            lines.append(f"{named} = 1")
+        else:
+            lines[index] = f"{key} = {named}"
+
+        with tempfile.TemporaryDirectory(dir=fuzz_base) as tmp:
+            work = Path(tmp)
+            for name in ("scene.scn", "cube.iq", "cube.meta", "pipeline.cfg"):
+                shutil.copyfile(fuzz_base / name, work / name)
+            (work / target).write_text("\n".join(lines) + "\n")
+            command, out = {
+                "scene.scn": ("simulate scene.scn", "out.iq"),
+                "cube.meta": ("spectrogram cube.iq pipeline.cfg", "out.bin"),
+                "pipeline.cfg": ("ra cube.iq pipeline.cfg", "out.bin"),
+            }[target]
+            sub, *paths = command.split() + [out]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([sub] + [str(work / name) for name in paths])
+            assert code in (0, 2), err.getvalue()
+            if code == 2:
+                assert key in err.getvalue() or named in err.getvalue(), err.getvalue()
+            else:
+                assert (work / out).exists() and (work / (out + ".manifest")).exists()
 
 
 class TestCorruptCube:

@@ -13,12 +13,16 @@ from radoppler.ingest import (
     PipelineConfig,
     RadarCube,
     RadarParams,
+    field_pairs,
     format_kv,
+    from_kv,
     kv_as_dict,
     load_config,
     load_matrix,
     load_radar_cube,
     parse_kv,
+    read_sidecar,
+    sidecar_path,
     write_config,
     write_matrix,
     write_radar_cube,
@@ -174,6 +178,14 @@ class TestCubeFiles:
         with pytest.raises(FileFormatError, match=rf"c\.meta: RadarParams\.{key} must be finite"):
             ingest.CubeReader(payload)
 
+    def test_sidecar_unknown_key_rejected(self, tmp_path):
+        cube = RadarCube(params=small_params(), samples=np.ones((16, 8), dtype=complex))
+        payload = write_radar_cube(cube, tmp_path / "c.iq")
+        meta = payload.with_suffix(".meta")
+        meta.write_text(meta.read_text() + "gain = 3\n")
+        with pytest.raises(FileFormatError, match=r"c\.meta: unknown keys \['gain'\]"):
+            ingest.CubeReader(payload)
+
     def test_sidecar_missing_key(self, tmp_path):
         cube = RadarCube(params=small_params(), samples=np.ones((16, 8), dtype=complex))
         payload = write_radar_cube(cube, tmp_path / "c.iq")
@@ -204,6 +216,47 @@ class TestKvDialect:
     def test_repeated_keys_preserved_in_order(self):
         parsed = parse_kv("s = 1\ns = 2\n")
         assert parsed == [("s", "1"), ("s", "2")]
+
+    def test_from_kv_round_trips_field_pairs(self):
+        params = small_params()
+        pairs = parse_kv(format_kv(field_pairs(params)))
+        assert [k for k, _ in pairs] == [f.name for f in fields(RadarParams)]
+        assert from_kv(RadarParams, pairs, "p.meta") == params
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda pairs: pairs[1:], r"p\.meta: missing keys \['num_fast_samples'\]"),
+        (lambda pairs: pairs + [("spin", "1")], r"p\.meta: unknown keys \['spin'\]"),
+        (lambda pairs: pairs + pairs[:1], r"p\.meta: duplicate key 'num_fast_samples'"),
+        (lambda pairs: [("num_chirps", "1.5")] + pairs[:1] + pairs[2:],
+         r"p\.meta: key 'num_chirps': cannot parse '1\.5' as int"),
+        (lambda pairs: [("bandwidth", "-1")] + pairs[:-1],
+         r"p\.meta: RadarParams\.bandwidth must be strictly positive"),
+    ])
+    def test_from_kv_names_file_and_key(self, edit, message):
+        pairs = parse_kv(format_kv(field_pairs(small_params())))
+        with pytest.raises(FileFormatError, match=message):
+            from_kv(RadarParams, edit(pairs), "p.meta")
+
+    def test_from_kv_defaults_and_given_fields(self):
+        cfg = from_kv(PipelineConfig, [("hop", "4")], "p.cfg", defaults=True)
+        assert cfg == PipelineConfig(hop=4)
+        cube = from_kv(RadarCube, [], "c", params=small_params(),
+                       samples=np.ones((16, 8), dtype=complex))
+        assert cube.params == small_params()
+        with pytest.raises(FileFormatError, match=r"unknown keys \['params'\]"):
+            from_kv(RadarCube, [("params", "1")], "c", params=small_params(),
+                    samples=np.ones((16, 8), dtype=complex))
+
+    def test_read_sidecar_checks_presence_and_kind(self, tmp_path):
+        matrix = tmp_path / "m.bin"
+        assert sidecar_path(matrix) == tmp_path / "m.bin.meta"
+        with pytest.raises(FileFormatError, match="sidecar not found"):
+            read_sidecar(matrix, "spectrogram")
+        sidecar_path(matrix).write_text("kind = ra_spectrogram\nnum_filters = 8\n")
+        assert read_sidecar(matrix, "ra_spectrogram")["num_filters"] == "8"
+        assert read_sidecar(matrix, None)["kind"] == "ra_spectrogram"
+        with pytest.raises(FileFormatError, match="not a spectrogram sidecar"):
+            read_sidecar(matrix, "spectrogram")
 
 
 class TestMatrixFormats:

@@ -10,10 +10,18 @@ from _oracles import (
     brute_force_corners,
     dense_corner_search,
     energy_profile_direct,
+    filter_bank_weights_loop,
+    logms_direct,
     triangle_weight,
 )
 from radoppler import ra_core
-from radoppler.errors import DegenerateCornerError, DegenerateInputError, FilterBankError
+from radoppler.errors import (
+    DegenerateCornerError,
+    DegenerateInputError,
+    FilterBankError,
+    ForcedCornerError,
+)
+from radoppler.ingest import read_sidecar
 from radoppler.linspec import Spectrogram
 from radoppler.ra_core import (
     CornerResult,
@@ -22,10 +30,8 @@ from radoppler.ra_core import (
     build_filter_bank,
     energy_profile,
     find_corners,
-    log_ms,
     ra_transform,
     save_ra_spectrogram,
-    load_ra_sidecar,
     scale_forward,
     scale_inverse,
 )
@@ -87,6 +93,18 @@ class TestEnergyProfile:
         with pytest.raises(DegenerateInputError):
             energy_profile(make_spec(np.zeros((3, 8))))
 
+    def test_peak_memory_one_spectrogram(self, rng):
+        spec = make_spec(rng.uniform(0.1, 1.0, size=(4096, 256)))
+        tracemalloc.start()
+        try:
+            energy_profile(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the floored view is the one spectrogram-sized temporary; a separate
+        # log10 output would double it
+        assert peak <= 1.1 * spec.power.nbytes, f"peak {peak / 2**20:.1f} MB"
+
     def test_validation(self):
         with pytest.raises(ValueError, match="5 bins"):
             EnergyProfile(e=np.ones(4), zero_index=2)
@@ -105,32 +123,25 @@ class TestEnergyProfile:
 
 
 class TestLogMS:
+    """The direct segment score that the brute-force corner oracle sums."""
+
     def test_constant_segment(self):
-        ep = EnergyProfile(e=np.full(11, 3.0), zero_index=5)
-        assert log_ms(ep, -2, 4) == pytest.approx(7 * math.log10(9.0), rel=1e-12)
+        e2 = np.full(11, 9.0)
+        assert logms_direct(e2, 3, 9) == pytest.approx(7 * math.log10(9.0), rel=1e-12)
 
     def test_zero_segment_floored(self):
-        ep = EnergyProfile(e=np.zeros(11), zero_index=5)
-        assert log_ms(ep, -1, 2) == pytest.approx(4 * math.log10(1e-300))
+        assert logms_direct(np.zeros(11), 4, 7) == pytest.approx(4 * math.log10(1e-300))
 
     def test_prefix_sum_cross_check(self, rng):
         ep = random_profile(rng, length=101)
         e2 = ep.e * ep.e
         prefix = np.concatenate([[0.0], np.cumsum(e2)])
         for _ in range(50):
-            n = int(rng.integers(ep.min_bin, ep.max_bin))
-            m = int(rng.integers(n, ep.max_bin + 1))
-            i, j = ep.zero_index + n, ep.zero_index + m
+            i = int(rng.integers(0, e2.size - 1))
+            j = int(rng.integers(i, e2.size))
             count = j - i + 1
             via_prefix = count * math.log10(max((prefix[j + 1] - prefix[i]) / count, 1e-300))
-            assert log_ms(ep, n, m) == pytest.approx(via_prefix, rel=1e-10, abs=1e-10)
-
-    def test_empty_and_out_of_range(self):
-        ep = EnergyProfile(e=np.ones(11), zero_index=5)
-        with pytest.raises(ValueError, match="empty"):
-            log_ms(ep, 2, 1)
-        with pytest.raises(ValueError, match="outside"):
-            log_ms(ep, -6, 0)
+            assert logms_direct(e2, i, j) == pytest.approx(via_prefix, rel=1e-10, abs=1e-10)
 
 
 class TestFindCorners:
@@ -370,6 +381,21 @@ class TestFilterBank:
             count = np.count_nonzero(p[1:-1] <= f_c)
             assert count / 32 > f_c / f_max
 
+    def test_weights_equal_interval_loop_bit_for_bit(self):
+        cases = 0
+        for f_max in (3, 16, 31, 64, 128, 257, 1024):
+            for m_count in (2, 5, 8, 17, 64, 128, 256):
+                for f_c in (0.4, 1.0, 2.5, 6.0, 13.7, 40.0, 0.3 * f_max, 2.0 * f_max):
+                    try:
+                        bank = build_filter_bank(f_c, f_max, m_count)
+                    except FilterBankError:
+                        continue
+                    expect = filter_bank_weights_loop(bank.break_points, f_max, m_count)
+                    np.testing.assert_array_equal(bank.weights.view(np.uint64),
+                                                  expect.view(np.uint64))
+                    cases += 1
+        assert cases > 200
+
     def test_collision_error_names_indices(self):
         with pytest.raises(FilterBankError, match="p_0 and p_1"):
             build_filter_bank(1e18, 2, 63)
@@ -443,14 +469,18 @@ class TestRATransform:
         with pytest.raises(DegenerateInputError):
             ra_transform(make_spec(np.zeros((4, 32))), num_filters=4)
 
-    def test_force_fc_clamps_and_flags(self, rng):
+    def test_force_fc_range_and_flags(self, rng):
         power = rng.uniform(0.5, 1.0, size=(4, 32))
-        ra = ra_transform(make_spec(power), num_filters=4, force_fc=500.0)
-        assert ra.corner.forced
-        assert ra.corner.f_c == 15  # clamped below the 16-bin Nyquist
-        assert math.isnan(ra.corner.objective_value)
-        ra_small = ra_transform(make_spec(power), num_filters=4, force_fc=0.2)
-        assert ra_small.corner.f_c == 1
+        for force_fc, f_c in ((0.6, 1), (14.6, 15), (15.4, 15)):
+            ra = ra_transform(make_spec(power), num_filters=4, force_fc=force_fc)
+            assert ra.corner.forced
+            assert ra.corner.f_c == f_c
+            assert math.isnan(ra.corner.objective_value)
+        # the 16-bin axis resolves corners of 1 to 15 bins
+        for force_fc in (500.0, 15.6, 0.2, 0.0, -3.0, math.nan, math.inf):
+            with pytest.raises(ForcedCornerError, match=r"into \[1, 15\] bins"):
+                ra_transform(make_spec(power), num_filters=4, force_fc=force_fc)
+        assert issubclass(ForcedCornerError, ValueError)
 
     def test_warped_axis(self, rng):
         power = rng.uniform(0.5, 1.0, size=(4, 64))
@@ -465,7 +495,7 @@ class TestRATransform:
         power[:, 40:50] += 20.0
         ra = ra_transform(make_spec(power), num_filters=8)
         path = save_ra_spectrogram(ra, tmp_path / "ra.bin")
-        meta = load_ra_sidecar(path)
+        meta = read_sidecar(path, "ra_spectrogram")
         assert int(meta["f_c_bins"]) == ra.corner.f_c
         assert int(meta["num_filters"]) == 8
         assert float(meta["p_9"]) == pytest.approx(ra.bank.break_points[9])

@@ -86,6 +86,10 @@ class TestScenario:
             Scenario(params=SHORT_PARAMS,
                      scatterers=(ScattererSpec(base_range=2.0),), noise_power=-1.0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="Scenario.seed must be non-negative, got -3"):
+            Scenario(params=SHORT_PARAMS, scatterers=(ScattererSpec(base_range=2.0),), seed=-3)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_noise(self, value):
         with pytest.raises(ValueError, match="Scenario.noise_power must be finite"):
