@@ -35,6 +35,7 @@ from .ingest import (
     load_matrix,
     read_sidecar,
     sidecar_path,
+    sidecar_value,
     write_matrix,
     write_radar_cube,
 )
@@ -148,7 +149,6 @@ def cmd_ra(args, argv) -> None:
         ("f_c_hz", ra.corner.f_c * ra.hz_per_bin),
         ("forced", ra.corner.forced),
     ]
-    extra += [(f"p_{m}", float(v)) for m, v in enumerate(ra.bank.break_points)]
     _write_manifest(out, "ra", argv, inputs=inputs, outputs=outputs, config=cfg, extra=extra)
 
 
@@ -163,12 +163,12 @@ def cmd_track(args, argv) -> None:
         power, axis, times = spec.power, spec.freq_axis, spec.time_axis
         axis_kind = "doppler_hz"
     elif kind == "ra_spectrogram":
-        power = np.asarray(load_matrix(in_path)).real
-        m_count = int(meta["num_filters"])
-        hz_per_bin = float(meta["hz_per_bin"])
-        centers = np.array([float(meta[f"p_{m}"]) for m in range(1, m_count + 1)])
+        m_count = sidecar_value(in_path, meta, "num_filters", int)
+        hz_per_bin = sidecar_value(in_path, meta, "hz_per_bin")
+        centers = np.array([sidecar_value(in_path, meta, f"p_{m}") for m in range(1, m_count + 1)])
         axis = np.concatenate([-centers[::-1], centers]) * hz_per_bin
-        dt = float(meta.get("frame_dt", "0")) or 1.0
+        dt = sidecar_value(in_path, meta, "frame_dt") or 1.0
+        power = np.asarray(load_matrix(in_path)).real
         times = np.arange(power.shape[0]) * dt
         axis_kind = "ra_center_hz"
     else:

@@ -251,6 +251,19 @@ def read_sidecar(path, kind: str | None) -> dict[str, str]:
     return meta
 
 
+def sidecar_value(path, meta: dict[str, str], key: str, kind: type = float):
+    """``meta[key]`` as ``kind``; a bad value names the key and the sidecar of ``path``."""
+    if key not in meta:
+        raise FileFormatError(f"{sidecar_path(path)}: missing keys {[key]}")
+    try:
+        value = _coerce(meta[key], kind, key)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"key {key!r} must be finite, got {meta[key]!r}")
+        return value
+    except ValueError as exc:
+        raise FileFormatError(f"{sidecar_path(path)}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # radar cube files
 # ---------------------------------------------------------------------------

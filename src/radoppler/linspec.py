@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, FileFormatError
+from .errors import DegenerateInputError
 from .ingest import (
     CubeReader,
     PipelineConfig,
@@ -15,12 +15,12 @@ from .ingest import (
     RadarParams,
     format_kv,
     load_matrix,
-    load_radar_cube,
     read_sidecar,
     sidecar_path,
+    sidecar_value,
     write_matrix,
 )
-from .preprocess import RangeProfileMatrix, clutter_filter, range_transform
+from .preprocess import RangeProfileMatrix, clutter_filter
 
 __all__ = [
     "Spectrogram",
@@ -153,66 +153,51 @@ def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spect
 
 
 def spectrogram_from_cube(cube: RadarCube, cfg: PipelineConfig) -> Spectrogram:
-    """Raw cube to spectrogram: range FFT, clutter filter, range collapse, STFT.
-
-    Coherent mode collapses first. The range FFT followed by the sum over
-    bins [range_bin_start, range_bin_end] is one linear functional per
-    chirp, w[i] = sum_r exp(-2j*pi*r*i/N), and the clutter filter is linear,
-    time-invariant and starts from a state linear in the first sample. So
-    one dot product per chirp gives the slow-time series, and filtering it
-    once equals summing the filtered range bins. Non-coherent mode sums
-    magnitudes, which does not commute with the filter, so it filters
-    every range bin first.
-    """
-    _check_range_bins(cfg, cube.params.num_fast_samples // 2)
-    if not cfg.coherent:
-        profiles = clutter_filter(range_transform(cube), cutoff=cfg.notch_cutoff,
-                                  order=cfg.notch_order)
-        return stft_spectrogram(profiles, cfg)
-    return _collapse_first(cube.params, [cube.samples], cfg)
+    """Raw cube to spectrogram: range FFT, clutter filter, range collapse, STFT."""
+    return _front_end(cube.params, [cube.samples], cfg)
 
 
 def spectrogram_from_file(path, cfg: PipelineConfig) -> Spectrogram:
-    """Cube file to spectrogram; equals spectrogram_from_cube(load_radar_cube(path), cfg).
-
-    Coherent mode never holds the cube: each chirp block read by
-    CubeReader is collapsed to its slow-time samples before the next one
-    is read, so memory follows the spectrogram, not the cube. Non-coherent
-    mode filters every range bin, which needs the whole cube, so it loads it.
-    """
-    if not cfg.coherent:
-        return spectrogram_from_cube(load_radar_cube(path), cfg)
+    """Cube file to spectrogram; equals spectrogram_from_cube(load_radar_cube(path), cfg),
+    but reduces each chirp block read by CubeReader before reading the next."""
     reader = CubeReader(path)
-    _check_range_bins(cfg, reader.params.num_fast_samples // 2)
-    return _collapse_first(
-        reader.params, (block.astype(np.complex128).T for block in reader), cfg)
+    return _front_end(reader.params, (block.astype(np.complex128).T for block in reader), cfg)
 
 
-def _collapse_first(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
-    """Coherent front end over complex [num_fast_samples, chirps] chunks in chirp order."""
+def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
+    """Spectrogram from complex [num_fast_samples, chirps] chunks in chirp order.
+
+    Each chunk is reduced to the range rows kept, then all rows are
+    clutter-filtered once and passed to the STFT. Coherent mode keeps one
+    row: range FFT plus the sum over [range_bin_start, range_bin_end] is one
+    linear functional per chirp, w[i] = sum_r exp(-2j*pi*r*i/N), and the
+    filter is linear, time-invariant and starts from a state linear in the
+    first sample, so filtering that series equals summing filtered bins.
+    Non-coherent mode sums magnitudes, which does not commute with the
+    filter, so it keeps every selected bin of the range FFT.
+    """
     n = params.num_fast_samples
+    _check_range_bins(cfg, n // 2)
     bins = np.arange(cfg.range_bin_start, cfg.range_bin_end + 1)
-    # reduce r*i modulo N so every twiddle angle stays below 2*pi
-    w = np.exp(-2j * np.pi * (np.outer(bins, np.arange(n)) % n) / n).sum(axis=0)
-    series = np.empty(params.num_chirps, dtype=np.complex128)
+    if cfg.coherent:
+        # reduce r*i modulo N so every twiddle angle stays below 2*pi
+        w = np.exp(-2j * np.pi * (np.outer(bins, np.arange(n)) % n) / n).sum(axis=0)
+    rows = np.empty((1 if cfg.coherent else bins.size, params.num_chirps), dtype=np.complex128)
     start = 0
     for chunk in chunks:
         count = chunk.shape[1]
-        # numpy takes a one-column product as a dot product, which rounds
-        # differently from the matrix-vector kernel every other chirp sees;
-        # the copy keeps each chirp contiguous, as the kernel saw it
+        # numpy runs a one-column product as a dot product, which rounds unlike the
+        # matrix-vector kernel every other chirp sees, so a lone chirp is doubled
         if count == 1:
             chunk = np.repeat(chunk.T, 2, axis=0).T
-        series[start : start + count] = (w @ chunk)[:count]
+        kept = w @ chunk if cfg.coherent else np.fft.fft(chunk, n=n, axis=0)[bins]
+        rows[:, start : start + count] = kept[..., :count]
         start += count
-    collapsed = RangeProfileMatrix(
-        values=series[np.newaxis, :],
-        range_resolution=params.range_resolution,
-        chirp_repetition_freq=params.chirp_repetition_freq,
-    )
-    filtered = clutter_filter(collapsed, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
-    # the collapsed series is the one range bin of its own matrix
-    return stft_spectrogram(filtered, replace(cfg, range_bin_start=0, range_bin_end=0))
+    profiles = RangeProfileMatrix(values=rows, range_resolution=params.range_resolution,
+                                  chirp_repetition_freq=params.chirp_repetition_freq)
+    filtered = clutter_filter(profiles, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
+    # the kept rows are all the range bins of their own matrix
+    return stft_spectrogram(filtered, replace(cfg, range_bin_start=0, range_bin_end=len(rows) - 1))
 
 
 def log_view(spec: Spectrogram, floor: float = 1e-12) -> np.ndarray:
@@ -245,13 +230,10 @@ def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
 
 def load_spectrogram(path) -> Spectrogram:
     meta = read_sidecar(path, "spectrogram")
-    missing = sorted({"f_max", "frame_dt"} - set(meta))
-    if missing:
-        raise FileFormatError(f"{sidecar_path(path)}: missing keys {missing}")
+    f_max = sidecar_value(path, meta, "f_max")
+    dt = sidecar_value(path, meta, "frame_dt")
     power = np.asarray(load_matrix(path)).real
     num_bins = power.shape[1]
-    f_max = float(meta["f_max"])
-    dt = float(meta["frame_dt"])
     freq_axis = (np.arange(num_bins) - num_bins // 2) * (2.0 * f_max / num_bins)
     time_axis = np.arange(power.shape[0]) * dt
     return Spectrogram(power=power, freq_axis=freq_axis, time_axis=time_axis, f_max=f_max)

@@ -348,10 +348,14 @@ def ra_transform(
     positive and mirrored negative frequency halves. Output columns run
     from the most negative warped frequency to the most positive. A
     forced corner that rounds outside [1, half - 1] bins raises
-    ForcedCornerError (a ValueError).
+    ForcedCornerError (a ValueError). Each of the half + 1 bins weighs into
+    at most two filters, so a larger M is a FilterBankError, raised first.
     """
-    profile = energy_profile(spec, floor)
     half = spec.num_freq_bins // 2
+    if num_filters > 2 * (half + 1):
+        raise FilterBankError(f"M = {num_filters} filters exceed twice the {half + 1} bins "
+                              f"of a half axis; each bin weighs into at most two filters")
+    profile = energy_profile(spec, floor)
     if force_fc is not None:
         if not (math.isfinite(force_fc) and 1 <= round(force_fc) <= half - 1):
             raise ForcedCornerError(

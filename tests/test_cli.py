@@ -182,8 +182,11 @@ class TestRA:
         f_c = int(meta["f_c_bins"])
         assert f_c == max(-int(meta["f_nc_bins"]), int(meta["f_pc_bins"]))
         assert float(meta["f_c_hz"]) == pytest.approx(f_c * 2000.0 / 256.0)
-        assert float(meta["p_0"]) == 0.0
-        assert float(meta["p_65"]) == 128.0
+        # the break points live in the sidecar, which the manifest hashes
+        assert not any(key.startswith("p_") for key in meta)
+        sidecar = dict(parse_kv((workdir / "ra.bin.meta").read_text()))
+        assert float(sidecar["p_0"]) == 0.0
+        assert float(sidecar["p_65"]) == 128.0
 
     def test_from_spectrogram_matches_from_cube(self, workdir, tmp_path):
         out = tmp_path / "ra_from_spec.bin"
@@ -212,6 +215,16 @@ class TestRA:
         assert code == 2
         err = capsys.readouterr().err
         assert "--force-fc 5000" in err and "[1, 127] bins" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_more_filters_than_bin_slots_exits_two(self, workdir, tmp_path, capsys):
+        # 129 bins per half axis carry at most 258 filters; a bank this large
+        # would need terabytes, so the check must come before it
+        code = cli.main(["ra", str(workdir / "spec.bin"), str(workdir / "pipeline.cfg"),
+                         str(tmp_path / "ra.bin"), "--M", "1000000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "M = 1000000000000" in err and "129 bins" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_m_option_overrides_config(self, workdir, tmp_path):
@@ -294,6 +307,30 @@ class TestTrack:
 
     def test_missing_input_exits_two(self, tmp_path, capsys):
         assert cli.main(["track", str(tmp_path / "none.bin"), str(tmp_path / "t.csv")]) == 2
+
+    @pytest.mark.parametrize("matrix,old,new,named", [
+        ("ra.bin", "p_3 = ", None, "missing keys ['p_3']"),
+        ("ra.bin", "num_filters = 64", "num_filters = lots",
+         "key 'num_filters': cannot parse 'lots' as int"),
+        ("spec.bin", "f_max = ", "f_max = x", "key 'f_max': cannot parse 'x' as float"),
+        ("spec.bin", "frame_dt = ", "frame_dt = nan", "key 'frame_dt' must be finite"),
+    ], ids=["no_p_3", "num_filters_lots", "f_max_x", "frame_dt_nan"])
+    def test_bad_sidecar_value_exits_two(self, workdir, tmp_path, capsys, matrix, old, new,
+                                         named):
+        path = tmp_path / matrix
+        shutil.copyfile(workdir / matrix, path)
+        lines = (workdir / (matrix + ".meta")).read_text().splitlines()
+        hit = [k for k, line in enumerate(lines) if line.startswith(old)]
+        assert len(hit) == 1
+        if new is None:
+            del lines[hit[0]]
+        else:
+            lines[hit[0]] = new
+        (tmp_path / (matrix + ".meta")).write_text("\n".join(lines) + "\n")
+        assert cli.main(["track", str(path), str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert named in err and f"{path}.meta" in err
+        assert not (tmp_path / "t.csv").exists()
 
 
 def exit_code(argv):

@@ -87,6 +87,17 @@ class TestSpectrogramFromCube:
         np.testing.assert_array_equal(ours.time_axis, per_row.time_axis)
         np.testing.assert_array_equal(ours.freq_axis, per_row.freq_axis)
 
+    @pytest.mark.parametrize("first,last", [(0, 63), (3, 20)])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_non_coherent_matches_per_row_path_bits(self, cubes, name, first, last):
+        cube = cubes[name]
+        cfg = PipelineConfig(coherent=False, range_bin_start=first, range_bin_end=last)
+        per_row = stft_spectrogram(
+            clutter_filter(range_transform(cube), cutoff=cfg.notch_cutoff, order=cfg.notch_order),
+            cfg)
+        ours = spectrogram_from_cube(cube, cfg)
+        np.testing.assert_array_equal(ours.power.view(np.uint64), per_row.power.view(np.uint64))
+
     @pytest.mark.parametrize("coherent", [True, False])
     def test_interval_beyond_bins_rejected(self, cubes, coherent):
         cube = cubes["walk_like"]
@@ -106,14 +117,24 @@ class TestSpectrogramFromFile:
         return write_radar_cube(synthesize(scenario),
                                 tmp_path_factory.mktemp("dwell") / "dwell.iq")
 
-    def test_peak_memory_below_payload(self, dwell):
+    @staticmethod
+    def traced_peak(path, cfg):
         tracemalloc.start()
         try:
-            spectrogram_from_file(dwell, PipelineConfig())
-            peak = tracemalloc.get_traced_memory()[1]
+            spectrogram_from_file(path, cfg)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < dwell.stat().st_size
+
+    def test_peak_memory_below_payload(self, dwell):
+        assert self.traced_peak(dwell, PipelineConfig()) < dwell.stat().st_size
+
+    @pytest.mark.parametrize("last,payloads", [(63, 5), (7, 1)])
+    def test_non_coherent_peak_memory(self, dwell, last, payloads):
+        # the kept rows hold 16 B per bin and chirp against the payload's
+        # 8 B per fast sample and chirp, so 64 of 128 bins weigh one payload
+        cfg = PipelineConfig(coherent=False, range_bin_end=last)
+        assert self.traced_peak(dwell, cfg) < payloads * dwell.stat().st_size
 
     @pytest.mark.parametrize("coherent", [True, False])
     def test_matches_loaded_cube(self, dwell, coherent):
@@ -132,9 +153,11 @@ class TestSpectrogramFromFile:
         scenario = dataclasses.replace(
             scenario, params=dataclasses.replace(scenario.params, num_chirps=CHIRP_BLOCK + 1))
         path = write_radar_cube(synthesize(scenario), tmp_path / "c.iq")
-        cfg = PipelineConfig(hop=1, window_kind="rect")
-        np.testing.assert_array_equal(spectrogram_from_file(path, cfg).power,
-                                      spectrogram_from_cube(load_radar_cube(path), cfg).power)
+        cube = load_radar_cube(path)
+        for coherent in (True, False):
+            cfg = PipelineConfig(hop=1, window_kind="rect", coherent=coherent)
+            np.testing.assert_array_equal(spectrogram_from_file(path, cfg).power,
+                                          spectrogram_from_cube(cube, cfg).power)
 
     def test_non_finite_in_later_block_rejected(self, dwell, tmp_path):
         raw = np.fromfile(dwell, dtype="<f4")

@@ -482,6 +482,16 @@ class TestRATransform:
                 ra_transform(make_spec(power), num_filters=4, force_fc=force_fc)
         assert issubclass(ForcedCornerError, ValueError)
 
+    def test_more_filters_than_bin_slots_rejected(self, rng):
+        # 17 bins per half axis, each in at most two filters: M = 35 always
+        # leaves an empty filter, and a huge M is rejected before its break
+        # points are allocated; M = 34 passes the count check
+        spec = make_spec(rng.uniform(0.5, 1.0, size=(4, 32)))
+        for m in (35, 10**12):
+            with pytest.raises(FilterBankError, match=rf"M = {m} .* 17 bins"):
+                ra_transform(spec, num_filters=m, force_fc=8.0)
+        assert ra_transform(spec, num_filters=34, force_fc=8.0).num_filters == 34
+
     def test_warped_axis(self, rng):
         power = rng.uniform(0.5, 1.0, size=(4, 64))
         ra = ra_transform(make_spec(power), num_filters=8, force_fc=9.0)
