@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ForcedCornerError, RadopplerError
+from .errors import FileFormatError, ForcedCornerError, RadopplerError
 from .ingest import (
     _cube_paths,
     field_pairs,
@@ -34,6 +34,7 @@ from .ingest import (
     load_config,
     load_matrix,
     read_sidecar,
+    sidecar_frame_times,
     sidecar_path,
     sidecar_value,
     write_matrix,
@@ -164,12 +165,14 @@ def cmd_track(args, argv) -> None:
         axis_kind = "doppler_hz"
     elif kind == "ra_spectrogram":
         m_count = sidecar_value(in_path, meta, "num_filters", int)
+        power = np.asarray(load_matrix(in_path)).real
+        if m_count < 1 or 2 * m_count != power.shape[1]:
+            raise FileFormatError(f"{sidecar}: key 'num_filters' = {m_count} must be at least 1 "
+                                  f"and half the {power.shape[1]} matrix columns")
         hz_per_bin = sidecar_value(in_path, meta, "hz_per_bin")
         centers = np.array([sidecar_value(in_path, meta, f"p_{m}") for m in range(1, m_count + 1)])
         axis = np.concatenate([-centers[::-1], centers]) * hz_per_bin
-        dt = sidecar_value(in_path, meta, "frame_dt") or 1.0
-        power = np.asarray(load_matrix(in_path)).real
-        times = np.arange(power.shape[0]) * dt
+        times = sidecar_frame_times(in_path, meta, power.shape[0])
         axis_kind = "ra_center_hz"
     else:
         power = np.asarray(load_matrix(in_path)).real

@@ -264,6 +264,16 @@ def sidecar_value(path, meta: dict[str, str], key: str, kind: type = float):
         raise FileFormatError(f"{sidecar_path(path)}: {exc}") from None
 
 
+def sidecar_frame_times(path, meta: dict[str, str], num_frames: int) -> np.ndarray:
+    """Frame times ``k * frame_dt`` from the sidecar of ``path``; ``frame_dt``
+    must be positive unless the matrix has a single frame."""
+    dt = sidecar_value(path, meta, "frame_dt")
+    if num_frames > 1 and dt <= 0:
+        raise FileFormatError(f"{sidecar_path(path)}: key 'frame_dt' must be positive "
+                              f"for {num_frames} frames, got {meta['frame_dt']!r}")
+    return np.arange(num_frames) * dt
+
+
 # ---------------------------------------------------------------------------
 # radar cube files
 # ---------------------------------------------------------------------------

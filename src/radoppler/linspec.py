@@ -16,6 +16,7 @@ from .ingest import (
     format_kv,
     load_matrix,
     read_sidecar,
+    sidecar_frame_times,
     sidecar_path,
     sidecar_value,
     write_matrix,
@@ -231,9 +232,8 @@ def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
 def load_spectrogram(path) -> Spectrogram:
     meta = read_sidecar(path, "spectrogram")
     f_max = sidecar_value(path, meta, "f_max")
-    dt = sidecar_value(path, meta, "frame_dt")
     power = np.asarray(load_matrix(path)).real
     num_bins = power.shape[1]
     freq_axis = (np.arange(num_bins) - num_bins // 2) * (2.0 * f_max / num_bins)
-    time_axis = np.arange(power.shape[0]) * dt
+    time_axis = sidecar_frame_times(path, meta, power.shape[0])
     return Spectrogram(power=power, freq_axis=freq_axis, time_axis=time_axis, f_max=f_max)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,8 +56,15 @@ def peak_track(power: np.ndarray, axis: np.ndarray) -> np.ndarray:
     rows = max(1, PEAK_BLOCK // axis.size)
     pick = np.empty(power.shape[0], dtype=np.intp)
     for start in range(0, power.shape[0], rows):
+        block = power[start : start + rows, prefer]
+        finite = np.isfinite(block)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite.all(axis=1))[0])
+            col = int(prefer[~finite[row]].min())
+            raise ValueError(f"power must be finite; frame {start + row} holds "
+                             f"{power[start + row, col]} in column {col}")
         # argmax keeps the first occurrence, i.e. the most preferred tied bin
-        pick[start : start + rows] = power[start : start + rows, prefer].argmax(axis=1)
+        pick[start : start + rows] = block.argmax(axis=1)
     return axis[prefer[pick]]
 
 
@@ -67,31 +75,49 @@ def kalman_smooth(raw: np.ndarray, dt: float, q: float = 10.0, r: float = 4.0) -
     spectral density q (axis-units²/s³) and measurement variance r
     (axis-units²). The filter starts at [raw[0], 0] under a diffuse prior
     (1e6 * r on both diagonal entries), so the first update trusts the
-    measurement almost entirely.
+    measurement almost entirely. Non-finite raw values, and dt, q or r
+    that are not finite and positive, raise ValueError.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("raw peak vector must be non-empty and 1-D")
-    if dt <= 0 or q <= 0 or r <= 0:
-        raise ValueError("dt, q, and r must all be positive")
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise ValueError(f"raw peak vector must be finite; frame {bad[0]} is {raw[bad[0]]}")
+    for name, value in (("dt", dt), ("q", q), ("r", r)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    dt, q, r = float(dt), float(q), float(r)
 
-    F = np.array([[1.0, dt], [0.0, 1.0]])
-    Q = q * np.array([[dt**3 / 3.0, dt**2 / 2.0], [dt**2 / 2.0, dt]])
-    x = np.array([raw[0], 0.0])
-    P = np.diag([1e6 * r, 1e6 * r])
-
-    out = np.empty_like(raw)
-    for k, z in enumerate(raw):
+    # Plain-float recursion: F = [[1, dt], [0, 1]] with its exact 1 and 0
+    # products dropped, each sum in the order of F @ P @ F.T + Q.
+    try:
+        q00, q01, q11 = q * (dt**3 / 3.0), q * (dt**2 / 2.0), q * dt
+    except OverflowError:  # float ** raises where * gives inf; caught below
+        q00 = q01 = q11 = math.inf
+    zs = raw.tolist()
+    x0, x1 = zs[0], 0.0
+    p00, p01, p10, p11 = 1e6 * r, 0.0, 0.0, 1e6 * r
+    out = []
+    for k, z in enumerate(zs):
         if k:
-            x = F @ x
-            P = F @ P @ F.T + Q
-        s = P[0, 0] + r  # innovation covariance; positive since r > 0, P PSD
-        assert s > 0
-        gain = P[:, 0] / s
-        x = x + gain * (z - x[0])
-        P = P - np.outer(gain, P[0, :])
-        out[k] = x[0]
-    return out
+            x0 = x0 + dt * x1
+            a00 = p00 + dt * p10  # F @ P
+            a01 = p01 + dt * p11
+            p00 = (a00 + dt * a01) + q00  # (F @ P) @ F.T + Q
+            p01 = a01 + q01
+            p10 = (p10 + dt * p11) + q01
+            p11 = p11 + q11
+        s = p00 + r  # innovation covariance; positive since r > 0, P PSD
+        g0, g1 = p00 / s, p10 / s
+        innovation = z - x0
+        x0, x1 = x0 + g0 * innovation, x1 + g1 * innovation
+        p00, p01, p10, p11 = p00 - g0 * p00, p01 - g0 * p01, p10 - g1 * p00, p11 - g1 * p01
+        out.append(x0)
+    smoothed = np.array(out)
+    if not np.isfinite(smoothed).all():
+        raise ValueError(f"the filter overflows at dt={dt!r}, q={q!r}, r={r!r}")
+    return smoothed
 
 
 def track_signature(
@@ -101,14 +127,20 @@ def track_signature(
     q: float = 10.0,
     r: float = 4.0,
 ) -> SignatureTrack:
-    """Peak-pick every frame, smooth, and clip back into the axis range."""
+    """Peak-pick every frame, smooth, and clip back into the axis range.
+
+    Frame times must increase; a single frame is smoothed at unit dt.
+    """
     raw = peak_track(power, axis)
     times = np.asarray(frame_times, dtype=np.float64)
     if times.shape != raw.shape:
         raise ValueError("frame_times length must match the frame count")
+    stalled = np.flatnonzero(~(np.diff(times) > 0))
+    if stalled.size:
+        k = stalled[0] + 1
+        raise ValueError(f"frame_times must increase: frame {k} is at {float(times[k])!r} s, "
+                         f"frame {k - 1} at {float(times[k - 1])!r} s")
     dt = float(times[1] - times[0]) if times.size > 1 else 1.0
-    if dt <= 0:
-        dt = 1.0
     smoothed = np.clip(kalman_smooth(raw, dt, q=q, r=r), axis.min(), axis.max())
     return SignatureTrack(raw_peaks=raw, smoothed=smoothed, frame_times=times)
 

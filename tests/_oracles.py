@@ -84,6 +84,33 @@ def peak_track_reference(power: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return axis[prefer[power[:, prefer].argmax(axis=1)]]
 
 
+def kalman_smooth_reference(raw: np.ndarray, dt: float, q: float = 10.0,
+                            r: float = 4.0) -> np.ndarray:
+    """Constant-velocity Kalman filter in 2x2 numpy matrix form.
+
+    ``F @ P @ F.T`` runs through BLAS, which may fuse multiply-adds, so
+    this agrees with ``kalman_smooth`` to rounding, not bit for bit.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    F = np.array([[1.0, dt], [0.0, 1.0]])
+    Q = q * np.array([[dt**3 / 3.0, dt**2 / 2.0], [dt**2 / 2.0, dt]])
+    x = np.array([raw[0], 0.0])
+    P = np.diag([1e6 * r, 1e6 * r])
+
+    out = np.empty_like(raw)
+    for k, z in enumerate(raw):
+        if k:
+            x = F @ x
+            P = F @ P @ F.T + Q
+        s = P[0, 0] + r  # innovation covariance; positive since r > 0, P PSD
+        assert s > 0
+        gain = P[:, 0] / s
+        x = x + gain * (z - x[0])
+        P = P - np.outer(gain, P[0, :])
+        out[k] = x[0]
+    return out
+
+
 def dft_frame(frame: np.ndarray, fft_length: int) -> np.ndarray:
     """Definition-level DFT of one zero-padded frame, fftshifted."""
     padded = np.zeros(fft_length, dtype=np.complex128)

@@ -314,7 +314,14 @@ class TestTrack:
          "key 'num_filters': cannot parse 'lots' as int"),
         ("spec.bin", "f_max = ", "f_max = x", "key 'f_max': cannot parse 'x' as float"),
         ("spec.bin", "frame_dt = ", "frame_dt = nan", "key 'frame_dt' must be finite"),
-    ], ids=["no_p_3", "num_filters_lots", "f_max_x", "frame_dt_nan"])
+        ("ra.bin", "num_filters = 64", "num_filters = 8",
+         "key 'num_filters' = 8 must be at least 1 and half the 128 matrix columns"),
+        ("ra.bin", "num_filters = 64", "num_filters = -3",
+         "key 'num_filters' = -3 must be at least 1 and half the 128 matrix columns"),
+        ("spec.bin", "frame_dt = ", "frame_dt = -0.5", "key 'frame_dt' must be positive"),
+        ("ra.bin", "frame_dt = ", "frame_dt = 0", "key 'frame_dt' must be positive"),
+    ], ids=["no_p_3", "num_filters_lots", "f_max_x", "frame_dt_nan", "num_filters_8",
+            "num_filters_negative", "frame_dt_negative", "ra_frame_dt_zero"])
     def test_bad_sidecar_value_exits_two(self, workdir, tmp_path, capsys, matrix, old, new,
                                          named):
         path = tmp_path / matrix
@@ -330,6 +337,21 @@ class TestTrack:
         assert cli.main(["track", str(path), str(tmp_path / "t.csv")]) == 2
         err = capsys.readouterr().err
         assert named in err and f"{path}.meta" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("matrix,sidecar,frame,bad", [("spec.bin", False, 7, np.nan),
+                                                          ("ra.bin", True, 40, np.inf)],
+                             ids=["bare_nan", "ra_inf"])
+    def test_non_finite_matrix_exits_two(self, workdir, tmp_path, capsys, matrix, sidecar,
+                                         frame, bad):
+        power = load_matrix(workdir / matrix).copy()
+        power[frame, 3] = bad
+        path = tmp_path / matrix
+        ingest.write_matrix(power, path)
+        if sidecar:
+            shutil.copyfile(workdir / (matrix + ".meta"), tmp_path / (matrix + ".meta"))
+        assert cli.main(["track", str(path), str(tmp_path / "t.csv")]) == 2
+        assert f"frame {frame} holds {bad}" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
 

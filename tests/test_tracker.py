@@ -1,10 +1,20 @@
+import hashlib
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import peak_track_reference
+from _oracles import kalman_smooth_reference, peak_track_reference
 from radoppler import tracker
+from radoppler.ingest import PipelineConfig
+from radoppler.linspec import spectrogram_from_cube
+from radoppler.ra_core import ra_transform
+from radoppler.simulator import PRESET_NAMES, preset, synthesize
 from radoppler.tracker import (
     SignatureTrack,
     kalman_smooth,
@@ -69,6 +79,17 @@ class TestPeakTrack:
             tracemalloc.stop()
         assert peak < power.nbytes / 4, f"peak_track peaked at {peak / 2**20:.2f} MB"
 
+    @pytest.mark.parametrize("block", [1, 40, None])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_power(self, rng, monkeypatch, block, bad):
+        if block is not None:
+            monkeypatch.setattr(tracker, "PEAK_BLOCK", block)
+        power = rng.uniform(0, 1, size=(200, 13))
+        power[150, [9, 4]] = bad
+        power[170, 0] = np.nan
+        with pytest.raises(ValueError, match=f"frame 150 holds {bad} in column 4"):
+            peak_track(power, shifted_axis(13))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="2-D"):
             peak_track(np.ones(8), shifted_axis(8))
@@ -122,6 +143,81 @@ class TestKalmanSmooth:
         with pytest.raises(ValueError, match="positive"):
             kalman_smooth(np.ones(4), 0.01, r=0.0)
 
+    @pytest.mark.parametrize("args,named", [
+        ((np.ones(4), np.inf), "dt must be finite and positive, got inf"),
+        ((np.ones(4), 0.01, np.nan), "q must be finite and positive, got nan"),
+        ((np.ones(4), 0.01, 10.0, np.inf), "r must be finite and positive, got inf"),
+        ((np.array([1.0, 2.0, np.nan, np.inf]), 0.01), "frame 2 is nan"),
+        ((np.ones(4), 1e103), "the filter overflows at dt=1e+103"),
+    ], ids=["dt_inf", "q_nan", "r_inf", "raw_nan", "dt_overflow"])
+    def test_rejects_non_finite(self, args, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            kalman_smooth(*args)
+
+
+@pytest.fixture(scope="module")
+def preset_peaks():
+    """Raw peaks and frame spacing of the four presets, on the Doppler
+    axis of the spectrogram and on the warped axis of the RA output."""
+    peaks = {}
+    for name in PRESET_NAMES:
+        spec = spectrogram_from_cube(synthesize(preset(name)), PipelineConfig())
+        ra = ra_transform(spec)
+        peaks[name, "spec"] = peak_track(spec.power, spec.freq_axis), spec.frame_dt
+        peaks[name, "ra"] = peak_track(ra.power, ra.warped_axis_hz()), spec.frame_dt
+    return peaks
+
+
+SRC = Path(tracker.__file__).resolve().parents[1]
+
+WALK_DIGEST = """
+import hashlib, numpy as np
+from radoppler.tracker import kalman_smooth
+raw = np.cumsum(np.random.default_rng(7).normal(0.0, 5.0, 7500))
+print(hashlib.sha256(kalman_smooth(raw, 0.008).tobytes()).hexdigest())
+"""
+
+
+class TestKalmanRecursion:
+    """The plain-float recursion against the 2x2 matrix form, whose BLAS
+    products may fuse multiply-adds: equal to 1e-12 of the peak-to-peak."""
+
+    @staticmethod
+    def assert_matches_reference(raw, dt, q=10.0, r=4.0):
+        got = kalman_smooth(raw, dt, q=q, r=r)
+        want = kalman_smooth_reference(raw, dt, q=q, r=r)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.ptp(raw)))
+
+    @pytest.mark.parametrize("axis", ["spec", "ra"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_peaks(self, preset_peaks, name, axis):
+        raw, dt = preset_peaks[name, axis]
+        self.assert_matches_reference(raw, dt)
+
+    @pytest.mark.parametrize("q,r", [(10.0, 4.0), (10.0, 1e-16), (1e6, 4.0)])
+    def test_long_random_walk(self, rng, q, r):
+        raw = 300.0 + np.cumsum(rng.normal(0.0, 5.0, size=7500))
+        self.assert_matches_reference(raw, 0.008, q=q, r=r)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("q,r", [(10.0, 4.0), (10.0, 1e-16), (1e6, 4.0)])
+    def test_one_and_two_frames(self, rng, n, q, r):
+        self.assert_matches_reference(rng.uniform(-500.0, 500.0, size=n), 0.016, q=q, r=r)
+
+    def test_same_bytes_whatever_blas_threads(self):
+        digests = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", WALK_DIGEST], env=env,
+                                  capture_output=True, text=True, timeout=60, check=True)
+            digests.append(done.stdout.strip())
+        raw = np.cumsum(np.random.default_rng(7).normal(0.0, 5.0, 7500))
+        here = hashlib.sha256(kalman_smooth(raw, 0.008).tobytes()).hexdigest()
+        assert digests == [here, here]
+
 
 class TestTrackSignature:
     def test_constant_tone_track(self):
@@ -148,6 +244,13 @@ class TestTrackSignature:
         power[0, 5] = 1.0
         track = track_signature(power, axis, np.array([0.0]))
         assert track.smoothed[0] == pytest.approx(axis[5], rel=1e-6)
+
+    @pytest.mark.parametrize("times,frame", [([0.0, 0.1, 0.1, 0.3], 2),
+                                             ([0.0, -0.5, -1.0, -1.5], 1),
+                                             ([0.0, 0.1, np.nan, 0.3], 2)])
+    def test_frame_times_must_increase(self, times, frame):
+        with pytest.raises(ValueError, match=f"frame_times must increase: frame {frame} "):
+            track_signature(np.ones((4, 8)), shifted_axis(8), np.array(times))
 
     def test_times_length_mismatch(self):
         with pytest.raises(ValueError, match="frame_times"):
