@@ -34,7 +34,8 @@ from .ingest import (
     load_config,
     load_matrix,
     read_sidecar,
-    sidecar_frame_times,
+    sidecar_count,
+    sidecar_frame_dt,
     sidecar_path,
     sidecar_value,
     write_matrix,
@@ -169,10 +170,11 @@ def cmd_track(args, argv) -> None:
         if m_count < 1 or 2 * m_count != power.shape[1]:
             raise FileFormatError(f"{sidecar}: key 'num_filters' = {m_count} must be at least 1 "
                                   f"and half the {power.shape[1]} matrix columns")
+        sidecar_count(in_path, meta, "num_frames", power.shape[0], "rows")
         hz_per_bin = sidecar_value(in_path, meta, "hz_per_bin")
         centers = np.array([sidecar_value(in_path, meta, f"p_{m}") for m in range(1, m_count + 1)])
         axis = np.concatenate([-centers[::-1], centers]) * hz_per_bin
-        times = sidecar_frame_times(in_path, meta, power.shape[0])
+        times = np.arange(power.shape[0]) * sidecar_frame_dt(in_path, meta, power.shape[0])
         axis_kind = "ra_center_hz"
     else:
         power = np.asarray(load_matrix(in_path)).real

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -214,16 +214,18 @@ def from_kv(cls, pairs, source, defaults: bool = False, **given):
 
     Each key names a field and is parsed by the field's annotation. Fields
     passed in ``given`` are not read from the pairs. Duplicate and unknown
-    keys are rejected, and so are missing ones unless ``defaults`` lets
-    them keep the field defaults. Every error, including the checks of
-    ``cls`` itself, becomes a FileFormatError that names ``source``.
+    keys are rejected, and so are missing ones, except that ``defaults``
+    lets a field with a default keep it. Every error, including the checks
+    of ``cls`` itself, becomes a FileFormatError that names ``source``.
     """
     values = kv_as_dict(pairs, source=str(source))
     kinds = {name: kind for name, kind in get_type_hints(cls).items() if name not in given}
     unknown = sorted(set(values) - set(kinds))
     if unknown:
         raise FileFormatError(f"{source}: unknown keys {unknown}")
-    missing = [] if defaults else sorted(set(kinds) - set(values))
+    required = {f.name for f in fields(cls)
+                if not defaults or (f.default is MISSING and f.default_factory is MISSING)}
+    missing = sorted((required & set(kinds)) - set(values))
     if missing:
         raise FileFormatError(f"{source}: missing keys {missing}")
     try:
@@ -264,14 +266,21 @@ def sidecar_value(path, meta: dict[str, str], key: str, kind: type = float):
         raise FileFormatError(f"{sidecar_path(path)}: {exc}") from None
 
 
-def sidecar_frame_times(path, meta: dict[str, str], num_frames: int) -> np.ndarray:
-    """Frame times ``k * frame_dt`` from the sidecar of ``path``; ``frame_dt``
-    must be positive unless the matrix has a single frame."""
+def sidecar_frame_dt(path, meta: dict[str, str], num_frames: int) -> float:
+    """The sidecar's ``frame_dt``, positive unless the matrix has a single frame."""
     dt = sidecar_value(path, meta, "frame_dt")
     if num_frames > 1 and dt <= 0:
         raise FileFormatError(f"{sidecar_path(path)}: key 'frame_dt' must be positive "
                               f"for {num_frames} frames, got {meta['frame_dt']!r}")
-    return np.arange(num_frames) * dt
+    return dt
+
+
+def sidecar_count(path, meta: dict[str, str], key: str, count: int, what: str) -> None:
+    """Check the sidecar's ``key`` against the ``count`` matrix ``what`` it describes."""
+    declared = sidecar_value(path, meta, key, int)
+    if declared != count:
+        raise FileFormatError(f"{sidecar_path(path)}: key {key!r} = {declared} does not "
+                              f"match the {count} matrix {what}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, FileFormatError
 from .ingest import (
     CubeReader,
     PipelineConfig,
@@ -16,7 +17,8 @@ from .ingest import (
     format_kv,
     load_matrix,
     read_sidecar,
-    sidecar_frame_times,
+    sidecar_count,
+    sidecar_frame_dt,
     sidecar_path,
     sidecar_value,
     write_matrix,
@@ -42,35 +44,34 @@ FRAME_BLOCK = 512  # STFT frames transformed per batch
 class Spectrogram:
     """Time x signed-frequency power matrix.
 
-    power[t, k] is the squared STFT magnitude of frame t at freq_axis[k];
-    the axis runs ascending from -f_max to just under +f_max with bin k
-    mapping to (k - F/2) * (prf / F) for an even bin count F.
+    power[t, k] is the squared STFT magnitude of frame t, starting at
+    t * frame_dt seconds, at (k - F/2) * hz_per_bin Hz for an even bin count
+    F. Both axes derive from the two scalars the sidecar stores.
     """
 
     power: np.ndarray  # [num_frames, num_freq_bins]
-    freq_axis: np.ndarray  # Hz, signed, ascending
-    time_axis: np.ndarray  # seconds, frame start times
     f_max: float  # Hz, half the chirp repetition frequency
+    frame_dt: float  # seconds between frame starts
 
     def __post_init__(self):
         power = np.asarray(self.power, dtype=np.float64)
-        freq_axis = np.asarray(self.freq_axis, dtype=np.float64)
-        time_axis = np.asarray(self.time_axis, dtype=np.float64)
         if power.ndim != 2 or power.size == 0:
             raise ValueError("power must be a non-empty 2-D matrix")
-        if power.shape != (time_axis.size, freq_axis.size):
-            raise ValueError("axis lengths do not match the power matrix")
-        if freq_axis.size % 2:
+        if power.shape[1] % 2:
             raise ValueError("frequency bin count must be even")
-        if np.any(power < 0) or not np.all(np.isfinite(power)):
-            raise ValueError("power must be finite and non-negative")
-        if self.f_max <= 0:
-            raise ValueError("f_max must be positive")
-        for arr in (power, freq_axis, time_axis):
-            arr.setflags(write=False)
+        if not (power.min() >= 0 and power.max() < np.inf):  # min() is NaN if any entry is
+            ok = np.isfinite(power) & (power >= 0)
+            frame, column = divmod(int(ok.argmin()), power.shape[1])
+            raise ValueError(f"power must be finite and non-negative; frame {frame} "
+                             f"holds {power[frame, column]} in column {column}")
+        f_max, frame_dt = float(self.f_max), float(self.frame_dt)
+        if not (math.isfinite(f_max) and f_max > 0):
+            raise ValueError(f"f_max must be positive and finite, got {f_max!r}")
+        check_frame_dt(frame_dt, power.shape[0])
+        power.setflags(write=False)
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "freq_axis", freq_axis)
-        object.__setattr__(self, "time_axis", time_axis)
+        object.__setattr__(self, "f_max", f_max)
+        object.__setattr__(self, "frame_dt", frame_dt)
 
     @property
     def num_frames(self) -> int:
@@ -85,11 +86,21 @@ class Spectrogram:
         return 2.0 * self.f_max / self.num_freq_bins
 
     @property
-    def frame_dt(self) -> float:
-        """Frame spacing in seconds (0.0 when only one frame exists)."""
-        if self.time_axis.size < 2:
-            return 0.0
-        return float(self.time_axis[1] - self.time_axis[0])
+    def freq_axis(self) -> np.ndarray:
+        """Signed bin frequencies in Hz, ascending."""
+        return (np.arange(self.num_freq_bins) - self.num_freq_bins // 2) * self.hz_per_bin
+
+    @property
+    def time_axis(self) -> np.ndarray:
+        """Frame start times in seconds."""
+        return np.arange(self.num_frames) * self.frame_dt
+
+
+def check_frame_dt(frame_dt: float, num_frames: int) -> None:
+    """A frame spacing must be finite, and positive when there is more than one frame."""
+    if not math.isfinite(frame_dt) or (num_frames > 1 and frame_dt <= 0):
+        raise ValueError(f"frame_dt must be finite, and positive for {num_frames} frames; "
+                         f"got {frame_dt!r}")
 
 
 def window_function(kind: str, length: int) -> np.ndarray:
@@ -148,9 +159,7 @@ def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spect
             spectrum.real**2 + spectrum.imag**2, axes=1)
 
     prf = profiles.chirp_repetition_freq
-    freq_axis = (np.arange(cfg.fft_length) - cfg.fft_length // 2) * (prf / cfg.fft_length)
-    time_axis = offsets * (1.0 / prf)
-    return Spectrogram(power=power, freq_axis=freq_axis, time_axis=time_axis, f_max=prf / 2.0)
+    return Spectrogram(power=power, f_max=prf / 2.0, frame_dt=cfg.hop * (1.0 / prf))
 
 
 def spectrogram_from_cube(cube: RadarCube, cfg: PipelineConfig) -> Spectrogram:
@@ -230,10 +239,14 @@ def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
 
 
 def load_spectrogram(path) -> Spectrogram:
+    """Read a spectrogram; sidecar counts must match the matrix, and errors name the file."""
     meta = read_sidecar(path, "spectrogram")
     f_max = sidecar_value(path, meta, "f_max")
     power = np.asarray(load_matrix(path)).real
-    num_bins = power.shape[1]
-    freq_axis = (np.arange(num_bins) - num_bins // 2) * (2.0 * f_max / num_bins)
-    time_axis = sidecar_frame_times(path, meta, power.shape[0])
-    return Spectrogram(power=power, freq_axis=freq_axis, time_axis=time_axis, f_max=f_max)
+    sidecar_count(path, meta, "num_frames", power.shape[0], "rows")
+    sidecar_count(path, meta, "num_freq_bins", power.shape[1], "columns")
+    frame_dt = sidecar_frame_dt(path, meta, power.shape[0])
+    try:
+        return Spectrogram(power=power, f_max=f_max, frame_dt=frame_dt)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None

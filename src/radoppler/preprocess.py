@@ -47,10 +47,6 @@ class RangeProfileMatrix:
     def num_chirps(self) -> int:
         return self.values.shape[1]
 
-    def range_axis(self) -> np.ndarray:
-        """Range in meters at each row."""
-        return np.arange(self.num_range_bins) * self.range_resolution
-
 
 def range_transform(cube: RadarCube) -> RangeProfileMatrix:
     """Range-compress a cube: FFT over fast time, keep the positive half.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateCornerError, DegenerateInputError, FilterBankError, ForcedCornerError
 from .ingest import format_kv, sidecar_path, write_matrix
-from .linspec import Spectrogram, log_view
+from .linspec import Spectrogram, check_frame_dt, log_view
 
 __all__ = [
     "EnergyProfile",
@@ -76,16 +76,6 @@ class EnergyProfile:
     def max_bin(self) -> int:
         return self.e.size - 1 - self.zero_index
 
-    @property
-    def f_max_bin(self) -> int:
-        """Nyquist bin magnitude: |most negative bin| on the shifted axis."""
-        return self.zero_index
-
-    def at(self, bin: int) -> float:
-        if not self.min_bin <= bin <= self.max_bin:
-            raise IndexError(f"bin {bin} outside axis [{self.min_bin}, {self.max_bin}]")
-        return float(self.e[self.zero_index + bin])
-
 
 @dataclass(frozen=True)
 class CornerResult:
@@ -141,13 +131,12 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class RASpectrogram:
-    """Warped-axis spectrogram: negative side reversed, then positive side."""
+    """Warped-axis spectrogram: negative side reversed, then positive side (ROW_ORDER)."""
 
     power: np.ndarray  # [num_frames, 2 * M]
     corner: CornerResult
     bank: FilterBank
-    row_order: str
-    time_axis: np.ndarray  # seconds, carried from the source spectrogram
+    frame_dt: float  # seconds between frame starts, from the source spectrogram
     hz_per_bin: float  # linear-frequency bin width of the source axis
 
     def __post_init__(self):
@@ -156,12 +145,20 @@ class RASpectrogram:
             raise ValueError("power must have 2*M columns")
         if np.any(power < 0):
             raise ValueError("power must be non-negative")
+        frame_dt = float(self.frame_dt)
+        check_frame_dt(frame_dt, power.shape[0])
         power.setflags(write=False)
         object.__setattr__(self, "power", power)
+        object.__setattr__(self, "frame_dt", frame_dt)
 
     @property
     def num_filters(self) -> int:
         return self.bank.num_filters
+
+    @property
+    def time_axis(self) -> np.ndarray:
+        """Frame start times in seconds."""
+        return np.arange(self.power.shape[0]) * self.frame_dt
 
     def warped_axis_hz(self) -> np.ndarray:
         """Signed linear-frequency centers (Hz) of the 2M output columns."""
@@ -380,8 +377,7 @@ def ra_transform(
         power=power,
         corner=corner,
         bank=bank,
-        row_order=ROW_ORDER,
-        time_axis=spec.time_axis,
+        frame_dt=spec.frame_dt,
         hz_per_bin=spec.hz_per_bin,
     )
 
@@ -393,13 +389,12 @@ def ra_transform(
 def save_ra_spectrogram(ra: RASpectrogram, path, format: str = "bin") -> Path:
     """Write the warped power matrix plus a sidecar with the corner report."""
     out = write_matrix(ra.power, path, format=format)
-    dt = float(ra.time_axis[1] - ra.time_axis[0]) if ra.time_axis.size > 1 else 0.0
     pairs = [
         ("kind", "ra_spectrogram"),
         ("num_frames", ra.power.shape[0]),
         ("num_filters", ra.num_filters),
-        ("row_order", ra.row_order),
-        ("frame_dt", dt),
+        ("row_order", ROW_ORDER),
+        ("frame_dt", ra.frame_dt),
         ("hz_per_bin", ra.hz_per_bin),
         ("forced", ra.corner.forced),
         ("objective_value", ra.corner.objective_value),

@@ -270,45 +270,27 @@ def preset(name: str) -> Scenario:
 # scenario files
 # ---------------------------------------------------------------------------
 
-_SCATTERER_FIELDS = tuple(f.name for f in fields(ScattererSpec))
-
-
-def _format_scatterer(sc: ScattererSpec) -> str:
-    inner = ", ".join(f"{name}: {getattr(sc, name)!r}" for name in _SCATTERER_FIELDS)
-    return "{" + inner + "}"
-
-
 def _parse_scatterer(block: str, source: str) -> ScattererSpec:
+    """A ``{name: value, ...}`` block; fields left out keep their defaults."""
     block = block.strip()
     if not (block.startswith("{") and block.endswith("}")):
         raise FileFormatError(f"{source}: scatterer block must be brace-wrapped, got {block!r}")
-    values = {}
+    pairs = []
     body = block[1:-1].strip()
-    if body:
-        for item in body.split(","):
-            name, sep, value = item.partition(":")
-            if not sep:
-                raise FileFormatError(f"{source}: expected 'name: value' in {item!r}")
-            name = name.strip()
-            if name not in _SCATTERER_FIELDS:
-                raise FileFormatError(f"{source}: unknown scatterer field {name!r}")
-            if name in values:
-                raise FileFormatError(f"{source}: duplicate scatterer field {name!r}")
-            try:
-                values[name] = float(value)
-            except ValueError:
-                raise FileFormatError(f"{source}: cannot parse {value.strip()!r} as float") from None
-    try:
-        return ScattererSpec(**values)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{source}: {exc}") from exc
+    for item in body.split(",") if body else ():
+        name, sep, value = item.partition(":")
+        if not sep:
+            raise FileFormatError(f"{source}: expected 'name: value' in {item!r}")
+        pairs.append((name.strip(), value.strip()))
+    return from_kv(ScattererSpec, pairs, f"{source}: scatterer {block}", defaults=True)
 
 
 def save_scenario(scenario: Scenario, path) -> Path:
     path = Path(path)
     pairs = field_pairs(scenario.params)
     pairs += [("noise_power", scenario.noise_power), ("seed", scenario.seed)]
-    pairs += [("scatterer", _format_scatterer(sc)) for sc in scenario.scatterers]
+    pairs += [("scatterer", "{" + ", ".join(f"{k}: {v!r}" for k, v in field_pairs(sc)) + "}")
+              for sc in scenario.scatterers]
     path.write_text(format_kv(pairs))
     return path
 

@@ -10,11 +10,7 @@ def make_spec():
 
     def _make(power, prf=1000.0, hop_dt=0.01):
         power = np.asarray(power, dtype=np.float64)
-        frames, bins = power.shape
-        freq_axis = (np.arange(bins) - bins // 2) * (prf / bins)
-        time_axis = np.arange(frames) * hop_dt
-        return Spectrogram(power=power, freq_axis=freq_axis,
-                           time_axis=time_axis, f_max=prf / 2.0)
+        return Spectrogram(power=power, f_max=prf / 2.0, frame_dt=hop_dt)
 
     return _make
 

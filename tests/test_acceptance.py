@@ -189,10 +189,7 @@ def test_criterion_09_performance_envelope(capsys):
     rng = np.random.default_rng(SEED)
     power = rng.uniform(0.5, 1.0, size=(256, 256))
     power[:, 88:169] += 100.0
-    spec = Spectrogram(power=power,
-                       freq_axis=(np.arange(256) - 128) * (2000.0 / 256),
-                       time_axis=np.arange(256) * 0.016,
-                       f_max=1000.0)
+    spec = Spectrogram(power=power, f_max=1000.0, frame_dt=0.016)
     e = rng.uniform(0.1, 10.0, size=512)
     e[160:353] += 50.0
     profile = EnergyProfile(e=e, zero_index=256)

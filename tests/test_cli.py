@@ -278,10 +278,7 @@ class TestTrack:
         power[:, 48] = 2.0
         prf = 1000.0
         from radoppler.linspec import Spectrogram
-        spec = Spectrogram(power=power,
-                           freq_axis=(np.arange(64) - 32) * (prf / 64),
-                           time_axis=np.arange(60) * 0.02,
-                           f_max=prf / 2)
+        spec = Spectrogram(power=power, f_max=prf / 2, frame_dt=0.02)
         save_spectrogram(spec, tmp_path / "tone.bin")
         assert cli.main(["track", str(tmp_path / "tone.bin"), str(tmp_path / "t.csv")]) == 0
         rows = [ln.split(",") for ln in
@@ -320,10 +317,18 @@ class TestTrack:
          "key 'num_filters' = -3 must be at least 1 and half the 128 matrix columns"),
         ("spec.bin", "frame_dt = ", "frame_dt = -0.5", "key 'frame_dt' must be positive"),
         ("ra.bin", "frame_dt = ", "frame_dt = 0", "key 'frame_dt' must be positive"),
+        ("spec.bin", "num_frames = ", "num_frames = 5",
+         "key 'num_frames' = 5 does not match the 57 matrix rows"),
+        ("spec.bin", "num_freq_bins = ", "num_freq_bins = 7",
+         "key 'num_freq_bins' = 7 does not match the 256 matrix columns"),
+        ("ra.bin", "num_frames = ", "num_frames = 5",
+         "key 'num_frames' = 5 does not match the 57 matrix rows"),
     ], ids=["no_p_3", "num_filters_lots", "f_max_x", "frame_dt_nan", "num_filters_8",
-            "num_filters_negative", "frame_dt_negative", "ra_frame_dt_zero"])
+            "num_filters_negative", "frame_dt_negative", "ra_frame_dt_zero",
+            "num_frames_5", "num_freq_bins_7", "ra_num_frames_5"])
     def test_bad_sidecar_value_exits_two(self, workdir, tmp_path, capsys, matrix, old, new,
                                          named):
+        """track, and ra for a spectrogram, exit 2 naming the key and the sidecar."""
         path = tmp_path / matrix
         shutil.copyfile(workdir / matrix, path)
         lines = (workdir / (matrix + ".meta")).read_text().splitlines()
@@ -334,10 +339,15 @@ class TestTrack:
         else:
             lines[hit[0]] = new
         (tmp_path / (matrix + ".meta")).write_text("\n".join(lines) + "\n")
-        assert cli.main(["track", str(path), str(tmp_path / "t.csv")]) == 2
-        err = capsys.readouterr().err
-        assert named in err and f"{path}.meta" in err
-        assert not (tmp_path / "t.csv").exists()
+        commands = [["track", str(path), str(tmp_path / "t.csv")]]
+        if matrix == "spec.bin":
+            commands.append(["ra", str(path), str(workdir / "pipeline.cfg"),
+                             str(tmp_path / "r.bin")])
+        for command in commands:
+            assert cli.main(command) == 2
+            err = capsys.readouterr().err
+            assert named in err and f"{path}.meta" in err
+        assert not (tmp_path / "t.csv").exists() and not (tmp_path / "r.bin").exists()
 
     @pytest.mark.parametrize("matrix,sidecar,frame,bad", [("spec.bin", False, 7, np.nan),
                                                           ("ra.bin", True, 40, np.inf)],
@@ -353,6 +363,22 @@ class TestTrack:
         assert cli.main(["track", str(path), str(tmp_path / "t.csv")]) == 2
         assert f"frame {frame} holds {bad}" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["track", "ra"])
+    def test_non_finite_spectrogram_names_file_and_frame(self, workdir, tmp_path, capsys,
+                                                         command):
+        power = load_matrix(workdir / "spec.bin").copy()
+        power[7, 3] = np.nan
+        path = tmp_path / "spec.bin"
+        ingest.write_matrix(power, path)
+        shutil.copyfile(workdir / "spec.bin.meta", tmp_path / "spec.bin.meta")
+        out = tmp_path / "out"
+        argv = {"track": ["track", str(path), str(out)],
+                "ra": ["ra", str(path), str(workdir / "pipeline.cfg"), str(out)]}[command]
+        assert cli.main(argv) == 2
+        assert (f"error: {path}: power must be finite and non-negative; frame 7 holds nan "
+                "in column 3") in capsys.readouterr().err
+        assert not out.exists()
 
 
 def exit_code(argv):

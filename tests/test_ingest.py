@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -246,6 +246,16 @@ class TestKvDialect:
         with pytest.raises(FileFormatError, match=r"unknown keys \['params'\]"):
             from_kv(RadarCube, [("params", "1")], "c", params=small_params(),
                     samples=np.ones((16, 8), dtype=complex))
+
+    def test_from_kv_defaults_keep_a_field_without_default_required(self):
+        @dataclass(frozen=True)
+        class Point:
+            x: float
+            y: float = 0.0
+
+        assert from_kv(Point, [("x", "2")], "p", defaults=True) == Point(x=2.0)
+        with pytest.raises(FileFormatError, match=r"p: missing keys \['x'\]"):
+            from_kv(Point, [("y", "1.0")], "p", defaults=True)
 
     def test_read_sidecar_checks_presence_and_kind(self, tmp_path):
         matrix = tmp_path / "m.bin"

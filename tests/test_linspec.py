@@ -273,10 +273,44 @@ class TestSpectrogramType:
         with pytest.raises(ValueError, match="even"):
             make_spec(np.ones((3, 5)))
 
-    def test_rejects_axis_mismatch(self):
-        with pytest.raises(ValueError, match="axis"):
-            Spectrogram(power=np.ones((2, 4)), freq_axis=np.arange(4),
-                        time_axis=np.arange(3), f_max=10.0)
+    @pytest.mark.parametrize("frame_dt, message", [
+        (-0.5, "positive for 4 frames; got -0.5"),
+        (0.0, "positive for 4 frames; got 0.0"),
+        (np.nan, "frame_dt must be finite.*got nan"),
+        (np.inf, "frame_dt must be finite.*got inf"),
+    ], ids=["negative", "zero", "nan", "inf"])
+    def test_rejects_bad_frame_dt(self, frame_dt, message):
+        with pytest.raises(ValueError, match=message):
+            Spectrogram(power=np.ones((4, 4)), f_max=10.0, frame_dt=frame_dt)
+
+    def test_single_frame_takes_any_finite_spacing(self):
+        assert Spectrogram(power=np.ones((1, 4)), f_max=10.0, frame_dt=0.0).frame_dt == 0.0
+        with pytest.raises(ValueError, match="finite"):
+            Spectrogram(power=np.ones((1, 4)), f_max=10.0, frame_dt=np.nan)
+
+    @pytest.mark.parametrize("f_max", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_f_max(self, f_max):
+        with pytest.raises(ValueError, match="f_max must be positive and finite"):
+            Spectrogram(power=np.ones((2, 4)), f_max=f_max, frame_dt=0.5)
+
+    def test_axes_are_not_fields(self):
+        assert [f.name for f in dataclasses.fields(Spectrogram)] == ["power", "f_max",
+                                                                     "frame_dt"]
+        with pytest.raises(TypeError, match="freq_axis"):
+            Spectrogram(power=np.ones((3, 4)), freq_axis=[7, 1, 3, 2],
+                        time_axis=[0, 0.5, 5], f_max=10.0)
+
+    def test_axes_follow_the_scalars(self):
+        spec = Spectrogram(power=np.ones((3, 4)), f_max=10.0, frame_dt=0.5)
+        np.testing.assert_array_equal(spec.freq_axis, [-10.0, -5.0, 0.0, 5.0])
+        np.testing.assert_array_equal(spec.time_axis, [0.0, 0.5, 1.0])
+
+    def test_names_the_first_bad_frame(self):
+        power = np.ones((5, 4))
+        power[3, 1] = -2.0
+        power[2, 3] = np.nan
+        with pytest.raises(ValueError, match="frame 2 holds nan in column 3"):
+            Spectrogram(power=power, f_max=10.0, frame_dt=0.5)
 
 
 class TestLogView:
@@ -305,10 +339,7 @@ class TestLogView:
     def test_monotone_in_power(self, seed):
         def as_spec(power):
             bins = power.shape[1]
-            return Spectrogram(power=power,
-                               freq_axis=(np.arange(bins) - bins // 2) * 10.0,
-                               time_axis=np.arange(power.shape[0]) * 0.01,
-                               f_max=bins * 5.0)
+            return Spectrogram(power=power, f_max=bins * 5.0, frame_dt=0.01)
 
         gen = np.random.default_rng(seed)
         a = gen.uniform(0, 10, size=(4, 6))
@@ -326,9 +357,9 @@ class TestPersistence:
         path = save_spectrogram(spec, tmp_path / "s.bin", format="bin")
         back = load_spectrogram(path)
         np.testing.assert_array_equal(back.power, spec.power)
-        np.testing.assert_allclose(back.freq_axis, spec.freq_axis)
-        np.testing.assert_allclose(back.time_axis, spec.time_axis)
-        assert back.f_max == spec.f_max
+        np.testing.assert_array_equal(back.freq_axis, spec.freq_axis)
+        np.testing.assert_array_equal(back.time_axis, spec.time_axis)
+        assert (back.f_max, back.frame_dt) == (spec.f_max, spec.frame_dt)
 
     def test_round_trip_csv(self, tmp_path, rng, make_spec):
         spec = make_spec(rng.uniform(0, 5, size=(4, 6)))

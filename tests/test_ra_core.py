@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -38,14 +39,7 @@ from radoppler.ra_core import (
 
 
 def make_spec(power, prf=1000.0):
-    power = np.asarray(power, dtype=np.float64)
-    frames, bins = power.shape
-    return Spectrogram(
-        power=power,
-        freq_axis=(np.arange(bins) - bins // 2) * (prf / bins),
-        time_axis=np.arange(frames) * 0.016,
-        f_max=prf / 2,
-    )
+    return Spectrogram(power=power, f_max=prf / 2, frame_dt=0.016)
 
 
 def step_profile(f_max_bin, neg_edge, pos_edge, inside=10.0, outside=1.0):
@@ -73,7 +67,6 @@ class TestEnergyProfile:
         ep = energy_profile(spec)
         np.testing.assert_allclose(ep.e, 1.0, atol=1e-12)
         assert ep.zero_index == 4
-        assert ep.f_max_bin == 4
 
     def test_additive_over_frames(self):
         one = energy_profile(make_spec(np.full((1, 8), 10.0)))
@@ -115,11 +108,10 @@ class TestEnergyProfile:
 
     def test_signed_indexing(self):
         ep = EnergyProfile(e=np.arange(9, dtype=float), zero_index=4)
-        assert ep.at(0) == 4.0
-        assert ep.at(-4) == 0.0
-        assert ep.at(4) == 8.0
-        with pytest.raises(IndexError):
-            ep.at(5)
+        assert (ep.min_bin, ep.max_bin) == (-4, 4)
+        assert ep.e[ep.zero_index + 0] == 4.0
+        assert ep.e[ep.zero_index - 4] == 0.0
+        assert ep.e[ep.zero_index + 4] == 8.0
 
 
 class TestLogMS:
@@ -417,8 +409,18 @@ class TestRATransform:
         ra = ra_transform(make_spec(power), num_filters=8)
         assert ra.power.shape == (10, 16)
         assert np.all(ra.power >= 0)
-        assert "positive side" in ra.row_order
         assert ra.num_filters == 8
+        assert [f.name for f in dataclasses.fields(ra)] == ["power", "corner", "bank",
+                                                            "frame_dt", "hz_per_bin"]
+        np.testing.assert_array_equal(ra.time_axis, np.arange(10) * 0.016)
+
+    def test_rejects_bad_frame_dt(self, rng):
+        ra = ra_transform(make_spec(rng.uniform(0.5, 1.0, size=(4, 64))), num_filters=8,
+                          force_fc=9.0)
+        with pytest.raises(ValueError, match="positive for 4 frames; got -0.5"):
+            dataclasses.replace(ra, frame_dt=-0.5)
+        with pytest.raises(ValueError, match="frame_dt must be finite"):
+            dataclasses.replace(ra, frame_dt=math.nan)
 
     def test_symmetric_input_mirror_symmetric_output(self, rng):
         half = rng.uniform(0, 1, size=(6, 32))
@@ -510,5 +512,7 @@ class TestRATransform:
         assert int(meta["num_filters"]) == 8
         assert float(meta["p_9"]) == pytest.approx(ra.bank.break_points[9])
         assert meta["forced"] == "false"
+        assert meta["row_order"] == ra_core.ROW_ORDER
+        assert float(meta["frame_dt"]) == ra.frame_dt == 0.016
         from radoppler.ingest import load_matrix
         np.testing.assert_array_equal(load_matrix(path), ra.power)

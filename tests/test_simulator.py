@@ -313,8 +313,8 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("block, message", [
         ("base_range: 2.0", "brace-wrapped"),
         ("{base_range 2.0}", "name: value"),
-        ("{base_range: 2.0, base_range: 3.0}", "duplicate scatterer field"),
-        ("{spin: 2.0}", "unknown scatterer field"),
+        ("{base_range: 2.0, base_range: 3.0}", "duplicate key"),
+        ("{spin: 2.0}", "unknown keys"),
         ("{base_range: fast}", "as float"),
         ("{rcs: 1.0}", "base_range"),
     ])
