@@ -157,8 +157,13 @@ def cmd_ra(args, argv) -> None:
 def cmd_track(args, argv) -> None:
     in_path = Path(args.matrix_path)
     sidecar = sidecar_path(in_path)
-    meta = read_sidecar(in_path, None) if sidecar.exists() else {}
-    kind = meta.get("kind")
+    kind = None  # a matrix without a sidecar is tracked on its column index
+    if sidecar.exists():
+        meta = read_sidecar(in_path, None)
+        kind = sidecar_value(in_path, meta, "kind", str)
+        if kind not in ("spectrogram", "ra_spectrogram"):
+            raise FileFormatError(f"{sidecar}: key 'kind' = {kind!r} is neither "
+                                  f"'spectrogram' nor 'ra_spectrogram'")
 
     if kind == "spectrogram":
         spec = load_spectrogram(in_path)
@@ -166,7 +171,7 @@ def cmd_track(args, argv) -> None:
         axis_kind = "doppler_hz"
     elif kind == "ra_spectrogram":
         m_count = sidecar_value(in_path, meta, "num_filters", int)
-        power = np.asarray(load_matrix(in_path)).real
+        power = load_matrix(in_path)
         if m_count < 1 or 2 * m_count != power.shape[1]:
             raise FileFormatError(f"{sidecar}: key 'num_filters' = {m_count} must be at least 1 "
                                   f"and half the {power.shape[1]} matrix columns")
@@ -177,7 +182,7 @@ def cmd_track(args, argv) -> None:
         times = np.arange(power.shape[0]) * sidecar_frame_dt(in_path, meta, power.shape[0])
         axis_kind = "ra_center_hz"
     else:
-        power = np.asarray(load_matrix(in_path)).real
+        power = load_matrix(in_path)
         axis = np.arange(power.shape[1], dtype=np.float64)
         times = np.arange(power.shape[0], dtype=np.float64)
         axis_kind = "column_index"

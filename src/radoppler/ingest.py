@@ -8,13 +8,13 @@ Cube payload ``<name>.iq``
 Cube sidecar ``<name>.meta``
     Plain-text ``key = value`` lines, one per RadarParams field.
 Matrix ``bin``
-    16-byte header: magic ``RDMX``, u8 dtype (0 = f64 real, 1 = c128
-    complex), 3 reserved bytes, u32 rows, u32 cols, little-endian;
-    row-major f64 payload (complex values as re/im pairs).
+    16-byte header: magic ``RDMX``, u8 dtype (always 0: f64 real), 3
+    reserved bytes, u32 rows, u32 cols, little-endian; row-major f64
+    payload.
 Matrix sidecar ``<matrix file name>.meta``
     ``key = value`` lines; ``kind`` says what the matrix holds.
 Matrix ``csv``
-    One matrix row per line, comma-separated, ``%.17g`` formatting.
+    One matrix row per line, comma-separated floats, ``%.17g`` formatting.
 Matrix ``pgm``
     8-bit binary PGM of the log-scaled, min-max-normalized magnitudes;
     display-only, not loadable.
@@ -366,15 +366,17 @@ def load_radar_cube(path) -> RadarCube:
 # ---------------------------------------------------------------------------
 
 def write_matrix(matrix: np.ndarray, path, format: str = "bin") -> Path:
-    """Persist a real or complex matrix as csv, bin, or pgm."""
+    """Persist a real matrix as csv, bin, or pgm; a complex one raises ValueError."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError("matrix must be 2-D and non-empty")
+    if np.iscomplexobj(matrix):
+        raise ValueError(f"matrix must be real, got {matrix.dtype}")
     path = Path(path)
     if format == "bin":
         _write_matrix_bin(matrix, path)
     elif format == "csv":
-        _write_matrix_csv(matrix, path)
+        np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
     elif format == "pgm":
         _write_matrix_pgm(matrix, path)
     else:
@@ -383,73 +385,49 @@ def write_matrix(matrix: np.ndarray, path, format: str = "bin") -> Path:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load a matrix written by write_matrix (csv or bin)."""
+    """Load a float64 matrix written by write_matrix (csv or bin), opening the file once."""
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"matrix file not found: {path}")
-    head = path.open("rb").read(4)
-    if head == _MATRIX_MAGIC:
-        return _load_matrix_bin(path)
-    if head[:2] in (b"P5", b"P2"):
-        raise FileFormatError(f"{path}: pgm is a display format and cannot be loaded")
-    return _load_matrix_csv(path)
+    with path.open("rb") as fh:
+        head = fh.read(_MATRIX_HEADER.size)
+        if head[:4] == _MATRIX_MAGIC:
+            return _load_matrix_bin(path, fh, head)
+        if head[:2] in (b"P5", b"P2"):
+            raise FileFormatError(f"{path}: pgm is a display format and cannot be loaded")
+        text = (head + fh.read()).decode()
+    return _load_matrix_csv(path, text)
 
 
 def _write_matrix_bin(matrix: np.ndarray, path: Path) -> None:
-    complex_kind = np.iscomplexobj(matrix)
     rows, cols = matrix.shape
-    header = _MATRIX_HEADER.pack(_MATRIX_MAGIC, 1 if complex_kind else 0, b"\x00" * 3, rows, cols)
-    if complex_kind:
-        payload = np.ascontiguousarray(matrix, dtype=np.complex128)
-        body = payload.view(np.float64).astype("<f8", copy=False)
-    else:
-        body = np.ascontiguousarray(matrix, dtype="<f8")
     with path.open("wb") as fh:
-        fh.write(header)
-        fh.write(body)
+        fh.write(_MATRIX_HEADER.pack(_MATRIX_MAGIC, 0, b"\x00" * 3, rows, cols))
+        fh.write(np.ascontiguousarray(matrix, dtype="<f8"))
 
 
-def _load_matrix_bin(path: Path) -> np.ndarray:
-    """Check the header and the size on disk, then read the payload into
-    one preallocated array (a complex128 is an interleaved re/im pair)."""
-    with path.open("rb") as fh:
-        head = fh.read(_MATRIX_HEADER.size)
-        if len(head) < _MATRIX_HEADER.size:
-            raise FileFormatError(f"{path}: truncated header")
-        magic, dtype, _, rows, cols = _MATRIX_HEADER.unpack(head)
-        if magic != _MATRIX_MAGIC:
-            raise FileFormatError(f"{path}: bad magic {magic!r}")
-        if dtype not in (0, 1):
-            raise FileFormatError(f"{path}: unknown dtype code {dtype}")
-        per_value = 16 if dtype else 8
-        expected = _MATRIX_HEADER.size + rows * cols * per_value
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise FileFormatError(f"{path}: payload is {size} bytes, header declares {expected}")
-        matrix = np.empty((rows, cols), dtype="<c16" if dtype else "<f8")
-        if fh.readinto(memoryview(matrix).cast("B")) != matrix.nbytes:
-            raise FileFormatError(f"{path}: payload ended while being read")
+def _load_matrix_bin(path: Path, fh, head: bytes) -> np.ndarray:
+    """Check the header read from ``fh`` and the size on disk, then read the
+    payload into one preallocated array."""
+    if len(head) < _MATRIX_HEADER.size:
+        raise FileFormatError(f"{path}: truncated header")
+    _, dtype, _, rows, cols = _MATRIX_HEADER.unpack(head)
+    if dtype != 0:
+        raise FileFormatError(f"{path}: unknown dtype code {dtype}")
+    expected = _MATRIX_HEADER.size + rows * cols * 8
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise FileFormatError(f"{path}: payload is {size} bytes, header declares {expected}")
+    matrix = np.empty((rows, cols), dtype="<f8")
+    if fh.readinto(memoryview(matrix).cast("B")) != matrix.nbytes:
+        raise FileFormatError(f"{path}: payload ended while being read")
     return matrix
 
 
-def _format_value(v) -> str:
-    if isinstance(v, complex) or np.iscomplexobj(v):
-        return "%.17g%+.17gj" % (v.real, v.imag)
-    return "%.17g" % v
-
-
-def _write_matrix_csv(matrix: np.ndarray, path: Path) -> None:
-    with path.open("w") as fh:
-        for row in matrix:
-            fh.write(",".join(_format_value(v) for v in row))
-            fh.write("\n")
-
-
-def _load_matrix_csv(path: Path) -> np.ndarray:
+def _load_matrix_csv(path: Path, text: str) -> np.ndarray:
     rows = []
     width = None
-    complex_kind = False
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -458,14 +436,12 @@ def _load_matrix_csv(path: Path) -> np.ndarray:
         elif len(cells) != width:
             raise FileFormatError(f"{path}:{lineno}: ragged row ({len(cells)} != {width})")
         try:
-            parsed = [complex(c) if "j" in c else float(c) for c in cells]
+            rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-        complex_kind = complex_kind or any(isinstance(v, complex) for v in parsed)
-        rows.append(parsed)
     if not rows:
         raise FileFormatError(f"{path}: empty matrix file")
-    return np.array(rows, dtype=np.complex128 if complex_kind else np.float64)
+    return np.array(rows, dtype=np.float64)
 
 
 def _write_matrix_pgm(matrix: np.ndarray, path: Path, floor: float = 1e-12) -> None:

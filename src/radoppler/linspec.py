@@ -54,16 +54,9 @@ class Spectrogram:
     frame_dt: float  # seconds between frame starts
 
     def __post_init__(self):
-        power = np.asarray(self.power, dtype=np.float64)
-        if power.ndim != 2 or power.size == 0:
-            raise ValueError("power must be a non-empty 2-D matrix")
+        power = check_power(self.power)
         if power.shape[1] % 2:
             raise ValueError("frequency bin count must be even")
-        if not (power.min() >= 0 and power.max() < np.inf):  # min() is NaN if any entry is
-            ok = np.isfinite(power) & (power >= 0)
-            frame, column = divmod(int(ok.argmin()), power.shape[1])
-            raise ValueError(f"power must be finite and non-negative; frame {frame} "
-                             f"holds {power[frame, column]} in column {column}")
         f_max, frame_dt = float(self.f_max), float(self.frame_dt)
         if not (math.isfinite(f_max) and f_max > 0):
             raise ValueError(f"f_max must be positive and finite, got {f_max!r}")
@@ -94,6 +87,24 @@ class Spectrogram:
     def time_axis(self) -> np.ndarray:
         """Frame start times in seconds."""
         return np.arange(self.num_frames) * self.frame_dt
+
+
+def check_power(power) -> np.ndarray:
+    """``power`` as a float64 matrix; a ValueError names the first frame and column
+    that is not real, finite and non-negative. Both spectrogram types check with it."""
+    power = np.asarray(power)
+    if power.ndim != 2 or power.size == 0:
+        raise ValueError("power must be a non-empty 2-D matrix")
+    if np.iscomplexobj(power):
+        ok, need = power.imag == 0, "real"
+    else:
+        power = power.astype(np.float64, copy=False)
+        if power.min() >= 0 and power.max() < np.inf:  # min() is NaN if any entry is
+            return power
+        ok, need = np.isfinite(power) & (power >= 0), "finite and non-negative"
+    frame, column = divmod(int(ok.argmin()), power.shape[1])
+    raise ValueError(f"power must be {need}; frame {frame} holds {power[frame, column]} "
+                     f"in column {column}")
 
 
 def check_frame_dt(frame_dt: float, num_frames: int) -> None:
@@ -242,7 +253,7 @@ def load_spectrogram(path) -> Spectrogram:
     """Read a spectrogram; sidecar counts must match the matrix, and errors name the file."""
     meta = read_sidecar(path, "spectrogram")
     f_max = sidecar_value(path, meta, "f_max")
-    power = np.asarray(load_matrix(path)).real
+    power = load_matrix(path)
     sidecar_count(path, meta, "num_frames", power.shape[0], "rows")
     sidecar_count(path, meta, "num_freq_bins", power.shape[1], "columns")
     frame_dt = sidecar_frame_dt(path, meta, power.shape[0])

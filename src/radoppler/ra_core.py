@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateCornerError, DegenerateInputError, FilterBankError, ForcedCornerError
 from .ingest import format_kv, sidecar_path, write_matrix
-from .linspec import Spectrogram, check_frame_dt, log_view
+from .linspec import Spectrogram, check_frame_dt, check_power, log_view
 
 __all__ = [
     "EnergyProfile",
@@ -140,11 +140,9 @@ class RASpectrogram:
     hz_per_bin: float  # linear-frequency bin width of the source axis
 
     def __post_init__(self):
-        power = np.asarray(self.power, dtype=np.float64)
-        if power.ndim != 2 or power.shape[1] != 2 * self.bank.num_filters:
+        power = check_power(self.power)
+        if power.shape[1] != 2 * self.bank.num_filters:
             raise ValueError("power must have 2*M columns")
-        if np.any(power < 0):
-            raise ValueError("power must be non-negative")
         frame_dt = float(self.frame_dt)
         check_frame_dt(frame_dt, power.shape[0])
         power.setflags(write=False)

@@ -129,18 +129,22 @@ def track_signature(
 ) -> SignatureTrack:
     """Peak-pick every frame, smooth, and clip back into the axis range.
 
-    Frame times must increase; a single frame is smoothed at unit dt.
+    Frame times must increase and be evenly spaced: no spacing may depart
+    from the first by more than 1e-6 of it. A single frame is smoothed at
+    unit dt.
     """
     raw = peak_track(power, axis)
     times = np.asarray(frame_times, dtype=np.float64)
     if times.shape != raw.shape:
         raise ValueError("frame_times length must match the frame count")
-    stalled = np.flatnonzero(~(np.diff(times) > 0))
-    if stalled.size:
-        k = stalled[0] + 1
-        raise ValueError(f"frame_times must increase: frame {k} is at {float(times[k])!r} s, "
-                         f"frame {k - 1} at {float(times[k - 1])!r} s")
     dt = float(times[1] - times[0]) if times.size > 1 else 1.0
+    steps = np.diff(times)
+    bad = np.flatnonzero(~((steps > 0) & (np.abs(steps - dt) <= 1e-6 * dt)))
+    if bad.size:
+        k = bad[0] + 1
+        raise ValueError(f"frame_times must increase: frame {k} is at {float(times[k])!r} s, "
+                         f"frame {k - 1} at {float(times[k - 1])!r} s, and every spacing must "
+                         f"be within 1e-6 of the first, {dt!r} s")
     smoothed = np.clip(kalman_smooth(raw, dt, q=q, r=r), axis.min(), axis.max())
     return SignatureTrack(raw_peaks=raw, smoothed=smoothed, frame_times=times)
 

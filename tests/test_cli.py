@@ -380,6 +380,52 @@ class TestTrack:
                 "in column 3") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind_line,named", [
+        ("kind = spectogram\n",
+         "key 'kind' = 'spectogram' is neither 'spectrogram' nor 'ra_spectrogram'"),
+        ("", "missing keys ['kind']"),
+    ], ids=["typo", "missing"])
+    def test_unknown_sidecar_kind_exits_two(self, workdir, tmp_path, capsys, kind_line, named):
+        """A sidecar that exists must say what its matrix holds; only no sidecar is bare."""
+        path = tmp_path / "spec.bin"
+        shutil.copyfile(workdir / "spec.bin", path)
+        meta = (workdir / "spec.bin.meta").read_text()
+        assert meta.startswith("kind = spectrogram\n")
+        (tmp_path / "spec.bin.meta").write_text(meta.replace("kind = spectrogram\n", kind_line))
+        assert cli.main(["track", str(path), str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}.meta: {named}" in err
+        assert not (tmp_path / "t.csv").exists()
+
+
+class TestComplexMatrix:
+    """A complex (dtype code 1) matrix file exits 2 naming it; nothing is written."""
+
+    @pytest.fixture
+    def complex_spec(self, workdir, tmp_path):
+        power = load_matrix(workdir / "spec.bin").astype(np.complex128)
+        path = tmp_path / "in" / "spec.bin"
+        path.parent.mkdir()
+        path.write_bytes(ingest._MATRIX_HEADER.pack(b"RDMX", 1, bytes(3), *power.shape)
+                         + power.astype("<c16").tobytes())
+        return path
+
+    @pytest.mark.parametrize("command,sidecar", [("track", True), ("ra", True),
+                                                 ("track", False)],
+                             ids=["track", "ra", "track_bare"])
+    def test_exits_two_and_writes_nothing(self, workdir, tmp_path, capsys, complex_spec,
+                                          command, sidecar):
+        if sidecar:
+            shutil.copyfile(workdir / "spec.bin.meta", complex_spec.parent / "spec.bin.meta")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"track": ["track", str(complex_spec), str(out / "t.csv")],
+                "ra": ["ra", str(complex_spec), str(workdir / "pipeline.cfg"),
+                       str(out / "r.bin")]}[command]
+        assert cli.main(argv) == 2
+        assert f"error: {complex_spec}: unknown dtype code 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 def exit_code(argv):
     """cli.main's exit code, also when argparse rejects the command line."""

@@ -275,20 +275,37 @@ class TestMatrixFormats:
         path = write_matrix(m, tmp_path / "m.bin", format="bin")
         np.testing.assert_array_equal(load_matrix(path), m)
 
-    def test_bin_round_trip_complex(self, tmp_path, rng):
-        m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        path = write_matrix(m, tmp_path / "m.bin", format="bin")
-        np.testing.assert_array_equal(load_matrix(path), m)
+    @pytest.mark.parametrize("format", ["bin", "csv", "pgm"])
+    def test_write_complex_rejected(self, tmp_path, format):
+        path = tmp_path / f"m.{format}"
+        with pytest.raises(ValueError, match="matrix must be real, got complex128"):
+            write_matrix(np.ones((3, 4)) + 0j, path, format=format)
+        assert not path.exists()
+
+    def test_bin_complex_dtype_code_rejected(self, tmp_path):
+        # the header of a 1x1 complex128 matrix, dtype code 1, and its re/im payload
+        path = tmp_path / "m.bin"
+        path.write_bytes(ingest._MATRIX_HEADER.pack(b"RDMX", 1, bytes(3), 1, 1)
+                         + np.array([1.0, 2.0], "<f8").tobytes())
+        with pytest.raises(FileFormatError, match=f"{path}: unknown dtype code 1"):
+            load_matrix(path)
 
     def test_csv_round_trip_real(self, tmp_path, rng):
         m = rng.standard_normal((4, 6))
         path = write_matrix(m, tmp_path / "m.csv", format="csv")
         np.testing.assert_array_equal(load_matrix(path), m)
 
-    def test_csv_round_trip_complex(self, tmp_path, rng):
-        m = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    def test_csv_cells_are_17_digit_floats(self, tmp_path):
+        m = np.array([[-0.0, 5e-324, math.inf], [1 / 3, -math.inf, 1.7976931348623157e308]])
         path = write_matrix(m, tmp_path / "m.csv", format="csv")
-        np.testing.assert_array_equal(load_matrix(path), m)
+        expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in m)
+        assert path.read_bytes() == expected.encode()
+
+    def test_csv_complex_cell_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,1+2j\n")
+        with pytest.raises(FileFormatError, match=f"{path}:2: .*'1\\+2j'"):
+            load_matrix(path)
 
     def test_bin_bad_magic(self, tmp_path):
         path = tmp_path / "m.bin"
@@ -322,11 +339,11 @@ class TestMatrixFormats:
         with pytest.raises(FileFormatError, match="payload ended while being read"):
             load_matrix(path)
 
-    def test_bin_complex_keeps_every_bit(self, tmp_path):
-        m = np.array([[complex(-0.0, 1.0), complex(2.5, math.inf)],
-                      [complex(-0.0, -0.0), complex(-math.inf, 3.0)]])
+    def test_bin_keeps_every_bit(self, tmp_path):
+        m = np.array([[-0.0, 1.0, math.inf],
+                      [2.5, -math.inf, 5e-324]])
         loaded = load_matrix(write_matrix(m, tmp_path / "m.bin", format="bin"))
-        assert loaded.dtype == np.complex128
+        assert loaded.dtype == np.float64
         np.testing.assert_array_equal(loaded.view(np.uint64), m.view(np.uint64))
 
     def test_bin_peak_memory_one_payload(self, tmp_path, rng):

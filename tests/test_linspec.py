@@ -305,6 +305,22 @@ class TestSpectrogramType:
         np.testing.assert_array_equal(spec.freq_axis, [-10.0, -5.0, 0.0, 5.0])
         np.testing.assert_array_equal(spec.time_axis, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("bad, message", [
+        (2 + 1j, r"power must be real; frame 2 holds \(2\+1j\) in column 3"),
+        (np.nan, "power must be finite and non-negative; frame 2 holds nan in column 3"),
+        (np.inf, "power must be finite and non-negative; frame 2 holds inf in column 3"),
+        (-1.0, "power must be finite and non-negative; frame 2 holds -1.0 in column 3"),
+    ], ids=["complex", "nan", "inf", "negative"])
+    def test_rejects_bad_power(self, bad, message):
+        power = np.ones((4, 6), dtype=np.result_type(bad))
+        power[2, 3] = bad
+        with pytest.raises(ValueError, match=message):
+            Spectrogram(power=power, f_max=10.0, frame_dt=0.5)
+
+    def test_rejects_complex_dtype_without_imaginary_part(self):
+        with pytest.raises(ValueError, match=r"must be real; frame 0 holds \(1\+0j\)"):
+            Spectrogram(power=np.ones((4, 6), dtype=complex), f_max=10.0, frame_dt=0.5)
+
     def test_names_the_first_bad_frame(self):
         power = np.ones((5, 4))
         power[3, 1] = -2.0

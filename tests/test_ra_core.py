@@ -422,6 +422,20 @@ class TestRATransform:
         with pytest.raises(ValueError, match="frame_dt must be finite"):
             dataclasses.replace(ra, frame_dt=math.nan)
 
+    @pytest.mark.parametrize("bad, message", [
+        (2 + 1j, r"power must be real; frame 2 holds \(2\+1j\) in column 3"),
+        (np.nan, "power must be finite and non-negative; frame 2 holds nan in column 3"),
+        (np.inf, "power must be finite and non-negative; frame 2 holds inf in column 3"),
+        (-1.0, "power must be finite and non-negative; frame 2 holds -1.0 in column 3"),
+    ], ids=["complex", "nan", "inf", "negative"])
+    def test_rejects_bad_power(self, rng, bad, message):
+        ra = ra_transform(make_spec(rng.uniform(0.5, 1.0, size=(4, 64))), num_filters=8,
+                          force_fc=9.0)
+        power = ra.power.astype(np.result_type(bad))
+        power[2, 3] = bad
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ra, power=power)
+
     def test_symmetric_input_mirror_symmetric_output(self, rng):
         half = rng.uniform(0, 1, size=(6, 32))
         half[:, 2:12] += 30.0

@@ -252,6 +252,24 @@ class TestTrackSignature:
         with pytest.raises(ValueError, match=f"frame_times must increase: frame {frame} "):
             track_signature(np.ones((4, 8)), shifted_axis(8), np.array(times))
 
+    def test_frame_times_must_be_evenly_spaced(self):
+        with pytest.raises(ValueError, match=r"frame 2 is at 50\.0 s, frame 1 at 0\.1 s, "
+                                             r"and every spacing must be within 1e-6 of "
+                                             r"the first, 0\.1 s"):
+            track_signature(np.ones((3, 4)), np.arange(4.0), [0.0, 0.1, 50.0])
+
+    @pytest.mark.parametrize("frame_dt", [0.016, 1 / 3, 0.1])
+    def test_long_arange_times_are_even(self, frame_dt):
+        times = np.arange(100_000) * frame_dt
+        track = track_signature(np.ones((times.size, 4)), np.arange(4.0), times)
+        np.testing.assert_array_equal(track.frame_times, times)
+
+    def test_spacing_tolerance_is_one_millionth(self):
+        power, axis = np.ones((3, 4)), np.arange(4.0)
+        track_signature(power, axis, [0.0, 1.0, 2.0 + 0.9e-6])
+        with pytest.raises(ValueError, match="must increase: frame 2 is at 2.0000011 s"):
+            track_signature(power, axis, [0.0, 1.0, 2.0 + 1.1e-6])
+
     def test_times_length_mismatch(self):
         with pytest.raises(ValueError, match="frame_times"):
             track_signature(np.ones((4, 8)), shifted_axis(8), np.arange(3))
