@@ -42,7 +42,7 @@ from .ingest import (
     write_radar_cube,
 )
 from .linspec import load_spectrogram, save_spectrogram, spectrogram_from_file
-from .ra_core import ra_transform, save_ra_spectrogram
+from .ra_core import ra_transform, save_ra_spectrogram, warped_axis
 from .simulator import load_scenario, synthesize
 from .tracker import track_signature, write_track_csv
 
@@ -178,7 +178,7 @@ def cmd_track(args, argv) -> None:
         sidecar_count(in_path, meta, "num_frames", power.shape[0], "rows")
         hz_per_bin = sidecar_value(in_path, meta, "hz_per_bin")
         centers = np.array([sidecar_value(in_path, meta, f"p_{m}") for m in range(1, m_count + 1)])
-        axis = np.concatenate([-centers[::-1], centers]) * hz_per_bin
+        axis = warped_axis(centers, hz_per_bin)
         times = np.arange(power.shape[0]) * sidecar_frame_dt(in_path, meta, power.shape[0])
         axis_kind = "ra_center_hz"
     else:

@@ -395,7 +395,10 @@ def load_matrix(path) -> np.ndarray:
             return _load_matrix_bin(path, fh, head)
         if head[:2] in (b"P5", b"P2"):
             raise FileFormatError(f"{path}: pgm is a display format and cannot be loaded")
-        text = (head + fh.read()).decode()
+        text = (head + fh.read()).decode(errors="replace")
+    # csv text is UTF-8 without NULs, and a binary header almost always holds one
+    if b"\0" in head or "\ufffd" in text:
+        raise FileFormatError(f"{path}: neither a bin matrix (no RDMX magic) nor csv text")
     return _load_matrix_csv(path, text)
 
 

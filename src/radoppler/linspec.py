@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, FileFormatError
 from .ingest import (
+    CHIRP_BLOCK,
     CubeReader,
     PipelineConfig,
     RadarCube,
@@ -23,7 +24,8 @@ from .ingest import (
     sidecar_value,
     write_matrix,
 )
-from .preprocess import RangeProfileMatrix, clutter_filter
+from .preprocess import (BLOCK, RangeProfileMatrix, clutter_filter, highpass_sos, sosfilt,
+                         step_state)
 
 __all__ = [
     "Spectrogram",
@@ -174,8 +176,9 @@ def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spect
 
 
 def spectrogram_from_cube(cube: RadarCube, cfg: PipelineConfig) -> Spectrogram:
-    """Raw cube to spectrogram: range FFT, clutter filter, range collapse, STFT."""
-    return _front_end(cube.params, [cube.samples], cfg)
+    """Raw cube to spectrogram, cut in the file path's CHIRP_BLOCK slices to equal it."""
+    starts = range(0, cube.params.num_chirps, CHIRP_BLOCK)
+    return _front_end(cube.params, (cube.samples[:, s : s + CHIRP_BLOCK] for s in starts), cfg)
 
 
 def spectrogram_from_file(path, cfg: PipelineConfig) -> Spectrogram:
@@ -188,14 +191,15 @@ def spectrogram_from_file(path, cfg: PipelineConfig) -> Spectrogram:
 def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
     """Spectrogram from complex [num_fast_samples, chirps] chunks in chirp order.
 
-    Each chunk is reduced to the range rows kept, then all rows are
-    clutter-filtered once and passed to the STFT. Coherent mode keeps one
-    row: range FFT plus the sum over [range_bin_start, range_bin_end] is one
-    linear functional per chirp, w[i] = sum_r exp(-2j*pi*r*i/N), and the
-    filter is linear, time-invariant and starts from a state linear in the
-    first sample, so filtering that series equals summing filtered bins.
-    Non-coherent mode sums magnitudes, which does not commute with the
-    filter, so it keeps every selected bin of the range FFT.
+    Each chunk is reduced to one sample per chirp, so only that 16 B/chirp
+    series outlives the loop. Coherent mode: range FFT plus the sum over
+    [range_bin_start, range_bin_end] is one linear functional per chirp,
+    w[i] = sum_r exp(-2j*pi*r*i/N), and the filter is linear, time-invariant
+    and starts from a state linear in the first sample, so filtering that
+    series after the loop equals summing filtered bins. Magnitudes do not
+    commute with the filter, so non-coherent mode filters each chunk's bins
+    from the state the last chunk left; a partial BLOCK cannot pass that
+    state on, so only the last chunk may be partial.
     """
     n = params.num_fast_samples
     _check_range_bins(cfg, n // 2)
@@ -203,22 +207,32 @@ def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
     if cfg.coherent:
         # reduce r*i modulo N so every twiddle angle stays below 2*pi
         w = np.exp(-2j * np.pi * (np.outer(bins, np.arange(n)) % n) / n).sum(axis=0)
-    rows = np.empty((1 if cfg.coherent else bins.size, params.num_chirps), dtype=np.complex128)
-    start = 0
+    # checked before any chunk is read; coherent mode designs the filter again after the loop
+    sos = highpass_sos(cfg.notch_order, cfg.notch_cutoff, params.chirp_repetition_freq)
+    if params.num_chirps < 2:
+        raise ValueError("need at least 2 chirps to filter along slow time")
+    series = np.empty((1, params.num_chirps), dtype=np.complex128)
+    start, zi = 0, None
     for chunk in chunks:
+        if start % BLOCK:
+            raise ValueError(f"chunk at chirp {start} follows a partial {BLOCK}-chirp block")
         count = chunk.shape[1]
-        # numpy runs a one-column product as a dot product, which rounds unlike the
-        # matrix-vector kernel every other chirp sees, so a lone chirp is doubled
-        if count == 1:
-            chunk = np.repeat(chunk.T, 2, axis=0).T
-        kept = w @ chunk if cfg.coherent else np.fft.fft(chunk, n=n, axis=0)[bins]
-        rows[:, start : start + count] = kept[..., :count]
+        if cfg.coherent:
+            series[0, start : start + count] = w @ chunk
+        else:
+            # rebinding the chunk to its kept bins frees its chirps before the filter runs
+            chunk = np.fft.fft(chunk, n=n, axis=0)[bins]
+            if zi is None:
+                zi = step_state(sos)[:, np.newaxis, :] * chunk[np.newaxis, :, 0, np.newaxis]
+            chunk, zi = sosfilt(sos, chunk, zi)
+            series[0, start : start + count] = np.abs(chunk).sum(axis=0)
         start += count
-    profiles = RangeProfileMatrix(values=rows, range_resolution=params.range_resolution,
+    profiles = RangeProfileMatrix(values=series, range_resolution=params.range_resolution,
                                   chirp_repetition_freq=params.chirp_repetition_freq)
-    filtered = clutter_filter(profiles, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
-    # the kept rows are all the range bins of their own matrix
-    return stft_spectrogram(filtered, replace(cfg, range_bin_start=0, range_bin_end=len(rows) - 1))
+    if cfg.coherent:
+        profiles = clutter_filter(profiles, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
+    # the series is the only range bin of its own matrix
+    return stft_spectrogram(profiles, replace(cfg, range_bin_start=0, range_bin_end=0))
 
 
 def log_view(spec: Spectrogram, floor: float = 1e-12) -> np.ndarray:

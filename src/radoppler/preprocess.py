@@ -80,16 +80,12 @@ def clutter_filter(
     the runner are in this module; scipy is not needed.
     """
     prf = profiles.chirp_repetition_freq
-    if not 0 < cutoff < prf / 2:
-        raise ValueError(f"cutoff must sit inside (0, {prf / 2}), got {cutoff}")
-    if order < 2 or order % 2:
-        raise ValueError(f"order must be even and >= 2, got {order}")
+    sos = highpass_sos(order, cutoff, prf)
     if profiles.num_chirps < 2:
         raise ValueError("need at least 2 chirps to filter along slow time")
-    sos = highpass_sos(order, cutoff, prf)
     zi = step_state(sos)[:, np.newaxis, :] * profiles.values[np.newaxis, :, 0, np.newaxis]
     return RangeProfileMatrix(
-        values=sosfilt(sos, profiles.values, zi),
+        values=sosfilt(sos, profiles.values, zi)[0],
         range_resolution=profiles.range_resolution,
         chirp_repetition_freq=prf,
     )
@@ -106,9 +102,13 @@ def highpass_sos(order: int, cutoff: float, fs: float) -> np.ndarray:
     following scipy.signal.butter(order, cutoff, "highpass", fs=fs,
     output="sos") step for step: every section holds the double zero at
     z = 1 and one conjugate pole pair, pairs nearer the unit circle come
-    later, and the overall gain sits in the first section. ``order`` is
-    even.
+    later, and the overall gain sits in the first section. Each design is
+    checked here: order even and >= 2, cutoff inside (0, fs/2).
     """
+    if not 0 < cutoff < fs / 2:
+        raise ValueError(f"cutoff must sit inside (0, {fs / 2}), got {cutoff}")
+    if order < 2 or order % 2:
+        raise ValueError(f"order must be even and >= 2, got {order}")
     proto = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2) / (2 * order))
     warped = 4.0 * np.tan(np.pi * cutoff / fs)  # bilinear rate 2 on the Nyquist-normalised axis
     analog = warped / proto  # low-pass to high-pass
@@ -145,34 +145,39 @@ def step_state(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """Filter x along its last axis through the cascade, starting from zi.
+def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Filter complex rows x [rows, n] along n from the state zi; return (y, zf).
 
     Same recurrence and state layout as scipy.signal.sosfilt (transposed
-    direct form II per section, zi shaped [sections, ..., 2] with a0 = 1),
-    without the final state. The cascade runs as a linear state-space
-    system BLOCK samples at a time: each block's response is one matrix
-    product with the lower-triangular Toeplitz of the impulse response,
-    plus the response to the state carried in from the previous block.
+    direct form II per section, zi and zf [sections, rows, 2], a0 = 1). The
+    cascade runs as a linear state-space system BLOCK samples at a time:
+    each block's response is one matrix product with the lower-triangular
+    Toeplitz of the impulse response, plus the response to the state
+    carried in from the previous block. zf is the state after x zero-padded
+    to a multiple of BLOCK, so a row filtered in pieces, each from the zf
+    of the one before, equals the whole row if only the last is partial.
     """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    rows = x.reshape(-1, n)
-    zi = np.moveaxis(np.asarray(zi), 0, -2).reshape(rows.shape[0], 2 * len(sos))
-    # real coefficients: real and imaginary parts run as separate rows
-    parts = (np.real, np.imag) if np.iscomplexobj(rows) or np.iscomplexobj(zi) else (np.real,)
+    rows, n = x.shape
+    forward, observe, advance = _block_operators(sos)
     blocks = -(-n // BLOCK)
-    u = np.zeros((len(parts), rows.shape[0], blocks * BLOCK))
-    for k, part in enumerate(parts):
-        u[k, :, :n] = part(rows)
-    state = np.concatenate([part(zi) for part in parts])
-    y = _run_blocks(_block_operators(sos), u.reshape(-1, blocks * BLOCK), state)
-    y = y.reshape(len(parts), rows.shape[0], -1)[:, :, :n]
-    if len(parts) == 1:
-        return y[0].reshape(x.shape)
-    filtered = np.empty(rows.shape, dtype=np.complex128)
-    filtered.real, filtered.imag = y
-    return filtered.reshape(x.shape)
+    # real coefficients: real and imaginary parts run as separate rows
+    u = np.zeros((2, rows, blocks * BLOCK))
+    u[0, :, :n], u[1, :, :n] = x.real, x.imag
+    u = u.reshape(-1, BLOCK)
+    out = u @ forward
+    driven = out[:, BLOCK:].reshape(2 * rows, blocks, -1)
+    state = np.moveaxis([zi.real, zi.imag], 1, -2).reshape(2 * rows, -1)
+    starts = np.empty((2 * rows, blocks, state.shape[1]))
+    for j in range(blocks):
+        starts[:, j] = state
+        state = state @ advance + driven[:, j]
+    y = np.matmul(starts.reshape(-1, state.shape[1]), observe, out=u)  # u's input is spent
+    y += out[:, :BLOCK]
+    filtered = np.empty((rows, n), dtype=np.complex128)
+    filtered.real, filtered.imag = y.reshape(2, rows, -1)[:, :, :n]
+    zf = np.empty((rows, len(sos), 2), dtype=np.complex128)
+    zf.real, zf.imag = state.reshape(2, rows, len(sos), 2)
+    return filtered, np.moveaxis(zf, -2, 0)
 
 
 def _block_operators(sos: np.ndarray):
@@ -205,19 +210,3 @@ def _block_operators(sos: np.ndarray):
     toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
     drive = b @ powers[BLOCK - 1 :: -1]  # row j: b A^(BLOCK-1-j)
     return np.hstack([toeplitz, drive]), observe, powers[BLOCK]
-
-
-def _run_blocks(operators, u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Filter real rows u [m, blocks * BLOCK] from real row states [m, n_state]."""
-    forward, observe, advance = operators
-    m = u.shape[0]
-    blocks = u.shape[1] // BLOCK
-    out = u.reshape(m * blocks, BLOCK) @ forward
-    driven = out[:, BLOCK:].reshape(m, blocks, -1)
-    starts = np.empty((m, blocks, state.shape[1]))
-    for j in range(blocks):
-        starts[:, j] = state
-        state = state @ advance + driven[:, j]
-    y = starts.reshape(m * blocks, -1) @ observe
-    y += out[:, :BLOCK]
-    return y.reshape(m, blocks * BLOCK)

@@ -160,11 +160,15 @@ class RASpectrogram:
 
     def warped_axis_hz(self) -> np.ndarray:
         """Signed linear-frequency centers (Hz) of the 2M output columns."""
-        centers = self.bank.break_points[1:-1] * self.hz_per_bin
-        return np.concatenate([-centers[::-1], centers])
+        return warped_axis(self.bank.break_points[1:-1], self.hz_per_bin)
 
 
 ROW_ORDER = "negative side m=M..1, then positive side m=1..M (warped frequency ascending)"
+
+
+def warped_axis(centers: np.ndarray, hz_per_bin: float) -> np.ndarray:
+    """Signed Hz centers of the 2M columns in ROW_ORDER from the filter peaks p_1..p_M (bins)."""
+    return np.concatenate([-centers[::-1], centers]) * hz_per_bin
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -307,10 +308,20 @@ class TestMatrixFormats:
         with pytest.raises(FileFormatError, match=f"{path}:2: .*'1\\+2j'"):
             load_matrix(path)
 
+    @staticmethod
+    def neither_dialect(path):
+        return re.escape(f"{path}: neither a bin matrix (no RDMX magic) nor csv text")
+
     def test_bin_bad_magic(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(b"XXXX" + bytes(12) + bytes(64))
-        with pytest.raises(FileFormatError, match="magic"):
+        with pytest.raises(FileFormatError, match=self.neither_dialect(path)):
+            load_matrix(path)
+
+    def test_not_utf8_text(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"\xff\xfe1,2\n")
+        with pytest.raises(FileFormatError, match=self.neither_dialect(path)):
             load_matrix(path)
 
     def test_bin_truncated(self, tmp_path, rng):

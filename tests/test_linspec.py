@@ -129,10 +129,10 @@ class TestSpectrogramFromFile:
     def test_peak_memory_below_payload(self, dwell):
         assert self.traced_peak(dwell, PipelineConfig()) < dwell.stat().st_size
 
-    @pytest.mark.parametrize("last,payloads", [(63, 5), (7, 1)])
+    @pytest.mark.parametrize("last,payloads", [(63, 1), (7, 1)])
     def test_non_coherent_peak_memory(self, dwell, last, payloads):
-        # the kept rows hold 16 B per bin and chirp against the payload's
-        # 8 B per fast sample and chirp, so 64 of 128 bins weigh one payload
+        # only a read block's kept bins and the 16 B/chirp series are held,
+        # where the whole dwell's 64 of 128 bins would weigh one payload
         cfg = PipelineConfig(coherent=False, range_bin_end=last)
         assert self.traced_peak(dwell, cfg) < payloads * dwell.stat().st_size
 
@@ -180,6 +180,42 @@ class TestSpectrogramFromFile:
         cfg = PipelineConfig(range_bin_end=64, coherent=coherent)
         with pytest.raises(ValueError, match=r"range bins \[0, 64\] exceed the 64"):
             spectrogram_from_file(dwell, cfg)
+
+
+class TestStreamedNonCoherent:
+    """Each read block's bins filtered from the state the previous block left."""
+
+    @pytest.fixture(scope="class")
+    def blocks3(self, tmp_path_factory):
+        """A walk_like cube of three read blocks, the last partial, with its
+        per-row filtered and unfiltered range profiles."""
+        scenario = preset("walk_like")
+        scenario = dataclasses.replace(scenario, params=dataclasses.replace(
+            scenario.params, num_chirps=2 * CHIRP_BLOCK + 1000))
+        path = write_radar_cube(synthesize(scenario), tmp_path_factory.mktemp("blocks3") / "c.iq")
+        cube = load_radar_cube(path)
+        cfg = PipelineConfig()
+        unfiltered = range_transform(cube)
+        filtered = clutter_filter(unfiltered, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
+        return cube, path, unfiltered, filtered
+
+    @pytest.mark.parametrize("count", range(1, 65))
+    def test_bin_counts_match_per_row_path(self, blocks3, count):
+        cube, path, unfiltered, filtered = blocks3
+        cfg = PipelineConfig(coherent=False, range_bin_end=count - 1)
+        ours = spectrogram_from_file(path, cfg)
+        np.testing.assert_array_equal(ours.power.view(np.uint64),
+                                      spectrogram_from_cube(cube, cfg).power.view(np.uint64))
+        per_row = stft_spectrogram(filtered, cfg).power
+        unfiltered_peak = stft_spectrogram(unfiltered, cfg).power.max()
+        assert np.abs(ours.power - per_row).max() <= 1e-9 * unfiltered_peak
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_partial_chunk_must_be_last(self, blocks3, coherent):
+        cube = blocks3[0]
+        chunks = [cube.samples[:, :100], cube.samples[:, 100:CHIRP_BLOCK]]
+        with pytest.raises(ValueError, match=r"chunk at chirp 100 follows a partial 64-chirp block"):
+            linspec._front_end(cube.params, chunks, PipelineConfig(coherent=coherent))
 
 
 class TestStftSpectrogram:

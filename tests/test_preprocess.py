@@ -174,24 +174,52 @@ class TestInRepoFilter:
         x = rng.standard_normal((64, 6000)) + 1j * rng.standard_normal((64, 6000))
         zi = signal.sosfilt_zi(sos)[:, None, :] * x[None, :, 0, None]
         ref, _ = signal.sosfilt(sos, x, zi=zi)
-        np.testing.assert_allclose(sosfilt(sos, x, zi), ref, rtol=0, atol=1e-8 * np.abs(ref).max())
+        out, _ = sosfilt(sos, x, zi)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
 
     def test_runner_matches_sosfilt_on_long_series(self, rng):
         sos = highpass_sos(4, 0.01, 2000.0)
-        x = rng.standard_normal(120_000)
-        zi = signal.sosfilt_zi(sos) * x[0]
+        x = rng.standard_normal((1, 120_000)) + 1j * rng.standard_normal((1, 120_000))
+        zi = signal.sosfilt_zi(sos)[:, None, :] * x[None, :, 0, None]
         ref, _ = signal.sosfilt(sos, x, zi=zi)
-        out = sosfilt(sos, x, zi)
-        assert out.dtype == np.float64
+        out, _ = sosfilt(sos, x, zi)
+        assert out.dtype == np.complex128
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_runner_block_edges(self, rng, n):
         sos = highpass_sos(6, 5.0, 100.0)
         x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-        zi = rng.standard_normal((3, 3, 2))
+        zi = rng.standard_normal((3, 3, 2)) + 1j * rng.standard_normal((3, 3, 2))
         ref, _ = signal.sosfilt(sos, x, zi=zi)
-        np.testing.assert_allclose(sosfilt(sos, x, zi), ref, rtol=0, atol=1e-12)
+        out, _ = sosfilt(sos, x, zi)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pieces", [[BLOCK, BLOCK, 5], [64 * BLOCK, 64 * BLOCK, 3 * BLOCK],
+                                        [2 * BLOCK, BLOCK]])
+    def test_carried_state_continues_the_row(self, rng, pieces):
+        # a row filtered in BLOCK-multiple pieces, each from the zf of the one
+        # before, matches scipy on the whole row, and the last zf is scipy's
+        sos = highpass_sos(4, 0.01, 2000.0)
+        x = rng.standard_normal((2, sum(pieces))) + 1j * rng.standard_normal((2, sum(pieces)))
+        zi = signal.sosfilt_zi(sos)[:, None, :] * x[None, :, 0, None]
+        ref, ref_zf = signal.sosfilt(sos, x, zi=zi)
+        out, zf, start = [], zi, 0
+        for size in pieces:
+            y, zf = sosfilt(sos, x[:, start : start + size], zf)
+            out.append(y)
+            start += size
+        tol = 1e-8 * np.abs(ref).max()
+        np.testing.assert_allclose(np.concatenate(out, axis=1), ref, rtol=0, atol=tol)
+        if pieces[-1] % BLOCK == 0:  # zf continues the row only after a whole block
+            assert zf.shape == ref_zf.shape
+            np.testing.assert_allclose(zf, ref_zf, rtol=0, atol=tol)
+
+    def test_design_checks_its_arguments(self):
+        with pytest.raises(ValueError, match=r"cutoff must sit inside \(0, 50.0\), got 50.0"):
+            highpass_sos(4, 50.0, 100.0)
+        with pytest.raises(ValueError, match="order must be even and >= 2, got 3"):
+            highpass_sos(3, 5.0, 100.0)
 
 
 class TestRangeProfileMatrix:
