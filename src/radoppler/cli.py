@@ -63,9 +63,10 @@ def _configure_logging() -> None:
 
 def _sha256(path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(HASH_CHUNK):
-            digest.update(chunk)
+    buffer = memoryview(bytearray(HASH_CHUNK))  # one buffer for every read
+    with open(path, "rb", buffering=0) as fh:
+        while count := fh.readinto(buffer):
+            digest.update(buffer[:count])
     return digest.hexdigest()
 
 

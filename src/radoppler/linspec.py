@@ -39,7 +39,8 @@ __all__ = [
     "load_spectrogram",
 ]
 
-FRAME_BLOCK = 512  # STFT frames transformed per batch
+FRAME_BLOCK = 128  # STFT frames per batch; ra_core's energy-profile and rebin blocks
+CHIRP_SLICE = 1024  # chirps of a read block cast to complex128 and reduced at once
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,8 @@ def check_power(power) -> np.ndarray:
         raise ValueError("power must be a non-empty 2-D matrix")
     if np.iscomplexobj(power):
         ok, need = power.imag == 0, "real"
+        if ok.all():  # no cell to name: the dtype alone is not real
+            raise ValueError(f"power must be real, got {power.dtype}")
     else:
         power = power.astype(np.float64, copy=False)
         if power.min() >= 0 and power.max() < np.inf:  # min() is NaN if any entry is
@@ -185,14 +188,27 @@ def spectrogram_from_file(path, cfg: PipelineConfig) -> Spectrogram:
     """Cube file to spectrogram; equals spectrogram_from_cube(load_radar_cube(path), cfg),
     but reduces each chirp block read by CubeReader before reading the next."""
     reader = CubeReader(path)
-    return _front_end(reader.params, (block.astype(np.complex128).T for block in reader), cfg)
+    return _front_end(reader.params, (block.T for block in reader), cfg)
 
 
 def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
-    """Spectrogram from complex [num_fast_samples, chirps] chunks in chirp order.
+    """Spectrogram from complex [num_fast_samples, chirps] chunks in chirp order."""
+    profiles = RangeProfileMatrix(values=_slow_time_series(params, chunks, cfg),
+                                  range_resolution=params.range_resolution,
+                                  chirp_repetition_freq=params.chirp_repetition_freq)
+    if cfg.coherent:
+        profiles = clutter_filter(profiles, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
+    # the series is the only range bin of its own matrix
+    return stft_spectrogram(profiles, replace(cfg, range_bin_start=0, range_bin_end=0))
 
-    Each chunk is reduced to one sample per chirp, so only that 16 B/chirp
-    series outlives the loop. Coherent mode: range FFT plus the sum over
+
+def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig) -> np.ndarray:
+    """The [1, num_chirps] slow-time series of the chunks, filtered in non-coherent mode.
+
+    Each chunk is cast to complex128 and reduced CHIRP_SLICE chirps at a
+    time to one sample per chirp; returning drops the last chunk, the read
+    buffer behind it and the last slice, so only the 16 B/chirp series
+    outlives the loop. Coherent mode: range FFT plus the sum over
     [range_bin_start, range_bin_end] is one linear functional per chirp,
     w[i] = sum_r exp(-2j*pi*r*i/N), and the filter is linear, time-invariant
     and starts from a state linear in the first sample, so filtering that
@@ -217,33 +233,44 @@ def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
         if start % BLOCK:
             raise ValueError(f"chunk at chirp {start} follows a partial {BLOCK}-chirp block")
         count = chunk.shape[1]
-        if cfg.coherent:
-            series[0, start : start + count] = w @ chunk
-        else:
-            # rebinding the chunk to its kept bins frees its chirps before the filter runs
-            chunk = np.fft.fft(chunk, n=n, axis=0)[bins]
+        if not cfg.coherent:
+            kept = np.empty((bins.size, count), dtype=np.complex128)
+        for first in range(0, count, CHIRP_SLICE):
+            part = chunk[:, first : first + CHIRP_SLICE].astype(np.complex128, copy=False)
+            stop = first + part.shape[1]
+            if cfg.coherent:
+                series[0, start + first : start + stop] = w @ part
+            else:
+                kept[:, first:stop] = np.fft.fft(part, n=n, axis=0)[bins]
+        if not cfg.coherent:
+            # filter whole chunks: sosfilt's block products round by chunk length
             if zi is None:
-                zi = step_state(sos)[:, np.newaxis, :] * chunk[np.newaxis, :, 0, np.newaxis]
-            chunk, zi = sosfilt(sos, chunk, zi)
-            series[0, start : start + count] = np.abs(chunk).sum(axis=0)
+                zi = step_state(sos)[:, np.newaxis, :] * kept[np.newaxis, :, 0, np.newaxis]
+            kept, zi = sosfilt(sos, kept, zi)
+            series[0, start : start + count] = np.abs(kept).sum(axis=0)
         start += count
-    profiles = RangeProfileMatrix(values=series, range_resolution=params.range_resolution,
-                                  chirp_repetition_freq=params.chirp_repetition_freq)
-    if cfg.coherent:
-        profiles = clutter_filter(profiles, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
-    # the series is the only range bin of its own matrix
-    return stft_spectrogram(profiles, replace(cfg, range_bin_start=0, range_bin_end=0))
+    return series
 
 
 def log_view(spec: Spectrogram, floor: float = 1e-12) -> np.ndarray:
     """log10 of the power floored at floor * max(power); display and e(f) input."""
+    return floored_log10(spec.power, log_floor(spec, floor))
+
+
+def log_floor(spec: Spectrogram, floor: float) -> float:
+    """floor * max(power), the level the power is clipped to before the log."""
     if floor <= 0:
         raise ValueError("floor must be positive")
     peak = spec.power.max()
     if peak <= 0:
         raise DegenerateInputError("degenerate input: all-zero spectrogram has no log view")
-    floored = np.maximum(spec.power, floor * peak)
-    return np.log10(floored, out=floored)
+    return floor * peak
+
+
+def floored_log10(power: np.ndarray, threshold: float, out=None) -> np.ndarray:
+    """log10(max(power, threshold)) in one buffer: ``out``, or a new array."""
+    out = np.maximum(power, threshold, out=out)
+    return np.log10(out, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateCornerError, DegenerateInputError, FilterBankError, ForcedCornerError
 from .ingest import format_kv, sidecar_path, write_matrix
-from .linspec import Spectrogram, check_frame_dt, check_power, log_view
+from .linspec import FRAME_BLOCK, Spectrogram, check_frame_dt, check_power, floored_log10, log_floor
 
 __all__ = [
     "EnergyProfile",
@@ -175,9 +175,33 @@ def warped_axis(centers: np.ndarray, hz_per_bin: float) -> np.ndarray:
 # energy profile and corner search
 # ---------------------------------------------------------------------------
 
+def frame_blocks(num_frames: int) -> list[tuple[int, int]]:
+    """(first, stop) frame ranges of FRAME_BLOCK rows; the last one takes the rest.
+
+    Every block of a matrix with at least FRAME_BLOCK frames holds FRAME_BLOCK
+    to 2 FRAME_BLOCK - 1 rows: a BLAS product of a few rows may run another
+    kernel (OpenBLAS has one for small matrices) and round differently from
+    the same rows of a whole-matrix product.
+    """
+    edges = [k * FRAME_BLOCK for k in range(max(1, num_frames // FRAME_BLOCK))] + [num_frames]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def energy_profile(spec: Spectrogram, floor: float = 1e-12) -> EnergyProfile:
-    """Sum the floored log-power over frames: e(f) on the signed bin axis."""
-    e = log_view(spec, floor).sum(axis=0)
+    """Sum the floored log-power over frames: e(f) on the signed bin axis.
+
+    Each frame block is floored and logged into rows 1.. of one buffer whose
+    row 0 carries the running sum. numpy sums axis 0 of a C-ordered matrix
+    row by row, so e(f) equals the sum of the whole log view bit for bit.
+    """
+    threshold = log_floor(spec, floor)
+    blocks = frame_blocks(spec.num_frames)
+    buffer = np.zeros((max(stop - first for first, stop in blocks) + 1, spec.num_freq_bins))
+    for first, stop in blocks:
+        rows = buffer[: stop - first + 1]
+        floored_log10(spec.power[first:stop], threshold, out=rows[1:])
+        e = rows.sum(axis=0)
+        buffer[0] = e
     return EnergyProfile(e=e, zero_index=spec.num_freq_bins // 2)
 
 
@@ -369,12 +393,21 @@ def ra_transform(
         corner = find_corners(profile)
     bank = build_filter_bank(float(corner.f_c), half, num_filters)
 
-    # positive half covers bins 0..half, aliasing the Nyquist bin from index 0
-    pos = np.concatenate([spec.power[:, half:], spec.power[:, :1]], axis=1)
-    neg = spec.power[:, half::-1]
-    spec_pos = pos @ bank.weights.T
-    spec_neg = neg @ bank.weights.T
-    power = np.concatenate([spec_neg[:, ::-1], spec_pos], axis=1)
+    # rebin one frame block at a time straight into the output, through one
+    # reused copy of a block's positive half
+    blocks = frame_blocks(spec.num_frames)
+    power = np.empty((spec.num_frames, 2 * num_filters))
+    pos = np.empty((max(stop - first for first, stop in blocks), half + 1))
+    weights = bank.weights.T
+    for first, stop in blocks:
+        block = spec.power[first:stop]
+        rows = pos[: stop - first]
+        # positive half covers bins 0..half, aliasing the Nyquist bin from index 0
+        rows[:, :half] = block[:, half:]
+        rows[:, half] = block[:, 0]
+        np.matmul(rows, weights, out=power[first:stop, num_filters:])
+        # negative half, bins 0..-half, fills the first M columns mirrored
+        np.matmul(block[:, half::-1], weights, out=power[first:stop, num_filters - 1 :: -1])
     return RASpectrogram(
         power=power,
         corner=corner,

@@ -142,6 +142,21 @@ def energy_profile_direct(power: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
+def energy_profile_whole(power: np.ndarray, floor: float) -> np.ndarray:
+    """e(f) from the floored log view of every frame at once, summed over frames."""
+    floored = np.maximum(power, floor * power.max())
+    return np.log10(floored, out=floored).sum(axis=0)
+
+
+def rebin_whole(power: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Both half-axis bank products over every frame at once, in ROW_ORDER."""
+    half = power.shape[1] // 2
+    # positive half covers bins 0..half, aliasing the Nyquist bin from index 0
+    pos = np.concatenate([power[:, half:], power[:, :1]], axis=1)
+    neg = power[:, half::-1]
+    return np.concatenate([(neg @ weights.T)[:, ::-1], pos @ weights.T], axis=1)
+
+
 def triangle_weight(p: np.ndarray, m: int, f: float) -> float:
     """Piecewise-linear filter m evaluated at a real frequency f.
 

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from radoppler.ingest import write_radar_cube
 from radoppler.linspec import Spectrogram
+from radoppler.simulator import preset, synthesize
 
 
 @pytest.fixture
@@ -18,3 +22,12 @@ def make_spec():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture(scope="session")
+def dwell(tmp_path_factory):
+    """A walk_like cube file of 30 000 chirps: seven full read blocks and a partial one."""
+    scenario = preset("walk_like")
+    scenario = dataclasses.replace(
+        scenario, params=dataclasses.replace(scenario.params, num_chirps=30_000))
+    return write_radar_cube(synthesize(scenario), tmp_path_factory.mktemp("dwell") / "dwell.iq")

@@ -11,8 +11,10 @@ from _oracles import (
     brute_force_corners,
     dense_corner_search,
     energy_profile_direct,
+    energy_profile_whole,
     filter_bank_weights_loop,
     logms_direct,
+    rebin_whole,
     triangle_weight,
 )
 from radoppler import ra_core
@@ -22,8 +24,8 @@ from radoppler.errors import (
     FilterBankError,
     ForcedCornerError,
 )
-from radoppler.ingest import read_sidecar
-from radoppler.linspec import Spectrogram
+from radoppler.ingest import PipelineConfig, read_sidecar
+from radoppler.linspec import FRAME_BLOCK, Spectrogram, spectrogram_from_file
 from radoppler.ra_core import (
     CornerResult,
     EnergyProfile,
@@ -31,6 +33,7 @@ from radoppler.ra_core import (
     build_filter_bank,
     energy_profile,
     find_corners,
+    frame_blocks,
     ra_transform,
     save_ra_spectrogram,
     scale_forward,
@@ -94,9 +97,9 @@ class TestEnergyProfile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the floored view is the one spectrogram-sized temporary; a separate
-        # log10 output would double it
-        assert peak <= 1.1 * spec.power.nbytes, f"peak {peak / 2**20:.1f} MB"
+        # one buffer of a frame block plus the running sum; the whole-matrix
+        # log view weighed one spectrogram
+        assert peak <= spec.power.nbytes / 8, f"peak {peak / 2**20:.1f} MB"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="5 bins"):
@@ -530,3 +533,43 @@ class TestRATransform:
         assert float(meta["frame_dt"]) == ra.frame_dt == 0.016
         from radoppler.ingest import load_matrix
         np.testing.assert_array_equal(load_matrix(path), ra.power)
+
+
+class TestFrameBlocks:
+    """energy_profile and ra_transform run FRAME_BLOCK rows at a time, bit for bit
+    equal to the whole-matrix formulas."""
+
+    @pytest.mark.parametrize("frames", [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1,
+                                        2 * FRAME_BLOCK - 1, 7493])
+    def test_blocks_partition_the_frames(self, frames):
+        blocks = frame_blocks(frames)
+        assert blocks[0][0] == 0 and blocks[-1][1] == frames
+        assert all(stop == first for (_, stop), (first, _) in zip(blocks, blocks[1:]))
+        sizes = [stop - first for first, stop in blocks]
+        if frames < 2 * FRAME_BLOCK:
+            assert sizes == [frames]
+        else:
+            assert all(FRAME_BLOCK <= size < 2 * FRAME_BLOCK for size in sizes)
+
+    @pytest.mark.parametrize("bins, num_filters", [(256, 64), (1024, 128), (2048, 256)])
+    @pytest.mark.parametrize("frames", [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 7493])
+    def test_equal_to_whole_matrix(self, rng, frames, bins, num_filters):
+        power = rng.uniform(0.1, 1.0, size=(frames, bins))
+        power[:, bins // 2 - bins // 16 : bins // 2 + bins // 16] += 50.0
+        power[0, 3] = 0.0  # one cell below the log floor
+        spec = make_spec(power)
+        np.testing.assert_array_equal(energy_profile(spec).e, energy_profile_whole(power, 1e-12))
+        ra = ra_transform(spec, num_filters=num_filters)
+        np.testing.assert_array_equal(ra.power, rebin_whole(power, ra.bank.weights))
+
+    def test_peak_memory_below_a_quarter_spectrogram(self, dwell):
+        spec = spectrogram_from_file(dwell, PipelineConfig())
+        tracemalloc.start()
+        try:
+            ra = ra_transform(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-matrix log view alone weighs one spectrogram
+        extra = peak - ra.power.nbytes
+        assert extra < spec.power.nbytes / 4, f"{extra / 2**20:.2f} MB beside the output"
