@@ -39,8 +39,8 @@ __all__ = [
     "load_spectrogram",
 ]
 
-FRAME_BLOCK = 128  # STFT frames per batch; ra_core's energy-profile and rebin blocks
-CHIRP_SLICE = 1024  # chirps of a read block cast to complex128 and reduced at once
+FRAME_BLOCK = 128  # STFT frames per batch; ra_core's energy-profile blocks
+CHIRP_SLICE = 1024  # chirps of a read block that non-coherent mode casts and transforms at once
 
 
 @dataclass(frozen=True)
@@ -205,10 +205,11 @@ def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
 def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig) -> np.ndarray:
     """The [1, num_chirps] slow-time series of the chunks, filtered in non-coherent mode.
 
-    Each chunk is cast to complex128 and reduced CHIRP_SLICE chirps at a
-    time to one sample per chirp; returning drops the last chunk, the read
-    buffer behind it and the last slice, so only the 16 B/chirp series
-    outlives the loop. Coherent mode: range FFT plus the sum over
+    Each chunk is cast to complex128 and reduced to one sample per chirp:
+    by one product per chunk in coherent mode, by range FFTs of CHIRP_SLICE
+    chirps at a time in non-coherent mode. Returning drops the last chunk,
+    the read buffer behind it and the last cast, so only the 16 B/chirp
+    series outlives the loop. Coherent mode: range FFT plus the sum over
     [range_bin_start, range_bin_end] is one linear functional per chirp,
     w[i] = sum_r exp(-2j*pi*r*i/N), and the filter is linear, time-invariant
     and starts from a state linear in the first sample, so filtering that
@@ -233,16 +234,15 @@ def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig) -> np.nd
         if start % BLOCK:
             raise ValueError(f"chunk at chirp {start} follows a partial {BLOCK}-chirp block")
         count = chunk.shape[1]
-        if not cfg.coherent:
+        if cfg.coherent:
+            # one BLAS product per chunk: each threaded product can stall while
+            # the host is busy, so slicing the chunk would only add stalls
+            series[0, start : start + count] = w @ chunk.astype(np.complex128, copy=False)
+        else:
             kept = np.empty((bins.size, count), dtype=np.complex128)
-        for first in range(0, count, CHIRP_SLICE):
-            part = chunk[:, first : first + CHIRP_SLICE].astype(np.complex128, copy=False)
-            stop = first + part.shape[1]
-            if cfg.coherent:
-                series[0, start + first : start + stop] = w @ part
-            else:
-                kept[:, first:stop] = np.fft.fft(part, n=n, axis=0)[bins]
-        if not cfg.coherent:
+            for first in range(0, count, CHIRP_SLICE):
+                part = chunk[:, first : first + CHIRP_SLICE].astype(np.complex128, copy=False)
+                kept[:, first : first + part.shape[1]] = np.fft.fft(part, n=n, axis=0)[bins]
             # filter whole chunks: sosfilt's block products round by chunk length
             if zi is None:
                 zi = step_state(sos)[:, np.newaxis, :] * kept[np.newaxis, :, 0, np.newaxis]

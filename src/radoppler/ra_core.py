@@ -38,6 +38,9 @@ __all__ = [
 TINY_MEAN = 1e-300
 
 CORNER_BLOCK = 1 << 16  # objective values per corner-search block
+# frames per rebin block: each block is two threaded BLAS products, and each
+# product can stall while the host is busy, so the blocks are few
+REBIN_BLOCK = 2 * FRAME_BLOCK
 
 LOG10_2 = math.log10(2.0)
 
@@ -175,15 +178,15 @@ def warped_axis(centers: np.ndarray, hz_per_bin: float) -> np.ndarray:
 # energy profile and corner search
 # ---------------------------------------------------------------------------
 
-def frame_blocks(num_frames: int) -> list[tuple[int, int]]:
-    """(first, stop) frame ranges of FRAME_BLOCK rows; the last one takes the rest.
+def frame_blocks(num_frames: int, size: int = FRAME_BLOCK) -> list[tuple[int, int]]:
+    """(first, stop) frame ranges of ``size`` rows; the last one takes the rest.
 
-    Every block of a matrix with at least FRAME_BLOCK frames holds FRAME_BLOCK
-    to 2 FRAME_BLOCK - 1 rows: a BLAS product of a few rows may run another
-    kernel (OpenBLAS has one for small matrices) and round differently from
-    the same rows of a whole-matrix product.
+    Every block of a matrix with at least ``size`` frames holds ``size`` to
+    2 ``size`` - 1 rows: a BLAS product of a few rows may run another kernel
+    (OpenBLAS has one for small matrices) and round differently from the
+    same rows of a whole-matrix product.
     """
-    edges = [k * FRAME_BLOCK for k in range(max(1, num_frames // FRAME_BLOCK))] + [num_frames]
+    edges = [k * size for k in range(max(1, num_frames // size))] + [num_frames]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -393,21 +396,28 @@ def ra_transform(
         corner = find_corners(profile)
     bank = build_filter_bank(float(corner.f_c), half, num_filters)
 
-    # rebin one frame block at a time straight into the output, through one
-    # reused copy of a block's positive half
-    blocks = frame_blocks(spec.num_frames)
+    # rebin one frame block at a time into the output, through one reused
+    # buffer that holds a block's positive half, then its negative half
+    blocks = frame_blocks(spec.num_frames, REBIN_BLOCK)
     power = np.empty((spec.num_frames, 2 * num_filters))
-    pos = np.empty((max(stop - first for first, stop in blocks), half + 1))
+    largest = max(stop - first for first, stop in blocks)
+    buffer = np.empty((largest, half + 1))
+    negative = np.empty((largest, num_filters))
     weights = bank.weights.T
     for first, stop in blocks:
         block = spec.power[first:stop]
-        rows = pos[: stop - first]
+        rows = buffer[: stop - first]
         # positive half covers bins 0..half, aliasing the Nyquist bin from index 0
         rows[:, :half] = block[:, half:]
         rows[:, half] = block[:, 0]
         np.matmul(rows, weights, out=power[first:stop, num_filters:])
-        # negative half, bins 0..-half, fills the first M columns mirrored
-        np.matmul(block[:, half::-1], weights, out=power[first:stop, num_filters - 1 :: -1])
+        # negative half, bins 0..-half, fills the first M columns mirrored.
+        # numpy multiplies a lone reversed row without BLAS: a one-frame block
+        # passes that view, so it rounds as the whole-matrix product does
+        rows[:] = block[:, half::-1]
+        product = np.matmul(rows if len(rows) > 1 else block[:, half::-1], weights,
+                            out=negative[: stop - first])
+        power[first:stop, :num_filters] = product[:, ::-1]
     return RASpectrogram(
         power=power,
         corner=corner,

@@ -27,6 +27,7 @@ from radoppler.errors import (
 from radoppler.ingest import PipelineConfig, read_sidecar
 from radoppler.linspec import FRAME_BLOCK, Spectrogram, spectrogram_from_file
 from radoppler.ra_core import (
+    REBIN_BLOCK,
     CornerResult,
     EnergyProfile,
     FilterBank,
@@ -536,8 +537,8 @@ class TestRATransform:
 
 
 class TestFrameBlocks:
-    """energy_profile and ra_transform run FRAME_BLOCK rows at a time, bit for bit
-    equal to the whole-matrix formulas."""
+    """energy_profile runs FRAME_BLOCK rows at a time and the rebin REBIN_BLOCK rows,
+    bit for bit equal to the whole-matrix formulas."""
 
     @pytest.mark.parametrize("frames", [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1,
                                         2 * FRAME_BLOCK - 1, 7493])
@@ -551,8 +552,21 @@ class TestFrameBlocks:
         else:
             assert all(FRAME_BLOCK <= size < 2 * FRAME_BLOCK for size in sizes)
 
+    @pytest.mark.parametrize("frames", [REBIN_BLOCK - 1, REBIN_BLOCK, 2 * REBIN_BLOCK - 1,
+                                        2 * REBIN_BLOCK, 7493])
+    def test_rebin_blocks(self, frames):
+        # a spectrogram shorter than two rebin blocks is rebinned by one pair
+        # of products; a longer one by blocks of REBIN_BLOCK to 2 REBIN_BLOCK - 1
+        sizes = [stop - first for first, stop in frame_blocks(frames, REBIN_BLOCK)]
+        assert sum(sizes) == frames
+        if frames < 2 * REBIN_BLOCK:
+            assert sizes == [frames]
+        else:
+            assert all(REBIN_BLOCK <= size < 2 * REBIN_BLOCK for size in sizes)
+
     @pytest.mark.parametrize("bins, num_filters", [(256, 64), (1024, 128), (2048, 256)])
-    @pytest.mark.parametrize("frames", [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 7493])
+    @pytest.mark.parametrize("frames", [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1,
+                                        REBIN_BLOCK, 2 * REBIN_BLOCK + 1, 7493])
     def test_equal_to_whole_matrix(self, rng, frames, bins, num_filters):
         power = rng.uniform(0.1, 1.0, size=(frames, bins))
         power[:, bins // 2 - bins // 16 : bins // 2 + bins // 16] += 50.0
