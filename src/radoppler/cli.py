@@ -8,14 +8,14 @@ reruns are byte-identical except for the timestamp line.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input or config.
 RADOPPLER_LOG={error|info|debug} sets stderr verbosity; stdout stays
-reserved for nothing (all artifacts are files).
+reserved for nothing (all artifacts are files). Each subcommand imports
+the stage modules it runs when it runs, so a process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import logging
 import math
 import os
 import shlex
@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import FileFormatError, ForcedCornerError, RadopplerError
 from .ingest import (
+    CubeReader,
     _cube_paths,
     field_pairs,
     format_kv,
@@ -41,24 +42,16 @@ from .ingest import (
     write_matrix,
     write_radar_cube,
 )
-from .linspec import load_spectrogram, save_spectrogram, spectrogram_from_file
-from .ra_core import ra_transform, save_ra_spectrogram, warped_axis
-from .simulator import load_scenario, synthesize
-from .tracker import track_signature, write_track_csv
-
-log = logging.getLogger("radoppler")
 
 HASH_CHUNK = 1 << 20  # bytes per read while hashing manifest inputs and outputs
+LOG_LEVELS = {"error": 40, "info": 20, "debug": 10}  # RADOPPLER_LOG value -> rank
 
 
-def _configure_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("RADOPPLER_LOG", "error").lower(), logging.ERROR
-    )
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
-    log.handlers[:] = [handler]
-    log.setLevel(level)
+def _log(level: str, message: str) -> None:
+    """Print ``radoppler: LEVEL: message`` to stderr if RADOPPLER_LOG lets ``level`` through."""
+    threshold = LOG_LEVELS.get(os.environ.get("RADOPPLER_LOG", "error").lower(), 40)
+    if LOG_LEVELS[level] >= threshold:
+        print(f"radoppler: {level.upper()}: {message}", file=sys.stderr)
 
 
 def _sha256(path) -> str:
@@ -84,7 +77,17 @@ def _write_manifest(out_path, command, argv, inputs, outputs, config=None, extra
     pairs.append(("timestamp", datetime.now(timezone.utc).isoformat()))
     manifest = Path(str(out_path) + ".manifest")
     manifest.write_text(format_kv(pairs))
-    log.info("wrote %s", manifest)
+    _log("info", f"wrote {manifest}")
+
+
+def _cube_spectrogram(cube_path, cfg, config_path):
+    """The cube's spectrogram; a notch the cube's chirp rate cannot hold names the config."""
+    from .linspec import spectrogram_from_file
+    nyquist = CubeReader(cube_path).params.chirp_repetition_freq / 2
+    if cfg.notch_cutoff >= nyquist:
+        raise FileFormatError(f"{config_path}: notch_cutoff = {cfg.notch_cutoff!r} Hz must sit "
+                              f"below {nyquist!r} Hz, half the chirp rate of {cube_path}")
+    return spectrogram_from_file(cube_path, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -92,18 +95,20 @@ def _write_manifest(out_path, command, argv, inputs, outputs, config=None, extra
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args, argv) -> None:
+    from .simulator import load_scenario, synthesize
     scenario = load_scenario(args.scenario_path)
     cube = synthesize(scenario)
     payload = write_radar_cube(cube, args.out_cube_path)
     sidecar = _cube_paths(payload)[1]
-    log.info("wrote %s (%d chirps)", payload, cube.params.num_chirps)
+    _log("info", f"wrote {payload} ({cube.params.num_chirps} chirps)")
     _write_manifest(payload, "simulate", argv,
                     inputs=[args.scenario_path], outputs=[payload, sidecar])
 
 
 def cmd_spectrogram(args, argv) -> None:
+    from .linspec import save_spectrogram
     cfg = load_config(args.config_path)
-    spec = spectrogram_from_file(args.cube_path, cfg)
+    spec = _cube_spectrogram(args.cube_path, cfg, args.config_path)
     out = Path(args.out_path)
     if args.format == "pgm":
         # frequency on image rows so a steady tone reads as one bright row
@@ -112,16 +117,18 @@ def cmd_spectrogram(args, argv) -> None:
     else:
         save_spectrogram(spec, out, format=args.format)
         outputs = [out, sidecar_path(out)]
-    log.info("wrote %s (%d frames x %d bins)", out, spec.num_frames, spec.num_freq_bins)
+    _log("info", f"wrote {out} ({spec.num_frames} frames x {spec.num_freq_bins} bins)")
     inputs = [args.cube_path, _cube_paths(args.cube_path)[1], args.config_path]
     _write_manifest(out, "spectrogram", argv, inputs=inputs, outputs=outputs, config=cfg)
 
 
 def cmd_ra(args, argv) -> None:
+    from .linspec import load_spectrogram
+    from .ra_core import ra_transform, save_ra_spectrogram
     cfg = load_config(args.config_path)
     in_path = Path(args.input_path)
     if in_path.suffix == ".iq":
-        spec = spectrogram_from_file(in_path, cfg)
+        spec = _cube_spectrogram(in_path, cfg, args.config_path)
         inputs = [in_path, _cube_paths(in_path)[1], args.config_path]
     else:
         spec = load_spectrogram(in_path)
@@ -134,9 +141,9 @@ def cmd_ra(args, argv) -> None:
                           force_fc=force_bins)
     except ForcedCornerError as exc:
         raise ForcedCornerError(f"--force-fc {args.force_fc:g}: {exc}") from None
-    log.info("corner: f_nc=%d f_pc=%d f_c=%d bins (%.2f Hz)%s",
-             ra.corner.f_nc, ra.corner.f_pc, ra.corner.f_c,
-             ra.corner.f_c * ra.hz_per_bin, " [forced]" if ra.corner.forced else "")
+    corner = ra.corner
+    _log("info", f"corner: f_nc={corner.f_nc} f_pc={corner.f_pc} f_c={corner.f_c} bins "
+                 f"({corner.f_c * ra.hz_per_bin:.2f} Hz){' [forced]' if corner.forced else ''}")
 
     out = Path(args.out_path)
     if args.format == "pgm":
@@ -156,6 +163,7 @@ def cmd_ra(args, argv) -> None:
 
 
 def cmd_track(args, argv) -> None:
+    from .tracker import track_signature, write_track_csv
     in_path = Path(args.matrix_path)
     sidecar = sidecar_path(in_path)
     kind = None  # a matrix without a sidecar is tracked on its column index
@@ -167,10 +175,12 @@ def cmd_track(args, argv) -> None:
                                   f"'spectrogram' nor 'ra_spectrogram'")
 
     if kind == "spectrogram":
+        from .linspec import load_spectrogram
         spec = load_spectrogram(in_path)
         power, axis, times = spec.power, spec.freq_axis, spec.time_axis
         axis_kind = "doppler_hz"
     elif kind == "ra_spectrogram":
+        from .ra_core import warped_axis
         m_count = sidecar_value(in_path, meta, "num_filters", int)
         power = load_matrix(in_path)
         if m_count < 1 or 2 * m_count != power.shape[1]:
@@ -190,7 +200,7 @@ def cmd_track(args, argv) -> None:
 
     track = track_signature(power, axis, times, q=args.q, r=args.r)
     out = write_track_csv(track, args.out_csv, axis_kind=axis_kind)
-    log.info("wrote %s (%d frames, axis %s)", out, track.raw_peaks.size, axis_kind)
+    _log("info", f"wrote {out} ({track.raw_peaks.size} frames, axis {axis_kind})")
     inputs = [in_path] + ([sidecar] if sidecar.exists() else [])
     _write_manifest(out, "track", argv, inputs=inputs, outputs=[out],
                     extra=[("axis_kind", axis_kind), ("q", args.q), ("r", args.r)])
@@ -250,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(raw_argv)
     try:
@@ -260,7 +269,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        log.debug("unexpected failure", exc_info=True)
+        import traceback
+        _log("debug", "unexpected failure\n" + traceback.format_exc().removesuffix("\n"))
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radoppler import cli, ingest
+import radoppler
+from radoppler import cli, ingest, simulator
 from radoppler.ingest import (
     load_radar_cube,
     PipelineConfig,
@@ -88,6 +89,48 @@ class TestEntry:
             done = run_python("-m", module, "track", "none.bin", "t.csv", cwd=tmp_path)
             assert done.returncode == 2, module
             assert "error:" in done.stderr, module
+
+    def test_import_loads_no_stage_module(self, tmp_path):
+        code = ("import sys, radoppler; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'radoppler'))")
+        done = run_python("-c", code, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "['radoppler']"
+
+    @pytest.mark.parametrize("argv, stages", [
+        (["simulate", "scene.scn", "OUT"], {"simulator"}),
+        (["spectrogram", "cube.iq", "pipeline.cfg", "OUT"], {"linspec", "preprocess"}),
+        (["ra", "cube.iq", "pipeline.cfg", "OUT"], {"linspec", "preprocess", "ra_core"}),
+        (["ra", "spec.bin", "pipeline.cfg", "OUT"], {"linspec", "preprocess", "ra_core"}),
+        (["track", "spec.bin", "OUT"], {"linspec", "preprocess", "tracker"}),
+        (["track", "ra.bin", "OUT"], {"linspec", "preprocess", "ra_core", "tracker"}),
+    ], ids=["simulate", "spectrogram", "ra_cube", "ra_spec", "track_spec", "track_ra"])
+    def test_subcommand_loads_only_its_stages(self, workdir, tmp_path, argv, stages):
+        paths = [str(tmp_path / "out" if a == "OUT" else workdir / a) for a in argv[1:]]
+        code = ("import sys; from radoppler.cli import main; code = main(sys.argv[1:]); "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'radoppler'))")
+        done = run_python("-c", code, argv[0], *paths, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        modules = {"cli", "errors", "ingest"} | stages
+        loaded = sorted(["radoppler"] + [f"radoppler.{m}" for m in modules])
+        assert done.stdout.strip() == f"0 {loaded}"
+
+    def test_star_import_matches_submodule_attributes(self, tmp_path):
+        code = "\n".join([
+            "import sys, radoppler",
+            "from radoppler import *",
+            "names = [n for n in radoppler.__all__ if n != '__version__']",
+            "owner = {n: sys.modules[globals()[n].__module__] for n in names}",
+            "print(len(names), [n for n in names if globals()[n] is not getattr(owner[n], n)])",
+        ])
+        done = run_python("-c", code, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [str(len(radoppler.__all__) - 1), "[]"]
+        assert set(radoppler.__all__) <= set(dir(radoppler))
+
+    def test_unknown_attribute_names_it(self):
+        with pytest.raises(AttributeError, match="'no_such_stage'"):
+            radoppler.no_such_stage
 
 
 class TestSimulate:
@@ -454,6 +497,20 @@ class TestNonFiniteInputs:
         assert list(tmp_path.iterdir()) == [cfg]
 
 
+class TestNotchAboveNyquist:
+    @pytest.mark.parametrize("command", ["spectrogram", "ra"])
+    def test_exits_two_naming_key_value_and_limit(self, workdir, tmp_path, capsys, command):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("notch_cutoff = 5000\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        cube = workdir / "cube.iq"
+        assert cli.main([command, str(cube), str(cfg), str(out / "x.bin")]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}: notch_cutoff = 5000.0 Hz must sit "
+                                           f"below 1000.0 Hz, half the chirp rate of {cube}\n")
+        assert list(out.iterdir()) == []
+
+
 class TestNonFiniteParams:
     def test_cube_meta_exits_two_naming_the_key(self, workdir, tmp_path, capsys):
         shutil.copyfile(workdir / "cube.iq", tmp_path / "cube.iq")
@@ -490,7 +547,7 @@ class TestNonFiniteParams:
         def no_render(scenario):
             raise AssertionError("rendered a scenario with a non-finite field")
 
-        monkeypatch.setattr(cli, "synthesize", no_render)
+        monkeypatch.setattr(simulator, "synthesize", no_render)
         assert cli.main(["simulate", str(path), str(tmp_path / "c.iq")]) == 2
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "c.iq").exists()
@@ -509,7 +566,7 @@ class TestBadScenarioValues:
         assert old in scene
         path = tmp_path / "bad.scn"
         path.write_text(scene.replace(old, new))
-        monkeypatch.setattr(cli, "synthesize", lambda scenario: pytest.fail("rendered"))
+        monkeypatch.setattr(simulator, "synthesize", lambda scenario: pytest.fail("rendered"))
         assert cli.main(["simulate", str(path), str(tmp_path / "c.iq")]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "c.iq").exists()
@@ -606,7 +663,7 @@ class TestCorruptCube:
 
 class TestDiagnostics:
     def test_internal_error_exits_one(self, workdir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "synthesize",
+        monkeypatch.setattr(simulator, "synthesize",
                             lambda scenario: (_ for _ in ()).throw(RuntimeError("boom")))
         code = cli.main(["simulate", str(workdir / "scene.scn"), str(tmp_path / "c.iq")])
         assert code == 1
@@ -618,6 +675,32 @@ class TestDiagnostics:
         out, err = capsys.readouterr()
         assert out == ""
         assert "wrote" in err
+
+    def test_info_lines_exact(self, workdir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RADOPPLER_LOG", "info")
+        out = tmp_path / "t.csv"
+        assert cli.main(["track", str(workdir / "spec.bin"), str(out)]) == 0
+        frames = load_spectrogram(workdir / "spec.bin").num_frames
+        assert capsys.readouterr().err.splitlines() == [
+            f"radoppler: INFO: wrote {out} ({frames} frames, axis doppler_hz)",
+            f"radoppler: INFO: wrote {out}.manifest",
+        ]
+
+    def test_debug_prints_traceback_on_internal_error(self, workdir, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.setenv("RADOPPLER_LOG", "debug")
+        monkeypatch.setattr(simulator, "synthesize",
+                            lambda scenario: (_ for _ in ()).throw(RuntimeError("boom")))
+        assert cli.main(["simulate", str(workdir / "scene.scn"), str(tmp_path / "c.iq")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("radoppler: DEBUG: unexpected failure\n"
+                              "Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: boom\ninternal error: boom\n")
+
+    def test_unknown_level_stays_quiet(self, workdir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RADOPPLER_LOG", "verbose")
+        assert cli.main(["track", str(workdir / "spec.bin"), str(tmp_path / "t.csv")]) == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_quiet_by_default(self, workdir, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("RADOPPLER_LOG", raising=False)
