@@ -18,8 +18,9 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package re-exports from it
 _EXPORTS = {
-    "errors": ("AliasingError", "DegenerateCornerError", "DegenerateInputError",
-               "FileFormatError", "FilterBankError", "ForcedCornerError", "RadopplerError"),
+    "errors": ("AliasingError", "ConfigMismatchError", "DegenerateCornerError",
+               "DegenerateInputError", "FileFormatError", "FilterBankError",
+               "ForcedCornerError", "RadopplerError"),
     "ingest": ("PipelineConfig", "RadarCube", "RadarParams", "load_config", "load_matrix",
                "load_radar_cube", "write_matrix", "write_radar_cube"),
     "linspec": ("Spectrogram", "log_view", "spectrogram_from_cube", "spectrogram_from_file",

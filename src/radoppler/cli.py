@@ -26,9 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import FileFormatError, ForcedCornerError, RadopplerError
+from .errors import ConfigMismatchError, FileFormatError, ForcedCornerError, RadopplerError
 from .ingest import (
-    CubeReader,
     _cube_paths,
     field_pairs,
     format_kv,
@@ -81,13 +80,24 @@ def _write_manifest(out_path, command, argv, inputs, outputs, config=None, extra
 
 
 def _cube_spectrogram(cube_path, cfg, config_path):
-    """The cube's spectrogram; a notch the cube's chirp rate cannot hold names the config."""
+    """The cube's spectrogram and the manifest inputs it is made from; a config value
+    the cube cannot hold names both files."""
     from .linspec import spectrogram_from_file
-    nyquist = CubeReader(cube_path).params.chirp_repetition_freq / 2
-    if cfg.notch_cutoff >= nyquist:
-        raise FileFormatError(f"{config_path}: notch_cutoff = {cfg.notch_cutoff!r} Hz must sit "
-                              f"below {nyquist!r} Hz, half the chirp rate of {cube_path}")
-    return spectrogram_from_file(cube_path, cfg)
+    try:
+        spec = spectrogram_from_file(cube_path, cfg)
+    except ConfigMismatchError as exc:
+        raise ConfigMismatchError(f"{config_path}: {exc} of {cube_path}") from None
+    return spec, [cube_path, _cube_paths(cube_path)[1], config_path]
+
+
+def _save(result, save, out: Path, format: str) -> list[Path]:
+    """Write a spectrogram or RA result with ``save``, or its power as a pgm image
+    with frequency on image rows so a steady tone reads as one bright row."""
+    if format == "pgm":
+        write_matrix(result.power.T, out, format="pgm")
+        return [out]
+    save(result, out, format=format)
+    return [out, sidecar_path(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +118,10 @@ def cmd_simulate(args, argv) -> None:
 def cmd_spectrogram(args, argv) -> None:
     from .linspec import save_spectrogram
     cfg = load_config(args.config_path)
-    spec = _cube_spectrogram(args.cube_path, cfg, args.config_path)
+    spec, inputs = _cube_spectrogram(args.cube_path, cfg, args.config_path)
     out = Path(args.out_path)
-    if args.format == "pgm":
-        # frequency on image rows so a steady tone reads as one bright row
-        write_matrix(spec.power.T, out, format="pgm")
-        outputs = [out]
-    else:
-        save_spectrogram(spec, out, format=args.format)
-        outputs = [out, sidecar_path(out)]
+    outputs = _save(spec, save_spectrogram, out, args.format)
     _log("info", f"wrote {out} ({spec.num_frames} frames x {spec.num_freq_bins} bins)")
-    inputs = [args.cube_path, _cube_paths(args.cube_path)[1], args.config_path]
     _write_manifest(out, "spectrogram", argv, inputs=inputs, outputs=outputs, config=cfg)
 
 
@@ -128,8 +131,7 @@ def cmd_ra(args, argv) -> None:
     cfg = load_config(args.config_path)
     in_path = Path(args.input_path)
     if in_path.suffix == ".iq":
-        spec = _cube_spectrogram(in_path, cfg, args.config_path)
-        inputs = [in_path, _cube_paths(in_path)[1], args.config_path]
+        spec, inputs = _cube_spectrogram(in_path, cfg, args.config_path)
     else:
         spec = load_spectrogram(in_path)
         inputs = [in_path, sidecar_path(in_path), args.config_path]
@@ -146,19 +148,9 @@ def cmd_ra(args, argv) -> None:
                  f"({corner.f_c * ra.hz_per_bin:.2f} Hz){' [forced]' if corner.forced else ''}")
 
     out = Path(args.out_path)
-    if args.format == "pgm":
-        write_matrix(ra.power.T, out, format="pgm")
-        outputs = [out]
-    else:
-        save_ra_spectrogram(ra, out, format=args.format)
-        outputs = [out, sidecar_path(out)]
-    extra = [
-        ("f_nc_bins", ra.corner.f_nc),
-        ("f_pc_bins", ra.corner.f_pc),
-        ("f_c_bins", ra.corner.f_c),
-        ("f_c_hz", ra.corner.f_c * ra.hz_per_bin),
-        ("forced", ra.corner.forced),
-    ]
+    outputs = _save(ra, save_ra_spectrogram, out, args.format)
+    extra = [("f_nc_bins", corner.f_nc), ("f_pc_bins", corner.f_pc), ("f_c_bins", corner.f_c),
+             ("f_c_hz", corner.f_c * ra.hz_per_bin), ("forced", corner.forced)]
     _write_manifest(out, "ra", argv, inputs=inputs, outputs=outputs, config=cfg, extra=extra)
 
 
@@ -188,8 +180,14 @@ def cmd_track(args, argv) -> None:
                                   f"and half the {power.shape[1]} matrix columns")
         sidecar_count(in_path, meta, "num_frames", power.shape[0], "rows")
         hz_per_bin = sidecar_value(in_path, meta, "hz_per_bin")
-        centers = np.array([sidecar_value(in_path, meta, f"p_{m}") for m in range(1, m_count + 1)])
-        axis = warped_axis(centers, hz_per_bin)
+        if hz_per_bin <= 0:
+            raise FileFormatError(f"{sidecar}: key 'hz_per_bin' = {hz_per_bin!r} must be positive")
+        centers = [sidecar_value(in_path, meta, f"p_{m}") for m in range(1, m_count + 1)]
+        for m, (below, p) in enumerate(zip([0.0] + centers, centers), start=1):
+            if p <= below:
+                raise FileFormatError(f"{sidecar}: key 'p_{m}' = {p!r} must exceed {below!r}: "
+                                      f"p_1..p_{m_count} rise strictly from above 0")
+        axis = warped_axis(np.array(centers), hz_per_bin)
         times = np.arange(power.shape[0]) * sidecar_frame_dt(in_path, meta, power.shape[0])
         axis_kind = "ra_center_hz"
     else:

@@ -26,6 +26,10 @@ class ForcedCornerError(RadopplerError, ValueError):
     """A forced corner frequency does not round to a bin inside the axis."""
 
 
+class ConfigMismatchError(RadopplerError, ValueError):
+    """A config value the cube cannot hold; the message names the key, its value and the limit."""
+
+
 class FilterBankError(RadopplerError):
     """Filter-bank break points collapsed; the warp is not resolvable."""
 

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, FileFormatError
+from .errors import ConfigMismatchError, DegenerateInputError, FileFormatError
 from .ingest import (
     CHIRP_BLOCK,
     CubeReader,
@@ -24,8 +24,7 @@ from .ingest import (
     sidecar_value,
     write_matrix,
 )
-from .preprocess import (BLOCK, RangeProfileMatrix, clutter_filter, highpass_sos, sosfilt,
-                         step_state)
+from .preprocess import BLOCK, RangeProfileMatrix, highpass_sos, sosfilt
 
 __all__ = [
     "Spectrogram",
@@ -133,36 +132,42 @@ def slow_time_signal(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> np.nd
     """Collapse the configured range-bin interval into one slow-time series.
 
     Coherent mode sums the complex x(r,n) over r (the sum sits inside the
-    transform's modulus); non-coherent mode sums magnitudes instead.
+    transform's modulus); non-coherent mode sums magnitudes instead. A cfg
+    the matrix cannot hold raises ConfigMismatchError (see _check_fit).
     """
-    _check_range_bins(cfg, profiles.num_range_bins)
+    _check_fit(cfg, *profiles.values.shape, profiles.chirp_repetition_freq)
     block = profiles.values[cfg.range_bin_start : cfg.range_bin_end + 1, :]
     if cfg.coherent:
         return block.sum(axis=0)
     return np.abs(block).sum(axis=0).astype(np.complex128)
 
 
-def _check_range_bins(cfg: PipelineConfig, num_range_bins: int) -> None:
-    if cfg.range_bin_end >= num_range_bins:
-        raise ValueError(
-            f"range bins [{cfg.range_bin_start}, {cfg.range_bin_end}] exceed "
-            f"the {num_range_bins} available bins"
-        )
+def _check_fit(cfg: PipelineConfig, bins: int, chirps: int, prf: float) -> None:
+    """The one check of a config against a cube; the error names key, value and limit."""
+    if cfg.range_bin_end >= bins:
+        raise ConfigMismatchError(f"range_bin_end = {cfg.range_bin_end} must sit below "
+                                  f"{bins}, the number of range bins")
+    if cfg.window_length > chirps:
+        raise ConfigMismatchError(f"window_length = {cfg.window_length} must not exceed "
+                                  f"{chirps}, the number of chirps")
+    if cfg.notch_cutoff >= prf / 2:
+        raise ConfigMismatchError(f"notch_cutoff = {cfg.notch_cutoff!r} Hz must sit below "
+                                  f"{prf / 2!r} Hz, half the chirp rate")
 
 
 def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spectrogram:
-    """Spectrogram of the range-collapsed slow-time signal.
+    """Spectrogram of the range-collapsed slow-time signal (see _stft)."""
+    return _stft(slow_time_signal(profiles, cfg), profiles.chirp_repetition_freq, cfg)
+
+
+def _stft(s: np.ndarray, prf: float, cfg: PipelineConfig) -> Spectrogram:
+    """Spectrogram of a slow-time series s sampled at prf Hz, at least one window long.
 
     Frame t covers samples [t*hop, t*hop + window_length); each windowed
     frame is zero-padded to fft_length, transformed, fftshifted so
     negative Doppler comes first, and squared. Frames are transformed
     FRAME_BLOCK at a time straight into the power matrix.
     """
-    s = slow_time_signal(profiles, cfg)
-    if cfg.window_length > s.size:
-        raise ValueError(
-            f"window_length {cfg.window_length} exceeds the {s.size}-chirp signal"
-        )
     num_frames = (s.size - cfg.window_length) // cfg.hop + 1
     offsets = cfg.hop * np.arange(num_frames)
     taps = np.arange(cfg.window_length)
@@ -173,8 +178,6 @@ def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spect
         spectrum = np.fft.fft(s[starts[:, None] + taps] * window, n=cfg.fft_length, axis=1)
         power[first : first + starts.size] = np.fft.fftshift(
             spectrum.real**2 + spectrum.imag**2, axes=1)
-
-    prf = profiles.chirp_repetition_freq
     return Spectrogram(power=power, f_max=prf / 2.0, frame_dt=cfg.hop * (1.0 / prf))
 
 
@@ -192,18 +195,22 @@ def spectrogram_from_file(path, cfg: PipelineConfig) -> Spectrogram:
 
 
 def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
-    """Spectrogram from complex [num_fast_samples, chirps] chunks in chirp order."""
-    profiles = RangeProfileMatrix(values=_slow_time_series(params, chunks, cfg),
-                                  range_resolution=params.range_resolution,
-                                  chirp_repetition_freq=params.chirp_repetition_freq)
+    """Spectrogram from complex [num_fast_samples, chirps] chunks in chirp order; cfg is
+    checked before the first chunk is read, and the high-pass is designed once."""
+    prf = params.chirp_repetition_freq
+    _check_fit(cfg, params.num_fast_samples // 2, params.num_chirps, prf)
+    if params.num_chirps < 2:
+        raise ValueError("need at least 2 chirps to filter along slow time")
+    sos = highpass_sos(cfg.notch_order, cfg.notch_cutoff, prf)
+    series = _slow_time_series(params, chunks, cfg, sos)
     if cfg.coherent:
-        profiles = clutter_filter(profiles, cutoff=cfg.notch_cutoff, order=cfg.notch_order)
-    # the series is the only range bin of its own matrix
-    return stft_spectrogram(profiles, replace(cfg, range_bin_start=0, range_bin_end=0))
+        series = sosfilt(sos, series[np.newaxis])[0][0]
+    return _stft(series, prf, cfg)
 
 
-def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig) -> np.ndarray:
-    """The [1, num_chirps] slow-time series of the chunks, filtered in non-coherent mode.
+def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig,
+                      sos: np.ndarray) -> np.ndarray:
+    """The num_chirps slow-time series of the chunks, filtered by sos in non-coherent mode.
 
     Each chunk is cast to complex128 and reduced to one sample per chirp:
     by one product per chunk in coherent mode, by range FFTs of CHIRP_SLICE
@@ -219,16 +226,11 @@ def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig) -> np.nd
     state on, so only the last chunk may be partial.
     """
     n = params.num_fast_samples
-    _check_range_bins(cfg, n // 2)
     bins = np.arange(cfg.range_bin_start, cfg.range_bin_end + 1)
     if cfg.coherent:
         # reduce r*i modulo N so every twiddle angle stays below 2*pi
         w = np.exp(-2j * np.pi * (np.outer(bins, np.arange(n)) % n) / n).sum(axis=0)
-    # checked before any chunk is read; coherent mode designs the filter again after the loop
-    sos = highpass_sos(cfg.notch_order, cfg.notch_cutoff, params.chirp_repetition_freq)
-    if params.num_chirps < 2:
-        raise ValueError("need at least 2 chirps to filter along slow time")
-    series = np.empty((1, params.num_chirps), dtype=np.complex128)
+    series = np.empty(params.num_chirps, dtype=np.complex128)
     start, zi = 0, None
     for chunk in chunks:
         if start % BLOCK:
@@ -237,17 +239,15 @@ def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig) -> np.nd
         if cfg.coherent:
             # one BLAS product per chunk: each threaded product can stall while
             # the host is busy, so slicing the chunk would only add stalls
-            series[0, start : start + count] = w @ chunk.astype(np.complex128, copy=False)
+            series[start : start + count] = w @ chunk.astype(np.complex128, copy=False)
         else:
             kept = np.empty((bins.size, count), dtype=np.complex128)
             for first in range(0, count, CHIRP_SLICE):
                 part = chunk[:, first : first + CHIRP_SLICE].astype(np.complex128, copy=False)
                 kept[:, first : first + part.shape[1]] = np.fft.fft(part, n=n, axis=0)[bins]
             # filter whole chunks: sosfilt's block products round by chunk length
-            if zi is None:
-                zi = step_state(sos)[:, np.newaxis, :] * kept[np.newaxis, :, 0, np.newaxis]
             kept, zi = sosfilt(sos, kept, zi)
-            series[0, start : start + count] = np.abs(kept).sum(axis=0)
+            series[start : start + count] = np.abs(kept).sum(axis=0)
         start += count
     return series
 

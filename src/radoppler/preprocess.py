@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,16 +79,10 @@ def clutter_filter(
     instead of decaying over a multi-second settling time. The design and
     the runner are in this module; scipy is not needed.
     """
-    prf = profiles.chirp_repetition_freq
-    sos = highpass_sos(order, cutoff, prf)
+    sos = highpass_sos(order, cutoff, profiles.chirp_repetition_freq)
     if profiles.num_chirps < 2:
         raise ValueError("need at least 2 chirps to filter along slow time")
-    zi = step_state(sos)[:, np.newaxis, :] * profiles.values[np.newaxis, :, 0, np.newaxis]
-    return RangeProfileMatrix(
-        values=sosfilt(sos, profiles.values, zi)[0],
-        range_resolution=profiles.range_resolution,
-        chirp_repetition_freq=prf,
-    )
+    return replace(profiles, values=sosfilt(sos, profiles.values)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +139,7 @@ def step_state(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sosfilt(sos: np.ndarray, x: np.ndarray, zi=None) -> tuple[np.ndarray, np.ndarray]:
     """Filter complex rows x [rows, n] along n from the state zi; return (y, zf).
 
     Same recurrence and state layout as scipy.signal.sosfilt (transposed
@@ -156,8 +150,11 @@ def sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray,
     carried in from the previous block. zf is the state after x zero-padded
     to a multiple of BLOCK, so a row filtered in pieces, each from the zf
     of the one before, equals the whole row if only the last is partial.
+    Without zi, each row starts at rest on the step of its first sample.
     """
     rows, n = x.shape
+    if zi is None:
+        zi = step_state(sos)[:, np.newaxis, :] * x[np.newaxis, :, 0, np.newaxis]
     forward, observe, advance = _block_operators(sos)
     blocks = -(-n // BLOCK)
     # real coefficients: real and imaginary parts run as separate rows

@@ -366,9 +366,16 @@ class TestTrack:
          "key 'num_freq_bins' = 7 does not match the 256 matrix columns"),
         ("ra.bin", "num_frames = ", "num_frames = 5",
          "key 'num_frames' = 5 does not match the 57 matrix rows"),
+        ("ra.bin", "hz_per_bin = ", "hz_per_bin = 0.0", "key 'hz_per_bin' = 0.0 must be positive"),
+        ("ra.bin", "hz_per_bin = ", "hz_per_bin = -7.8125",
+         "key 'hz_per_bin' = -7.8125 must be positive"),
+        ("ra.bin", "p_1 = ", "p_1 = 0", "key 'p_1' = 0.0 must exceed 0.0: p_1..p_64 rise strictly"),
+        ("ra.bin", "p_2 = ", "p_2 = -1.5", "key 'p_2' = -1.5 must exceed "),
+        ("ra.bin", "p_64 = ", "p_64 = 1.0", "key 'p_64' = 1.0 must exceed "),
     ], ids=["no_p_3", "num_filters_lots", "f_max_x", "frame_dt_nan", "num_filters_8",
             "num_filters_negative", "frame_dt_negative", "ra_frame_dt_zero",
-            "num_frames_5", "num_freq_bins_7", "ra_num_frames_5"])
+            "num_frames_5", "num_freq_bins_7", "ra_num_frames_5", "hz_per_bin_zero",
+            "hz_per_bin_negative", "p_1_zero", "p_2_falls", "p_64_falls"])
     def test_bad_sidecar_value_exits_two(self, workdir, tmp_path, capsys, matrix, old, new,
                                          named):
         """track, and ra for a spectrogram, exit 2 naming the key and the sidecar."""
@@ -508,6 +515,24 @@ class TestNotchAboveNyquist:
         assert cli.main([command, str(cube), str(cfg), str(out / "x.bin")]) == 2
         assert capsys.readouterr().err == (f"error: {cfg}: notch_cutoff = 5000.0 Hz must sit "
                                            f"below 1000.0 Hz, half the chirp rate of {cube}\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["spectrogram", "ra"])
+    @pytest.mark.parametrize("config, problem", [
+        ("range_bin_end = 64\n", "range_bin_end = 64 must sit below 64, the number of range bins"),
+        ("window_length = 8192\nfft_length = 8192\n",
+         "window_length = 8192 must not exceed 1024, the number of chirps"),
+    ], ids=["range_bin_end", "window_length"])
+    def test_other_keys_exit_two_naming_key_value_and_limit(self, workdir, tmp_path, capsys,
+                                                            command, config, problem):
+        """Every config value the cube cannot hold exits 2 naming both files."""
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        out.mkdir()
+        cube = workdir / "cube.iq"
+        assert cli.main([command, str(cube), str(cfg), str(out / "x.bin")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {problem} of {cube}\n"
         assert list(out.iterdir()) == []
 
 

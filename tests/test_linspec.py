@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import dft_frame
 from radoppler import linspec
-from radoppler.errors import DegenerateInputError, FileFormatError
+from radoppler.errors import ConfigMismatchError, DegenerateInputError, FileFormatError
 from radoppler.ingest import CHIRP_BLOCK, PipelineConfig, load_radar_cube, write_radar_cube
 from radoppler.linspec import (
     Spectrogram,
@@ -103,8 +103,33 @@ class TestSpectrogramFromCube:
         cube = cubes["walk_like"]
         bins = cube.params.num_fast_samples // 2
         cfg = PipelineConfig(range_bin_end=bins, coherent=coherent)
-        with pytest.raises(ValueError, match=rf"range bins \[0, {bins}\] exceed the {bins}"):
+        with pytest.raises(ValueError, match=rf"^range_bin_end = {bins} must sit below {bins}, "
+                                             r"the number of range bins$"):
             spectrogram_from_cube(cube, cfg)
+
+
+class TestConfigFitsCube:
+    @staticmethod
+    def unread():
+        raise AssertionError("a chunk was read")
+        yield
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    @pytest.mark.parametrize("fields, message", [
+        ({"range_bin_end": 64}, "range_bin_end = 64 must sit below 64, the number of range bins"),
+        ({"window_length": 8192, "fft_length": 8192},
+         "window_length = 8192 must not exceed 6000, the number of chirps"),
+        ({"notch_cutoff": 1000.0},
+         "notch_cutoff = 1000.0 Hz must sit below 1000.0 Hz, half the chirp rate"),
+    ], ids=["range_bin_end", "window_length", "notch_cutoff"])
+    def test_checked_before_the_first_chunk(self, fields, message, coherent):
+        params = preset("walk_like").params
+        assert (params.num_fast_samples, params.num_chirps) == (128, 6000)
+        assert params.chirp_repetition_freq == 2000.0
+        with pytest.raises(ConfigMismatchError) as info:
+            linspec._front_end(params, self.unread(), PipelineConfig(coherent=coherent, **fields))
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == message
 
 
 class TestSpectrogramFromFile:
@@ -169,7 +194,8 @@ class TestSpectrogramFromFile:
     @pytest.mark.parametrize("coherent", [True, False])
     def test_interval_beyond_bins_rejected(self, dwell, coherent):
         cfg = PipelineConfig(range_bin_end=64, coherent=coherent)
-        with pytest.raises(ValueError, match=r"range bins \[0, 64\] exceed the 64"):
+        with pytest.raises(ValueError, match=r"^range_bin_end = 64 must sit below 64, the "
+                                             r"number of range bins$"):
             spectrogram_from_file(dwell, cfg)
 
 
