@@ -4,7 +4,10 @@ Stages communicate through files so every intermediate artifact can be
 inspected and replayed. Each artifact-producing invocation writes one
 ``<out>.manifest`` recording the command line, the config snapshot,
 SHA-256 hashes of inputs and outputs, and (for ra) the corner report;
-reruns are byte-identical except for the timestamp line.
+reruns are byte-identical except for the timestamp line. While the stage
+computes on the main thread, a second thread hashes the inputs (see
+``_Files``); an output path that resolves to an input exits 2 before
+anything is written.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input or config.
 RADOPPLER_LOG={error|info|debug} sets stderr verbosity; stdout stays
@@ -20,10 +23,24 @@ import math
 import os
 import shlex
 import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
+# A CLI process computes on one core and hashes on the other, so it loads
+# OpenBLAS with one thread: a threaded product's worker spins on the second
+# core after every product and starves the hash. OpenBLAS reads the variable
+# only when numpy loads it, so it is removed at once; neither this process nor
+# its children see it. A caller that set it, or an importer that already
+# loaded numpy, keeps its own BLAS threading.
+_PIN_BLAS = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+if _PIN_BLAS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _PIN_BLAS:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
 from .errors import ConfigMismatchError, FileFormatError, ForcedCornerError, RadopplerError
@@ -53,16 +70,93 @@ def _log(level: str, message: str) -> None:
         print(f"radoppler: {level.upper()}: {message}", file=sys.stderr)
 
 
-def _sha256(path) -> str:
+def _sha256(path, stop: threading.Event | None = None) -> str | None:
+    """Hex SHA-256 of a file; None if ``stop`` is set before the last read."""
     digest = hashlib.sha256()
-    buffer = memoryview(bytearray(HASH_CHUNK))  # one buffer for every read
     with open(path, "rb", buffering=0) as fh:
+        # one buffer for every read, no larger than the file: a HASH_CHUNK buffer
+        # for a small input, freed beside the running stage, raised simulate's
+        # peak RSS by about 2 MB
+        buffer = memoryview(bytearray(max(1, min(HASH_CHUNK, os.fstat(fh.fileno()).st_size))))
         while count := fh.readinto(buffer):
+            if stop is not None and stop.is_set():
+                return None
             digest.update(buffer[:count])
     return digest.hexdigest()
 
 
-def _write_manifest(out_path, command, argv, inputs, outputs, config=None, extra=()):
+class _Files:
+    """The files one subcommand reads and writes; its manifest is the first output's.
+
+    Entering the block starts a second thread that hashes the inputs while
+    the stage computes on the calling thread (hashlib and unbuffered reads
+    release the GIL). ``join`` waits for the digests; a subcommand calls it
+    before its first output byte. Leaving the block sets ``stop``, which the
+    thread checks after each HASH_CHUNK read, and joins it, so no hash
+    outlives the subcommand. An output that resolves to an input is refused
+    here, before anything is written.
+    """
+
+    def __init__(self, inputs, outputs):
+        self.inputs = list(inputs)
+        self.outputs = [Path(p) for p in outputs]
+        self.manifest = Path(f"{self.outputs[0]}.manifest")
+        resolved = {Path(p).resolve(): p for p in self.inputs}
+        for out in self.outputs + [self.manifest]:
+            if out.resolve() in resolved:
+                raise RadopplerError(f"output {out} would overwrite input "
+                                     f"{resolved[out.resolve()]}")
+        self.digests: list[str] = []
+        self._error: Exception | None = None
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._hash, name="radoppler-hash", daemon=True)
+
+    def _hash(self) -> None:
+        for path in self.inputs:
+            try:
+                digest = _sha256(path, self._stop)
+            except OSError as exc:
+                self._error = FileFormatError(f"cannot hash input {path}: {exc.strerror or exc}")
+                return
+            if digest is None:
+                return
+            self.digests.append(digest)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stop.set()
+        self._thread.join()
+
+    def join(self) -> None:
+        """Wait for the input digests; raise the error that stopped them."""
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+
+
+def _subcommand_files(args) -> _Files:
+    """A subcommand's inputs, in manifest order and spelled as given, and its outputs.
+    A cube is read from ``<name>.iq`` and ``<name>.meta``, and recorded so."""
+    if args.command == "simulate":
+        return _Files([args.scenario_path], _cube_paths(args.out_cube_path))
+    if args.command == "track":
+        matrix = Path(args.matrix_path)
+        sidecar = sidecar_path(matrix)
+        return _Files([matrix, sidecar] if sidecar.exists() else [matrix], [args.out_csv])
+    out = Path(args.out_path)
+    outputs = [out] if args.format == "pgm" else [out, sidecar_path(out)]
+    if args.command == "ra" and Path(args.input_path).suffix != ".iq":
+        matrix = Path(args.input_path)
+        return _Files([matrix, sidecar_path(matrix), args.config_path], outputs)
+    cube = args.cube_path if args.command == "spectrogram" else Path(args.input_path)
+    payload, meta = _cube_paths(cube)
+    return _Files([cube if Path(cube) == payload else payload, meta, args.config_path], outputs)
+
+
+def _write_manifest(files: _Files, command, argv, config=None, extra=()):
     pairs = [
         ("tool_version", __version__),
         ("command", command),
@@ -70,71 +164,66 @@ def _write_manifest(out_path, command, argv, inputs, outputs, config=None, extra
     ]
     if config is not None:
         pairs += [(f"config_{name}", value) for name, value in field_pairs(config)]
-    pairs += [("input", f"{p} sha256:{_sha256(p)}") for p in inputs if Path(p).exists()]
-    pairs += [("output", f"{p} sha256:{_sha256(p)}") for p in outputs if Path(p).exists()]
+    pairs += [("input", f"{p} sha256:{d}") for p, d in zip(files.inputs, files.digests)]
+    pairs += [("output", f"{p} sha256:{_sha256(p)}") for p in files.outputs]
     pairs += list(extra)
     pairs.append(("timestamp", datetime.now(timezone.utc).isoformat()))
-    manifest = Path(str(out_path) + ".manifest")
-    manifest.write_text(format_kv(pairs))
-    _log("info", f"wrote {manifest}")
+    files.manifest.write_text(format_kv(pairs))
+    _log("info", f"wrote {files.manifest}")
 
 
 def _cube_spectrogram(cube_path, cfg, config_path):
-    """The cube's spectrogram and the manifest inputs it is made from; a config value
-    the cube cannot hold names both files."""
+    """The cube's spectrogram; a config value the cube cannot hold names both files."""
     from .linspec import spectrogram_from_file
     try:
-        spec = spectrogram_from_file(cube_path, cfg)
+        return spectrogram_from_file(cube_path, cfg)
     except ConfigMismatchError as exc:
         raise ConfigMismatchError(f"{config_path}: {exc} of {cube_path}") from None
-    return spec, [cube_path, _cube_paths(cube_path)[1], config_path]
 
 
-def _save(result, save, out: Path, format: str) -> list[Path]:
+def _save(result, save, out: Path, format: str) -> None:
     """Write a spectrogram or RA result with ``save``, or its power as a pgm image
     with frequency on image rows so a steady tone reads as one bright row."""
     if format == "pgm":
         write_matrix(result.power.T, out, format="pgm")
-        return [out]
-    save(result, out, format=format)
-    return [out, sidecar_path(out)]
+    else:
+        save(result, out, format=format)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args, argv) -> None:
+def cmd_simulate(args, argv, files: _Files) -> None:
     from .simulator import load_scenario, synthesize
     scenario = load_scenario(args.scenario_path)
     cube = synthesize(scenario)
+    files.join()
     payload = write_radar_cube(cube, args.out_cube_path)
-    sidecar = _cube_paths(payload)[1]
     _log("info", f"wrote {payload} ({cube.params.num_chirps} chirps)")
-    _write_manifest(payload, "simulate", argv,
-                    inputs=[args.scenario_path], outputs=[payload, sidecar])
+    _write_manifest(files, "simulate", argv)
 
 
-def cmd_spectrogram(args, argv) -> None:
+def cmd_spectrogram(args, argv, files: _Files) -> None:
     from .linspec import save_spectrogram
     cfg = load_config(args.config_path)
-    spec, inputs = _cube_spectrogram(args.cube_path, cfg, args.config_path)
+    spec = _cube_spectrogram(args.cube_path, cfg, args.config_path)
+    files.join()
     out = Path(args.out_path)
-    outputs = _save(spec, save_spectrogram, out, args.format)
+    _save(spec, save_spectrogram, out, args.format)
     _log("info", f"wrote {out} ({spec.num_frames} frames x {spec.num_freq_bins} bins)")
-    _write_manifest(out, "spectrogram", argv, inputs=inputs, outputs=outputs, config=cfg)
+    _write_manifest(files, "spectrogram", argv, config=cfg)
 
 
-def cmd_ra(args, argv) -> None:
+def cmd_ra(args, argv, files: _Files) -> None:
     from .linspec import load_spectrogram
     from .ra_core import ra_transform, save_ra_spectrogram
     cfg = load_config(args.config_path)
     in_path = Path(args.input_path)
     if in_path.suffix == ".iq":
-        spec, inputs = _cube_spectrogram(in_path, cfg, args.config_path)
+        spec = _cube_spectrogram(in_path, cfg, args.config_path)
     else:
         spec = load_spectrogram(in_path)
-        inputs = [in_path, sidecar_path(in_path), args.config_path]
 
     num_filters = args.M if args.M is not None else cfg.num_filters
     force_bins = None if args.force_fc is None else args.force_fc / spec.hz_per_bin
@@ -147,14 +236,14 @@ def cmd_ra(args, argv) -> None:
     _log("info", f"corner: f_nc={corner.f_nc} f_pc={corner.f_pc} f_c={corner.f_c} bins "
                  f"({corner.f_c * ra.hz_per_bin:.2f} Hz){' [forced]' if corner.forced else ''}")
 
-    out = Path(args.out_path)
-    outputs = _save(ra, save_ra_spectrogram, out, args.format)
+    files.join()
+    _save(ra, save_ra_spectrogram, Path(args.out_path), args.format)
     extra = [("f_nc_bins", corner.f_nc), ("f_pc_bins", corner.f_pc), ("f_c_bins", corner.f_c),
              ("f_c_hz", corner.f_c * ra.hz_per_bin), ("forced", corner.forced)]
-    _write_manifest(out, "ra", argv, inputs=inputs, outputs=outputs, config=cfg, extra=extra)
+    _write_manifest(files, "ra", argv, config=cfg, extra=extra)
 
 
-def cmd_track(args, argv) -> None:
+def cmd_track(args, argv, files: _Files) -> None:
     from .tracker import track_signature, write_track_csv
     in_path = Path(args.matrix_path)
     sidecar = sidecar_path(in_path)
@@ -197,10 +286,10 @@ def cmd_track(args, argv) -> None:
         axis_kind = "column_index"
 
     track = track_signature(power, axis, times, q=args.q, r=args.r)
+    files.join()
     out = write_track_csv(track, args.out_csv, axis_kind=axis_kind)
     _log("info", f"wrote {out} ({track.raw_peaks.size} frames, axis {axis_kind})")
-    inputs = [in_path] + ([sidecar] if sidecar.exists() else [])
-    _write_manifest(out, "track", argv, inputs=inputs, outputs=[out],
+    _write_manifest(files, "track", argv,
                     extra=[("axis_kind", axis_kind), ("q", args.q), ("r", args.r)])
 
 
@@ -216,6 +305,17 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _filter_count(text: str) -> int:
+    """argparse type for --M: an integer of at least 2 filters per half axis."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 filters, got {value}")
     return value
 
 
@@ -242,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_path")
     p.add_argument("config_path")
     p.add_argument("out_path")
-    p.add_argument("--M", type=int, default=None, help="filter count per half axis")
+    p.add_argument("--M", type=_filter_count, default=None, help="filter count per half axis")
     p.add_argument("--force-fc", type=_finite_float, default=None, dest="force_fc",
                    help="skip corner detection and use this corner frequency in Hz")
     p.add_argument("--format", choices=("csv", "bin", "pgm"), default="bin")
@@ -261,7 +361,8 @@ def main(argv=None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(raw_argv)
     try:
-        args.func(args, raw_argv)
+        with _subcommand_files(args) as files:
+            args.func(args, raw_argv, files)
         return 0
     except (RadopplerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

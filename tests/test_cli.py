@@ -2,11 +2,13 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from radoppler.ingest import (
     write_radar_cube,
 )
 from radoppler.linspec import load_spectrogram, save_spectrogram, spectrogram_from_cube
-from radoppler.simulator import DEFAULT_PARAMS, preset, save_scenario
+from radoppler.simulator import DEFAULT_PARAMS, preset, save_scenario, synthesize
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +270,20 @@ class TestRA:
         assert code == 2
         err = capsys.readouterr().err
         assert "M = 1000000000000" in err and "129 bins" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value, problem", [
+        ("-5", "need at least 2 filters, got -5"),
+        ("1", "need at least 2 filters, got 1"),
+        ("2.5", "expected an integer, got '2.5'"),
+    ])
+    def test_too_few_filters_names_option_and_value(self, workdir, tmp_path, capsys, value,
+                                                     problem):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["ra", str(workdir / "spec.bin"), str(workdir / "pipeline.cfg"),
+                      str(tmp_path / "ra.bin"), "--M", value])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --M: {problem}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_m_option_overrides_config(self, workdir, tmp_path):
@@ -746,3 +762,236 @@ class TestDiagnostics:
         first = stripped(workdir / "spec.bin.manifest")
         second = stripped(tmp_path / "spec2.bin.manifest")
         assert first == second
+
+
+class TestOutputOverwritesInput:
+    """An output that resolves to an input exits 2 naming both, before any write."""
+
+    def test_track_onto_its_matrix(self, workdir, tmp_path, capsys):
+        spec = tmp_path / "spec.bin"
+        for name in ("spec.bin", "spec.bin.meta"):
+            shutil.copyfile(workdir / name, tmp_path / name)
+        digest = hashlib.sha256(spec.read_bytes()).hexdigest()
+        assert cli.main(["track", str(spec), str(spec)]) == 2
+        assert capsys.readouterr().err == f"error: output {spec} would overwrite input {spec}\n"
+        assert hashlib.sha256(spec.read_bytes()).hexdigest() == digest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.bin", "spec.bin.meta"]
+
+    def test_spectrogram_sidecar_onto_cube_meta(self, workdir, tmp_path, capsys):
+        for name in ("cube.iq", "cube.meta"):
+            shutil.copyfile(workdir / name, tmp_path / name)
+        meta = tmp_path / "cube.meta"
+        before = meta.read_bytes()
+        assert cli.main(["spectrogram", str(tmp_path / "cube.iq"), str(workdir / "pipeline.cfg"),
+                         str(tmp_path / "cube")]) == 2
+        assert capsys.readouterr().err == f"error: output {meta} would overwrite input {meta}\n"
+        assert meta.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.iq", "cube.meta"]
+
+    def test_paths_are_compared_resolved(self, workdir, tmp_path, capsys):
+        link = tmp_path / "link.bin"
+        link.symlink_to(workdir / "spec.bin")
+        out = tmp_path / "sub" / ".." / "link.bin"
+        assert cli.main(["ra", str(workdir / "spec.bin"), str(workdir / "pipeline.cfg"),
+                         str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output {out} would overwrite input {workdir / 'spec.bin'}\n"
+        assert list(tmp_path.iterdir()) == [link]
+
+    def test_simulate_onto_its_scenario(self, workdir, tmp_path, capsys):
+        scene = tmp_path / "c.meta"
+        shutil.copyfile(workdir / "scene.scn", scene)
+        assert cli.main(["simulate", str(scene), str(tmp_path / "c.iq")]) == 2
+        assert capsys.readouterr().err == f"error: output {scene} would overwrite input {scene}\n"
+        assert list(tmp_path.iterdir()) == [scene]
+
+
+RUN_JOBS = "\n".join([
+    "import json, os, sys",
+    "assert 'numpy' not in sys.modules",
+    "from radoppler.cli import main",
+    "for cwd, argv in json.loads(sys.argv[1]):",
+    "    os.chdir(cwd)",
+    "    assert main(argv) == 0, argv",
+])
+
+
+@pytest.fixture(scope="module")
+def blas_runs(tmp_path_factory):
+    """spectrogram, ra from the cube and ra from spec.bin on the four presets in both
+    modes, run three ways: a fresh CLI process (one BLAS thread), the same under a
+    caller-set OPENBLAS_NUM_THREADS=2, and in this process (BLAS as numpy loaded it)."""
+    root = tmp_path_factory.mktemp("blas")
+    inputs = root / "inputs"
+    inputs.mkdir()
+    write_config(PipelineConfig(), inputs / "coherent.cfg")
+    write_config(PipelineConfig(coherent=False), inputs / "noncoherent.cfg")
+    cases = []
+    for name in simulator.PRESET_NAMES:
+        cube = write_radar_cube(synthesize(preset(name)), inputs / f"{name}.iq")
+        for mode in ("coherent", "noncoherent"):
+            cfg = str(inputs / f"{mode}.cfg")
+            cases.append((f"{name}-{mode}", [["spectrogram", str(cube), cfg, "spec.bin"],
+                                             ["ra", str(cube), cfg, "ra_cube.bin"],
+                                             ["ra", "spec.bin", cfg, "ra_spec.bin"]]))
+
+    def jobs(variant):
+        out = []
+        for case, commands in cases:
+            (root / variant / case).mkdir(parents=True)
+            out += [(str(root / variant / case), argv) for argv in commands]
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        done = run_python("-c", RUN_JOBS, json.dumps(jobs("pinned")), cwd=root)
+        assert done.returncode == 0, done.stderr
+        mp.setenv("OPENBLAS_NUM_THREADS", "2")
+        done = run_python("-c", RUN_JOBS, json.dumps(jobs("caller_two")), cwd=root)
+        assert done.returncode == 0, done.stderr
+        mp.delenv("OPENBLAS_NUM_THREADS")
+        for cwd, argv in jobs("in_process"):
+            mp.chdir(cwd)
+            assert cli.main(argv) == 0, argv
+    return root
+
+
+class TestBlasThreadCount:
+    @pytest.mark.parametrize("variant", ["caller_two", "in_process"])
+    def test_outputs_match_the_pinned_process(self, blas_runs, variant):
+        pinned = sorted(p.relative_to(blas_runs / "pinned")
+                        for p in (blas_runs / "pinned").rglob("*") if p.is_file())
+        other = sorted(p.relative_to(blas_runs / variant)
+                       for p in (blas_runs / variant).rglob("*") if p.is_file())
+        assert other == pinned and len(pinned) == 8 * 9
+        for rel in pinned:
+            a, b = (blas_runs / "pinned" / rel).read_bytes(), (blas_runs / variant / rel).read_bytes()
+            if rel.suffix == ".manifest":
+                a, b = ([ln for ln in x.splitlines() if not ln.startswith(b"timestamp = ")]
+                        for x in (a, b))
+            assert a == b, rel
+
+    def test_input_digests_hash_the_files(self, blas_runs):
+        manifests = sorted(blas_runs.rglob("*.manifest"))
+        assert len(manifests) == 3 * 8 * 3
+        for manifest in manifests:
+            lines = [v for k, v in parse_kv(manifest.read_text()) if k == "input"]
+            assert len(lines) == 3
+            for line in lines:
+                path, _, digest = line.rpartition(" sha256:")
+                data = (manifest.parent / path).read_bytes()
+                assert digest == hashlib.sha256(data).hexdigest(), (manifest, path)
+
+
+BLAS_THREADS = "\n".join([
+    "import ctypes, re",
+    "def blas_threads():",
+    "    maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''",
+    r"    for lib in sorted(set(re.findall(r'(/\S*openblas\S*\.so\S*)', maps))):",
+    "        handle = ctypes.CDLL(lib)",
+    "        for symbol in ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads64_',",
+    "                       'openblas_get_num_threads'):",
+    "            if hasattr(handle, symbol):",
+    "                return getattr(handle, symbol)()",
+])
+
+
+class TestHashThread:
+    """The input hash runs beside the stage and never outlives cli.main."""
+
+    @staticmethod
+    def main_leaving_no_thread(argv):
+        before = set(threading.enumerate())
+        code = cli.main(argv)
+        assert set(threading.enumerate()) == before
+        return code
+
+    def test_success(self, workdir, tmp_path):
+        out = tmp_path / "spec.bin"
+        assert self.main_leaving_no_thread(["spectrogram", str(workdir / "cube.iq"),
+                                            str(workdir / "pipeline.cfg"), str(out)]) == 0
+        assert manifest_of(out)["command"] == "spectrogram"
+
+    def test_config_mismatch_stops_the_hash_within_one_chunk(self, dwell, tmp_path, capsys,
+                                                             monkeypatch):
+        results = []
+
+        def sha256_after_stop(path, stop):
+            assert stop.wait(10)  # set only once the stage has raised
+            results.append(cli_sha256(path, stop))
+            return results[-1]
+
+        cli_sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", sha256_after_stop)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("range_bin_end = 64\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert self.main_leaving_no_thread(["spectrogram", str(dwell), str(cfg),
+                                            str(out / "spec.bin")]) == 2
+        assert "range_bin_end = 64" in capsys.readouterr().err
+        assert results == [None]  # the cube's hash gave up, and no later input was hashed
+        assert list(out.iterdir()) == []
+
+    def test_input_vanishing_mid_run_exits_two_naming_it(self, workdir, tmp_path, capsys,
+                                                         monkeypatch):
+        from radoppler import linspec
+        for name in ("cube.iq", "cube.meta"):
+            shutil.copyfile(workdir / name, tmp_path / name)
+        cube = tmp_path / "cube.iq"
+        stage_done = threading.Event()
+        cli_sha256, stage = cli._sha256, linspec.spectrogram_from_file
+
+        def sha256_after_stage(path, stop):
+            assert stage_done.wait(10)
+            return cli_sha256(path, stop)
+
+        def stage_then_delete(path, cfg):
+            spec = stage(path, cfg)
+            cube.unlink()
+            stage_done.set()
+            return spec
+
+        monkeypatch.setattr(cli, "_sha256", sha256_after_stage)
+        monkeypatch.setattr(linspec, "spectrogram_from_file", stage_then_delete)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert self.main_leaving_no_thread(["spectrogram", str(cube),
+                                            str(workdir / "pipeline.cfg"),
+                                            str(out / "spec.bin")]) == 2
+        assert capsys.readouterr().err == (f"error: cannot hash input {cube}: "
+                                           f"No such file or directory\n")
+        assert list(out.iterdir()) == []
+
+    def test_set_stop_gives_no_digest(self, workdir):
+        stop = threading.Event()
+        digest = hashlib.sha256((workdir / "cube.iq").read_bytes()).hexdigest()
+        assert cli._sha256(workdir / "cube.iq", stop) == digest
+        stop.set()
+        assert cli._sha256(workdir / "cube.iq", stop) is None
+
+    def test_fresh_import_pins_blas_and_removes_the_variable(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        code = "\n".join(["import os, sys", BLAS_THREADS, "import radoppler.cli",
+                          "print('OPENBLAS_NUM_THREADS' in os.environ, blas_threads())"])
+        done = run_python("-c", code, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() in (["False", "1"], ["False", "None"])
+
+    @pytest.mark.parametrize("first, env", [
+        ("import radoppler.cli", "2"),  # a caller-set value survives
+        ("import numpy, radoppler.cli", None),  # numpy loaded first keeps its threading
+    ], ids=["caller_set", "numpy_first"])
+    def test_caller_keeps_its_blas_threading(self, tmp_path, monkeypatch, first, env):
+        if env is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
+        report = "print(os.environ.get('OPENBLAS_NUM_THREADS'), blas_threads())"
+        plain = run_python("-c", "\n".join(["import os, sys", BLAS_THREADS, "import numpy",
+                                            report]), cwd=tmp_path)
+        done = run_python("-c", "\n".join(["import os, sys", BLAS_THREADS, first, report]),
+                          cwd=tmp_path)
+        assert done.returncode == 0 and plain.returncode == 0, done.stderr + plain.stderr
+        assert done.stdout == plain.stdout
+        assert done.stdout.split()[0] == str(env)
