@@ -23,7 +23,7 @@ _EXPORTS = {
                "ForcedCornerError", "RadopplerError"),
     "ingest": ("PipelineConfig", "RadarCube", "RadarParams", "load_config", "load_matrix",
                "load_radar_cube", "write_matrix", "write_radar_cube"),
-    "linspec": ("Spectrogram", "log_view", "spectrogram_from_cube", "spectrogram_from_file",
+    "linspec": ("Spectrogram", "spectrogram_from_cube", "spectrogram_from_file",
                 "stft_spectrogram"),
     "preprocess": ("RangeProfileMatrix", "clutter_filter", "range_transform"),
     "ra_core": ("CornerResult", "EnergyProfile", "FilterBank", "RASpectrogram",

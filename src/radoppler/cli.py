@@ -51,11 +51,8 @@ from .ingest import (
     load_config,
     load_matrix,
     read_sidecar,
-    sidecar_count,
-    sidecar_frame_dt,
     sidecar_path,
     sidecar_value,
-    write_matrix,
     write_radar_cube,
 )
 
@@ -181,15 +178,6 @@ def _cube_spectrogram(cube_path, cfg, config_path):
         raise ConfigMismatchError(f"{config_path}: {exc} of {cube_path}") from None
 
 
-def _save(result, save, out: Path, format: str) -> None:
-    """Write a spectrogram or RA result with ``save``, or its power as a pgm image
-    with frequency on image rows so a steady tone reads as one bright row."""
-    if format == "pgm":
-        write_matrix(result.power.T, out, format="pgm")
-    else:
-        save(result, out, format=format)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -209,8 +197,7 @@ def cmd_spectrogram(args, argv, files: _Files) -> None:
     cfg = load_config(args.config_path)
     spec = _cube_spectrogram(args.cube_path, cfg, args.config_path)
     files.join()
-    out = Path(args.out_path)
-    _save(spec, save_spectrogram, out, args.format)
+    out = save_spectrogram(spec, args.out_path, format=args.format)
     _log("info", f"wrote {out} ({spec.num_frames} frames x {spec.num_freq_bins} bins)")
     _write_manifest(files, "spectrogram", argv, config=cfg)
 
@@ -237,7 +224,7 @@ def cmd_ra(args, argv, files: _Files) -> None:
                  f"({corner.f_c * ra.hz_per_bin:.2f} Hz){' [forced]' if corner.forced else ''}")
 
     files.join()
-    _save(ra, save_ra_spectrogram, Path(args.out_path), args.format)
+    save_ra_spectrogram(ra, args.out_path, format=args.format)
     extra = [("f_nc_bins", corner.f_nc), ("f_pc_bins", corner.f_pc), ("f_c_bins", corner.f_c),
              ("f_c_hz", corner.f_c * ra.hz_per_bin), ("forced", corner.forced)]
     _write_manifest(files, "ra", argv, config=cfg, extra=extra)
@@ -246,14 +233,9 @@ def cmd_ra(args, argv, files: _Files) -> None:
 def cmd_track(args, argv, files: _Files) -> None:
     from .tracker import track_signature, write_track_csv
     in_path = Path(args.matrix_path)
-    sidecar = sidecar_path(in_path)
     kind = None  # a matrix without a sidecar is tracked on its column index
-    if sidecar.exists():
-        meta = read_sidecar(in_path, None)
-        kind = sidecar_value(in_path, meta, "kind", str)
-        if kind not in ("spectrogram", "ra_spectrogram"):
-            raise FileFormatError(f"{sidecar}: key 'kind' = {kind!r} is neither "
-                                  f"'spectrogram' nor 'ra_spectrogram'")
+    if sidecar_path(in_path).exists():
+        kind = sidecar_value(in_path, read_sidecar(in_path, None), "kind", str)
 
     if kind == "spectrogram":
         from .linspec import load_spectrogram
@@ -261,29 +243,18 @@ def cmd_track(args, argv, files: _Files) -> None:
         power, axis, times = spec.power, spec.freq_axis, spec.time_axis
         axis_kind = "doppler_hz"
     elif kind == "ra_spectrogram":
-        from .ra_core import warped_axis
-        m_count = sidecar_value(in_path, meta, "num_filters", int)
-        power = load_matrix(in_path)
-        if m_count < 1 or 2 * m_count != power.shape[1]:
-            raise FileFormatError(f"{sidecar}: key 'num_filters' = {m_count} must be at least 1 "
-                                  f"and half the {power.shape[1]} matrix columns")
-        sidecar_count(in_path, meta, "num_frames", power.shape[0], "rows")
-        hz_per_bin = sidecar_value(in_path, meta, "hz_per_bin")
-        if hz_per_bin <= 0:
-            raise FileFormatError(f"{sidecar}: key 'hz_per_bin' = {hz_per_bin!r} must be positive")
-        centers = [sidecar_value(in_path, meta, f"p_{m}") for m in range(1, m_count + 1)]
-        for m, (below, p) in enumerate(zip([0.0] + centers, centers), start=1):
-            if p <= below:
-                raise FileFormatError(f"{sidecar}: key 'p_{m}' = {p!r} must exceed {below!r}: "
-                                      f"p_1..p_{m_count} rise strictly from above 0")
-        axis = warped_axis(np.array(centers), hz_per_bin)
-        times = np.arange(power.shape[0]) * sidecar_frame_dt(in_path, meta, power.shape[0])
+        from .ra_core import load_ra_spectrogram
+        ra = load_ra_spectrogram(in_path)
+        power, axis, times = ra.power, ra.warped_axis_hz(), ra.time_axis
         axis_kind = "ra_center_hz"
-    else:
+    elif kind is None:
         power = load_matrix(in_path)
         axis = np.arange(power.shape[1], dtype=np.float64)
         times = np.arange(power.shape[0], dtype=np.float64)
         axis_kind = "column_index"
+    else:
+        raise FileFormatError(f"{sidecar_path(in_path)}: key 'kind' = {kind!r} is neither "
+                              f"'spectrogram' nor 'ra_spectrogram'")
 
     track = track_signature(power, axis, times, q=args.q, r=args.r)
     files.join()

@@ -266,13 +266,18 @@ def sidecar_value(path, meta: dict[str, str], key: str, kind: type = float):
         raise FileFormatError(f"{sidecar_path(path)}: {exc}") from None
 
 
-def sidecar_frame_dt(path, meta: dict[str, str], num_frames: int) -> float:
-    """The sidecar's ``frame_dt``, positive unless the matrix has a single frame."""
+def load_framed_matrix(path, kind: str) -> tuple[np.ndarray, dict[str, str], float]:
+    """A matrix of frames, its ``kind`` sidecar, and the sidecar's ``frame_dt``; the
+    sidecar's ``num_frames`` must match the rows, and ``frame_dt`` must be positive
+    unless there is a single frame."""
+    meta = read_sidecar(path, kind)
+    power = load_matrix(path)
+    sidecar_count(path, meta, "num_frames", power.shape[0], "rows")
     dt = sidecar_value(path, meta, "frame_dt")
-    if num_frames > 1 and dt <= 0:
+    if power.shape[0] > 1 and dt <= 0:
         raise FileFormatError(f"{sidecar_path(path)}: key 'frame_dt' must be positive "
-                              f"for {num_frames} frames, got {meta['frame_dt']!r}")
-    return dt
+                              f"for {power.shape[0]} frames, got {meta['frame_dt']!r}")
+    return power, meta, dt
 
 
 def sidecar_count(path, meta: dict[str, str], key: str, count: int, what: str) -> None:
@@ -417,6 +422,8 @@ def _load_matrix_bin(path: Path, fh, head: bytes) -> np.ndarray:
     _, dtype, _, rows, cols = _MATRIX_HEADER.unpack(head)
     if dtype != 0:
         raise FileFormatError(f"{path}: unknown dtype code {dtype}")
+    if not rows or not cols:
+        raise FileFormatError(f"{path}: header declares an empty {rows} x {cols} matrix")
     expected = _MATRIX_HEADER.size + rows * cols * 8
     size = os.fstat(fh.fileno()).st_size
     if size != expected:

@@ -16,10 +16,8 @@ from .ingest import (
     RadarCube,
     RadarParams,
     format_kv,
-    load_matrix,
-    read_sidecar,
+    load_framed_matrix,
     sidecar_count,
-    sidecar_frame_dt,
     sidecar_path,
     sidecar_value,
     write_matrix,
@@ -33,7 +31,6 @@ __all__ = [
     "stft_spectrogram",
     "spectrogram_from_cube",
     "spectrogram_from_file",
-    "log_view",
     "save_spectrogram",
     "load_spectrogram",
 ]
@@ -252,11 +249,6 @@ def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig,
     return series
 
 
-def log_view(spec: Spectrogram, floor: float = 1e-12) -> np.ndarray:
-    """log10 of the power floored at floor * max(power); display and e(f) input."""
-    return floored_log10(spec.power, log_floor(spec, floor))
-
-
 def log_floor(spec: Spectrogram, floor: float) -> float:
     """floor * max(power), the level the power is clipped to before the log."""
     if floor <= 0:
@@ -278,7 +270,10 @@ def floored_log10(power: np.ndarray, threshold: float, out=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
-    """Write the power matrix plus a ``<name>.meta`` axis sidecar."""
+    """Write the power matrix plus a ``<name>.meta`` axis sidecar, or for ``pgm`` only an
+    unloadable image with frequency on its rows (a steady tone reads as one bright row)."""
+    if format == "pgm":
+        return write_matrix(spec.power.T, path, format="pgm")
     out = write_matrix(spec.power, path, format=format)
     sidecar_path(out).write_text(format_kv([
         ("kind", "spectrogram"),
@@ -292,12 +287,9 @@ def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
 
 def load_spectrogram(path) -> Spectrogram:
     """Read a spectrogram; sidecar counts must match the matrix, and errors name the file."""
-    meta = read_sidecar(path, "spectrogram")
-    f_max = sidecar_value(path, meta, "f_max")
-    power = load_matrix(path)
-    sidecar_count(path, meta, "num_frames", power.shape[0], "rows")
+    power, meta, frame_dt = load_framed_matrix(path, "spectrogram")
     sidecar_count(path, meta, "num_freq_bins", power.shape[1], "columns")
-    frame_dt = sidecar_frame_dt(path, meta, power.shape[0])
+    f_max = sidecar_value(path, meta, "f_max")
     try:
         return Spectrogram(power=power, f_max=f_max, frame_dt=frame_dt)
     except ValueError as exc:

@@ -12,13 +12,14 @@ on the warped axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateCornerError, DegenerateInputError, FilterBankError, ForcedCornerError
-from .ingest import format_kv, sidecar_path, write_matrix
+from .errors import (DegenerateCornerError, DegenerateInputError, FileFormatError,
+                     FilterBankError, ForcedCornerError)
+from .ingest import format_kv, load_framed_matrix, sidecar_path, sidecar_value, write_matrix
 from .linspec import FRAME_BLOCK, Spectrogram, check_frame_dt, check_power, floored_log10, log_floor
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "build_filter_bank",
     "ra_transform",
     "save_ra_spectrogram",
+    "load_ra_spectrogram",
 ]
 
 TINY_MEAN = 1e-300
@@ -102,26 +104,42 @@ class CornerResult:
 class FilterBank:
     """Triangular warped-frequency filters over integer bins 0..f_max.
 
-    break_points holds M+2 real-valued bin positions p_0=0 .. p_{M+1}=f_max;
-    weights row m-1 is filter m, peaked at p_m, zero outside (p_{m-1}, p_{m+1}).
+    break_points holds M+2 real-valued bin positions p_0=0 .. p_{M+1}=f_max,
+    and the weights follow from them: row m-1 is filter m, peaked at p_m and
+    zero outside (p_{m-1}, p_{m+1}). Each interior bin receives complementary
+    rising/falling weights from the two filters sharing its interval, so the
+    bank partitions unity on [p_1, p_M].
     """
 
     break_points: np.ndarray  # [M + 2]
-    weights: np.ndarray  # [M, f_max + 1]
+    weights: np.ndarray = field(init=False)  # [M, f_max + 1]
 
     def __post_init__(self):
         p = np.asarray(self.break_points, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if p.ndim != 1 or w.ndim != 2 or w.shape[0] != p.size - 2:
-            raise ValueError("need M+2 break points for M filter rows")
-        if p[0] != 0 or np.any(np.diff(p) <= 0):
-            raise ValueError("break points must rise strictly from 0")
-        if np.any(w < 0) or np.any(w > 1):
-            raise ValueError("weights must lie in [0, 1]")
+        if p.ndim != 1 or p.size < 3:
+            raise ValueError(f"need a vector of M+2 >= 3 break points, got shape {p.shape}")
+        if p[0] != 0 or not float(p[-1]).is_integer():
+            raise ValueError(f"break points must run from p_0 = 0 to a whole bin, got "
+                             f"p_0 = {float(p[0])!r} and p_{p.size - 1} = {float(p[-1])!r}")
+        fall = np.nonzero(~(np.diff(p) > 0))[0]
+        if fall.size:
+            m = int(fall[0]) + 1
+            raise ValueError(f"key 'p_{m}' = {float(p[m])!r} must exceed {float(p[m - 1])!r}: "
+                             f"p_1..p_{p.size - 2} rise strictly from p_0 = 0 to p_{p.size - 1}")
+        bins = np.arange(int(p[-1]) + 1)
+        # interval k = [p_k, p_{k+1}) of each bin; the final interval keeps its right edge
+        k = np.searchsorted(p[1:-1], bins, side="right")
+        rise = (bins - p[k]) / (p[k + 1] - p[k])
+        # filter k+1 rises and filter k falls over interval k; rows 0 and M+1
+        # of the padded array catch the halves that belong to no filter
+        padded = np.zeros((p.size, bins.size))
+        padded[k + 1, bins] = rise
+        padded[k, bins] = 1.0 - rise
+        weights = padded[1:-1]
         p.setflags(write=False)
-        w.setflags(write=False)
+        weights.setflags(write=False)
         object.__setattr__(self, "break_points", p)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def num_filters(self) -> int:
@@ -146,11 +164,14 @@ class RASpectrogram:
         power = check_power(self.power)
         if power.shape[1] != 2 * self.bank.num_filters:
             raise ValueError("power must have 2*M columns")
-        frame_dt = float(self.frame_dt)
+        frame_dt, hz_per_bin = float(self.frame_dt), float(self.hz_per_bin)
         check_frame_dt(frame_dt, power.shape[0])
+        if not (math.isfinite(hz_per_bin) and hz_per_bin > 0):
+            raise ValueError(f"key 'hz_per_bin' = {hz_per_bin!r} must be positive and finite")
         power.setflags(write=False)
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "frame_dt", frame_dt)
+        object.__setattr__(self, "hz_per_bin", hz_per_bin)
 
     @property
     def num_filters(self) -> int:
@@ -162,16 +183,12 @@ class RASpectrogram:
         return np.arange(self.power.shape[0]) * self.frame_dt
 
     def warped_axis_hz(self) -> np.ndarray:
-        """Signed linear-frequency centers (Hz) of the 2M output columns."""
-        return warped_axis(self.bank.break_points[1:-1], self.hz_per_bin)
+        """Signed Hz centers of the 2M columns in ROW_ORDER, from the filter peaks p_1..p_M."""
+        centers = self.bank.break_points[1:-1]
+        return np.concatenate([-centers[::-1], centers]) * self.hz_per_bin
 
 
 ROW_ORDER = "negative side m=M..1, then positive side m=1..M (warped frequency ascending)"
-
-
-def warped_axis(centers: np.ndarray, hz_per_bin: float) -> np.ndarray:
-    """Signed Hz centers of the 2M columns in ROW_ORDER from the filter peaks p_1..p_M (bins)."""
-    return np.concatenate([-centers[::-1], centers]) * hz_per_bin
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +344,7 @@ def build_filter_bank(f_c: float, f_max: int, num_filters: int) -> FilterBank:
     """Triangular filters at M+2 warped-uniform break points over [0, f_max].
 
     Break points are scale_inverse of an even grid on [0, S(f_max)], kept
-    real-valued; weights are evaluated at integer bins only. Each interior
-    bin receives complementary rising/falling weights from the two filters
-    sharing its interval, so the bank partitions unity on [p_1, p_M].
+    real-valued; the FilterBank computes its weights from them.
     """
     if num_filters < 2:
         raise ValueError("need at least 2 filters")
@@ -347,18 +362,7 @@ def build_filter_bank(f_c: float, f_max: int, num_filters: int) -> FilterBank:
             f"break points p_{k} and p_{k + 1} collide at bin {p[k]:.6g}; "
             f"{num_filters} filters exceed the resolvable bins below f_max={f_max}"
         )
-
-    bins = np.arange(f_max + 1, dtype=np.float64)
-    # interval k = [p_k, p_{k+1}) of each bin; the final interval keeps its right edge
-    k = np.searchsorted(p[1:-1], bins, side="right")
-    rise = (bins - p[k]) / (p[k + 1] - p[k])
-    # filter k+1 rises and filter k falls over interval k; rows 0 and M+1
-    # of the padded array catch the halves that belong to no filter
-    padded = np.zeros((num_filters + 2, f_max + 1))
-    columns = np.arange(f_max + 1)
-    padded[k + 1, columns] = rise
-    padded[k, columns] = 1.0 - rise
-    return FilterBank(break_points=p, weights=padded[1:-1])
+    return FilterBank(p)
 
 
 def ra_transform(
@@ -432,7 +436,10 @@ def ra_transform(
 # ---------------------------------------------------------------------------
 
 def save_ra_spectrogram(ra: RASpectrogram, path, format: str = "bin") -> Path:
-    """Write the warped power matrix plus a sidecar with the corner report."""
+    """Write the warped power matrix plus a sidecar with the corner report, or
+    only a pgm image of it (see save_spectrogram)."""
+    if format == "pgm":
+        return write_matrix(ra.power.T, path, format="pgm")
     out = write_matrix(ra.power, path, format=format)
     pairs = [
         ("kind", "ra_spectrogram"),
@@ -453,3 +460,24 @@ def save_ra_spectrogram(ra: RASpectrogram, path, format: str = "bin") -> Path:
     pairs += [(f"p_{m}", float(v)) for m, v in enumerate(ra.bank.break_points)]
     sidecar_path(out).write_text(format_kv(pairs))
     return out
+
+
+def load_ra_spectrogram(path) -> RASpectrogram:
+    """Read what save_ra_spectrogram writes; sidecar counts must match the matrix,
+    and a missing or bad key, or a value the types reject, names the sidecar."""
+    power, meta, frame_dt = load_framed_matrix(path, "ra_spectrogram")
+    sidecar = sidecar_path(path)
+    num_filters = sidecar_value(path, meta, "num_filters", int)
+    if num_filters < 1 or 2 * num_filters != power.shape[1]:
+        raise FileFormatError(f"{sidecar}: key 'num_filters' = {num_filters} must be at least 1 "
+                              f"and half the {power.shape[1]} matrix columns")
+    corners = [sidecar_value(path, meta, f"{key}_bins", int) for key in ("f_nc", "f_pc", "f_c")]
+    forced = sidecar_value(path, meta, "forced", bool)
+    objective = math.nan if forced else sidecar_value(path, meta, "objective_value")
+    p = np.array([sidecar_value(path, meta, f"p_{m}") for m in range(num_filters + 2)])
+    try:
+        return RASpectrogram(power=power, corner=CornerResult(*corners, objective),
+                             bank=FilterBank(p), frame_dt=frame_dt,
+                             hz_per_bin=sidecar_value(path, meta, "hz_per_bin"))
+    except ValueError as exc:
+        raise FileFormatError(f"{sidecar}: {exc}") from None

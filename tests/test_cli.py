@@ -201,6 +201,22 @@ class TestSpectrogram:
         assert not (tmp_path / "spec.pgm.meta").exists()
         assert (tmp_path / "spec.pgm.manifest").exists()
 
+    @pytest.mark.parametrize("command", ["spectrogram", "ra"])
+    def test_pgm_same_bytes_from_api_and_cli(self, workdir, tmp_path, command):
+        """The savers write a pgm as the CLI does: frequency on rows, no sidecar."""
+        from radoppler.ra_core import load_ra_spectrogram, save_ra_spectrogram
+        cli_out, api_out = tmp_path / "cli.pgm", tmp_path / "api.pgm"
+        source = {"spectrogram": workdir / "cube.iq", "ra": workdir / "spec.bin"}[command]
+        assert cli.main([command, str(source), str(workdir / "pipeline.cfg"), str(cli_out),
+                         "--format", "pgm"]) == 0
+        if command == "spectrogram":
+            save_spectrogram(load_spectrogram(workdir / "spec.bin"), api_out, format="pgm")
+        else:
+            save_ra_spectrogram(load_ra_spectrogram(workdir / "ra.bin"), api_out, format="pgm")
+        assert api_out.read_bytes() == cli_out.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["api.pgm", "cli.pgm",
+                                                              "cli.pgm.manifest"]
+
     def test_manifest_config_snapshot(self, workdir):
         meta = manifest_of(workdir / "spec.bin")
         assert meta["config_window_length"] == "128"
@@ -462,6 +478,31 @@ class TestTrack:
         err = capsys.readouterr().err
         assert f"error: {path}.meta: {named}" in err
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestEmptyMatrix:
+    """A bin header that declares no rows or no columns exits 2 naming the file and
+    the shape, with or without a spectrogram sidecar; nothing is written."""
+
+    @pytest.mark.parametrize("shape", [(0, 64), (3, 0)], ids=["no_rows", "no_columns"])
+    @pytest.mark.parametrize("command,sidecar", [("track", False), ("track", True),
+                                                 ("ra", True)],
+                             ids=["track_bare", "track", "ra"])
+    def test_exits_two_and_writes_nothing(self, workdir, tmp_path, capsys, shape, command,
+                                          sidecar):
+        path = tmp_path / "in" / "z.bin"
+        path.parent.mkdir()
+        path.write_bytes(ingest._MATRIX_HEADER.pack(b"RDMX", 0, bytes(3), *shape))
+        if sidecar:
+            shutil.copyfile(workdir / "spec.bin.meta", tmp_path / "in" / "z.bin.meta")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"track": ["track", str(path), str(out / "t.csv")],
+                "ra": ["ra", str(path), str(workdir / "pipeline.cfg"), str(out / "r.bin")]}
+        assert cli.main(argv[command]) == 2
+        assert (f"error: {path}: header declares an empty {shape[0]} x {shape[1]} matrix"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
 
 
 class TestComplexMatrix:

@@ -3,8 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from _oracles import dft_frame
 from radoppler import linspec
@@ -13,7 +11,7 @@ from radoppler.ingest import CHIRP_BLOCK, PipelineConfig, load_radar_cube, write
 from radoppler.linspec import (
     Spectrogram,
     load_spectrogram,
-    log_view,
+    log_floor,
     save_spectrogram,
     slow_time_signal,
     spectrogram_from_cube,
@@ -390,42 +388,15 @@ class TestSpectrogramType:
             Spectrogram(power=power, f_max=10.0, frame_dt=0.5)
 
 
-class TestLogView:
-    def test_constant(self, make_spec):
-        spec = make_spec(np.full((3, 4), 100.0))
-        np.testing.assert_allclose(log_view(spec), 2.0)
-
-    def test_floor_clamp(self, make_spec):
-        power = np.ones((1, 4))
-        power[0, 0] = 0.0
-        spec = make_spec(power)
-        out = log_view(spec, floor=1e-12)
-        assert out[0, 0] == pytest.approx(-12.0)
-        np.testing.assert_allclose(out[0, 1:], 0.0, atol=1e-12)
-
+class TestLogFloor:
     def test_all_zero_rejected(self, make_spec):
         with pytest.raises(DegenerateInputError, match="degenerate"):
-            log_view(make_spec(np.zeros((2, 4))))
+            log_floor(make_spec(np.zeros((2, 4))), 1e-12)
 
     def test_bad_floor(self, make_spec):
-        with pytest.raises(ValueError, match="floor"):
-            log_view(make_spec(np.ones((2, 4))), floor=0.0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_monotone_in_power(self, seed):
-        def as_spec(power):
-            bins = power.shape[1]
-            return Spectrogram(power=power, f_max=bins * 5.0, frame_dt=0.01)
-
-        gen = np.random.default_rng(seed)
-        a = gen.uniform(0, 10, size=(4, 6))
-        b = np.minimum(a, gen.uniform(0, 10, size=(4, 6)))
-        # shared peak keeps both matrices on the same floor reference
-        b[0, 0] = a[0, 0] = 10.0
-        va = log_view(as_spec(a))
-        vb = log_view(as_spec(b))
-        assert np.all(va >= vb - 1e-12)
+        for floor in (0.0, -1e-12):
+            with pytest.raises(ValueError, match="floor"):
+                log_floor(make_spec(np.ones((2, 4))), floor)
 
 
 class TestPersistence:

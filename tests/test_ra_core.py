@@ -21,6 +21,7 @@ from radoppler import ra_core
 from radoppler.errors import (
     DegenerateCornerError,
     DegenerateInputError,
+    FileFormatError,
     FilterBankError,
     ForcedCornerError,
 )
@@ -35,6 +36,7 @@ from radoppler.ra_core import (
     energy_profile,
     find_corners,
     frame_blocks,
+    load_ra_spectrogram,
     ra_transform,
     save_ra_spectrogram,
     scale_forward,
@@ -89,6 +91,24 @@ class TestEnergyProfile:
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             energy_profile(make_spec(np.zeros((3, 8))))
+
+    def test_floor_clamp(self):
+        # a zero bin is clipped to floor * peak before the log
+        power = np.ones((1, 8))
+        power[0, 0] = 0.0
+        e = energy_profile(make_spec(power), floor=1e-12).e
+        assert e[0] == pytest.approx(-12.0)
+        np.testing.assert_allclose(e[1:], 0.0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_monotone_in_power(self, seed):
+        gen = np.random.default_rng(seed)
+        a = gen.uniform(0, 10, size=(4, 6))
+        b = np.minimum(a, gen.uniform(0, 10, size=(4, 6)))
+        # shared peak keeps both matrices on the same floor reference
+        b[0, 0] = a[0, 0] = 10.0
+        assert np.all(energy_profile(make_spec(a)).e >= energy_profile(make_spec(b)).e - 1e-12)
 
     def test_peak_memory_one_spectrogram(self, rng):
         spec = make_spec(rng.uniform(0.1, 1.0, size=(4096, 256)))
@@ -392,6 +412,31 @@ class TestFilterBank:
                     cases += 1
         assert cases > 200
 
+    def test_weights_follow_any_break_points(self, rng):
+        """A bank built from its break points alone, not by build_filter_bank."""
+        for _ in range(20):
+            m_count = int(rng.integers(1, 20))
+            f_max = int(rng.integers(2, 200))
+            interior = np.sort(rng.uniform(0.0, f_max, size=m_count))
+            p = np.concatenate([[0.0], interior, [float(f_max)]])
+            if not np.all(np.diff(p) > 0):
+                continue
+            expect = filter_bank_weights_loop(p, f_max, m_count)
+            np.testing.assert_array_equal(FilterBank(p).weights.view(np.uint64),
+                                          expect.view(np.uint64))
+
+    def test_break_points_run_from_zero_to_a_whole_bin(self):
+        for p in ([0.5, 2.0, 4.0], [0.0, 2.0, 4.5], [0.0, 2.0, math.inf]):
+            with pytest.raises(ValueError, match="from p_0 = 0 to a whole bin"):
+                FilterBank(np.array(p))
+        for p in ([0.0, 4.0], [[0.0, 2.0, 4.0]]):
+            with pytest.raises(ValueError, match="M\\+2 >= 3 break points"):
+                FilterBank(np.array(p))
+        with pytest.raises(ValueError, match=r"key 'p_2' = nan must exceed 2\.0"):
+            FilterBank(np.array([0.0, 2.0, math.nan, 8.0]))
+        with pytest.raises(ValueError, match=r"key 'p_3' = 2\.0 must exceed 3\.0: p_1\.\.p_2"):
+            FilterBank(np.array([0.0, 1.0, 3.0, 2.0]))
+
     def test_collision_error_names_indices(self):
         with pytest.raises(FilterBankError, match="p_0 and p_1"):
             build_filter_bank(1e18, 2, 63)
@@ -402,8 +447,7 @@ class TestFilterBank:
         with pytest.raises(ValueError, match="f_max"):
             build_filter_bank(5.0, 0, 4)
         with pytest.raises(ValueError, match="rise"):
-            FilterBank(break_points=np.array([0.0, 2.0, 1.0, 4.0]),
-                       weights=np.zeros((2, 5)))
+            FilterBank(break_points=np.array([0.0, 2.0, 1.0, 4.0]))
 
 
 class TestRATransform:
@@ -523,17 +567,42 @@ class TestRATransform:
     def test_persistence_round_trip(self, tmp_path, rng):
         power = rng.uniform(0.5, 1.0, size=(4, 64))
         power[:, 40:50] += 20.0
-        ra = ra_transform(make_spec(power), num_filters=8)
+        spec = make_spec(power)
+        cases = 0
+        for force_fc in (None, 9.0):
+            ra = ra_transform(spec, num_filters=8, force_fc=force_fc)
+            assert ra.corner.forced == (force_fc is not None)
+            for format in ("bin", "csv"):
+                path = save_ra_spectrogram(ra, tmp_path / f"ra_{force_fc}.{format}", format)
+                back = load_ra_spectrogram(path)
+                np.testing.assert_array_equal(back.power, ra.power)
+                np.testing.assert_array_equal(back.bank.break_points, ra.bank.break_points)
+                np.testing.assert_array_equal(back.bank.weights, ra.bank.weights)
+                # assert_equal takes a NaN objective (a forced corner) as equal to itself
+                np.testing.assert_equal(dataclasses.astuple(back.corner),
+                                        dataclasses.astuple(ra.corner))
+                assert (back.frame_dt, back.hz_per_bin) == (ra.frame_dt, ra.hz_per_bin)
+                assert read_sidecar(path, "ra_spectrogram")["row_order"] == ra_core.ROW_ORDER
+                cases += 1
+        assert cases == 4
+
+    def test_loader_needs_every_corner_key(self, tmp_path, rng):
+        ra = ra_transform(make_spec(rng.uniform(0.5, 1.0, size=(4, 64))), num_filters=8,
+                          force_fc=9.0)
         path = save_ra_spectrogram(ra, tmp_path / "ra.bin")
-        meta = read_sidecar(path, "ra_spectrogram")
-        assert int(meta["f_c_bins"]) == ra.corner.f_c
-        assert int(meta["num_filters"]) == 8
-        assert float(meta["p_9"]) == pytest.approx(ra.bank.break_points[9])
-        assert meta["forced"] == "false"
-        assert meta["row_order"] == ra_core.ROW_ORDER
-        assert float(meta["frame_dt"]) == ra.frame_dt == 0.016
-        from radoppler.ingest import load_matrix
-        np.testing.assert_array_equal(load_matrix(path), ra.power)
+        lines = (tmp_path / "ra.bin.meta").read_text().splitlines()
+        for key in ("forced", "f_nc_bins", "f_pc_bins", "f_c_bins", "p_0", "p_9"):
+            kept = [line for line in lines if not line.startswith(f"{key} = ")]
+            assert len(kept) == len(lines) - 1
+            (tmp_path / "ra.bin.meta").write_text("\n".join(kept) + "\n")
+            with pytest.raises(FileFormatError, match=rf"ra\.bin\.meta: missing keys \['{key}'\]"):
+                load_ra_spectrogram(path)
+
+    def test_hz_per_bin_checked(self, rng):
+        ra = ra_transform(make_spec(rng.uniform(0.5, 1.0, size=(4, 64))), num_filters=8)
+        for hz in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="'hz_per_bin' = .* must be positive"):
+                dataclasses.replace(ra, hz_per_bin=hz)
 
 
 class TestFrameBlocks:
