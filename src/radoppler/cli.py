@@ -7,7 +7,11 @@ SHA-256 hashes of inputs and outputs, and (for ra) the corner report;
 reruns are byte-identical except for the timestamp line. While the stage
 computes on the main thread, a second thread hashes the inputs (see
 ``_Files``); an output path that resolves to an input exits 2 before
-anything is written.
+anything is written. Spectrograms and RA spectrograms pass through a
+process in frame blocks: each matrix output is hashed as its blocks are
+written, and every output is written under a temporary name and renamed
+into place once it is whole, so a failed run leaves its directory as it
+found it.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input or config.
 RADOPPLER_LOG={error|info|debug} sets stderr verbosity; stdout stays
@@ -18,11 +22,13 @@ the stage modules it runs when it runs, so a process loads only those.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
 import shlex
 import sys
+import tempfile
 import threading
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,11 +51,13 @@ finally:
 from . import __version__
 from .errors import ConfigMismatchError, FileFormatError, ForcedCornerError, RadopplerError
 from .ingest import (
+    MatrixReader,
+    MatrixWriter,
     _cube_paths,
     field_pairs,
     format_kv,
     load_config,
-    load_matrix,
+    open_matrix,
     read_sidecar,
     sidecar_path,
     sidecar_value,
@@ -87,11 +95,15 @@ class _Files:
 
     Entering the block starts a second thread that hashes the inputs while
     the stage computes on the calling thread (hashlib and unbuffered reads
-    release the GIL). ``join`` waits for the digests; a subcommand calls it
-    before its first output byte. Leaving the block sets ``stop``, which the
-    thread checks after each HASH_CHUNK read, and joins it, so no hash
-    outlives the subcommand. An output that resolves to an input is refused
-    here, before anything is written.
+    release the GIL). ``join`` waits for the digests. Leaving the block sets
+    ``stop``, which the thread checks after each HASH_CHUNK read, and joins
+    it, so no hash outlives the subcommand. An output that resolves to an
+    input is refused here, before anything is written.
+
+    Each output is written under the temporary name ``stage`` gives it, in
+    its own directory; ``commit`` renames them into place once the input
+    digests are in, the manifest last. Leaving the block removes whatever
+    was staged and not committed.
     """
 
     def __init__(self, inputs, outputs):
@@ -104,6 +116,8 @@ class _Files:
                 raise RadopplerError(f"output {out} would overwrite input "
                                      f"{resolved[out.resolve()]}")
         self.digests: list[str] = []
+        self.staged: dict[Path, Path] = {}  # output -> its temporary name
+        self.written: dict[Path, str] = {}  # output -> digest of the bytes as written
         self._error: Exception | None = None
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._hash, name="radoppler-hash", daemon=True)
@@ -126,12 +140,41 @@ class _Files:
     def __exit__(self, *exc_info):
         self._stop.set()
         self._thread.join()
+        for temp in self.staged.values():
+            temp.unlink(missing_ok=True)
 
     def join(self) -> None:
         """Wait for the input digests; raise the error that stopped them."""
         self._thread.join()
         if self._error is not None:
             raise self._error
+
+    def stage(self, out) -> Path:
+        """The temporary name ``out`` is written under: hidden, beside it, and with its
+        suffix, so a staged cube payload's sidecar is the staged cube sidecar."""
+        out = Path(out)
+        self.staged[out] = out.with_name(f".{out.stem}.part-{os.getpid()}{out.suffix}")
+        return self.staged[out]
+
+    def digest(self, out: Path) -> str:
+        """SHA-256 of a staged output: of its bytes as written, or else of its file."""
+        return self.written.get(out) or _sha256(self.staged[out])
+
+    def commit(self) -> None:
+        for out, temp in self.staged.items():
+            os.replace(temp, out)
+        self.staged.clear()
+
+
+class _HashedFile:
+    """A binary file's ``write``, keeping the SHA-256 of every byte written."""
+
+    def __init__(self, fh):
+        self._fh, self.sha256 = fh, hashlib.sha256()
+
+    def write(self, data) -> None:
+        self.sha256.update(data)
+        self._fh.write(data)
 
 
 def _subcommand_files(args) -> _Files:
@@ -154,6 +197,9 @@ def _subcommand_files(args) -> _Files:
 
 
 def _write_manifest(files: _Files, command, argv, config=None, extra=()):
+    """Write the manifest once the input digests are in, then rename every staged
+    output into place, the manifest last."""
+    files.join()
     pairs = [
         ("tool_version", __version__),
         ("command", command),
@@ -162,20 +208,58 @@ def _write_manifest(files: _Files, command, argv, config=None, extra=()):
     if config is not None:
         pairs += [(f"config_{name}", value) for name, value in field_pairs(config)]
     pairs += [("input", f"{p} sha256:{d}") for p, d in zip(files.inputs, files.digests)]
-    pairs += [("output", f"{p} sha256:{_sha256(p)}") for p in files.outputs]
+    pairs += [("output", f"{p} sha256:{files.digest(p)}") for p in files.outputs]
     pairs += list(extra)
     pairs.append(("timestamp", datetime.now(timezone.utc).isoformat()))
-    files.manifest.write_text(format_kv(pairs))
+    files.stage(files.manifest).write_text(format_kv(pairs))
+    files.commit()
     _log("info", f"wrote {files.manifest}")
 
 
 def _cube_spectrogram(cube_path, cfg, config_path):
-    """The cube's spectrogram; a config value the cube cannot hold names both files."""
-    from .linspec import spectrogram_from_file
+    """The cube's spectrogram, its frames computed as they are read (see
+    open_cube_spectrogram); a config value the cube cannot hold names both files."""
+    from .linspec import open_cube_spectrogram
     try:
-        return spectrogram_from_file(cube_path, cfg)
+        return open_cube_spectrogram(cube_path, cfg)
     except ConfigMismatchError as exc:
         raise ConfigMismatchError(f"{config_path}: {exc} of {cube_path}") from None
+
+
+def _write_matrix(files: _Files, out: Path, shape, blocks, format: str) -> None:
+    """Write the row blocks of a ``shape`` matrix to the staged ``out`` in the bin or csv
+    dialect, hashing its bytes as they are written."""
+    with files.stage(out).open("wb") as fh:
+        hashed = _HashedFile(fh)
+        writer = MatrixWriter(hashed, *shape, format)
+        for block in blocks:
+            writer.write(block)
+        writer.finish()
+    files.written[out] = hashed.sha256.hexdigest()
+
+
+def _spill(spec, directory: Path):
+    """``spec`` with its frames written once to an unnamed temporary file in ``directory``
+    and read back from it as a PowerFile that knows its peak.
+
+    The spill lives on the output's file system, not in memory: neither a
+    tmpfs nor a memory map would keep the frames out of the process's
+    footprint. The file vanishes when the PowerFile is closed.
+    """
+    from .linspec import PowerFile, frame_blocks
+    spill = tempfile.TemporaryFile(dir=directory)
+    try:
+        writer, peaks = MatrixWriter(spill, *spec.power.shape), []
+        for block in spec.power.blocks(frame_blocks(spec.num_frames)):
+            writer.write(block)
+            peaks.append(block.max())
+        writer.finish()
+        spill.seek(0)
+        frames = MatrixReader(spill, f"the spilled spectrogram in {directory}")
+    except BaseException:
+        spill.close()
+        raise
+    return dataclasses.replace(spec, power=PowerFile(frames, max(peaks)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,47 +270,65 @@ def cmd_simulate(args, argv, files: _Files) -> None:
     from .simulator import load_scenario, synthesize
     scenario = load_scenario(args.scenario_path)
     cube = synthesize(scenario)
-    files.join()
-    payload = write_radar_cube(cube, args.out_cube_path)
+    payload, meta = _cube_paths(args.out_cube_path)
+    files.stage(meta)
+    write_radar_cube(cube, files.stage(payload))
     _log("info", f"wrote {payload} ({cube.params.num_chirps} chirps)")
     _write_manifest(files, "simulate", argv)
 
 
 def cmd_spectrogram(args, argv, files: _Files) -> None:
-    from .linspec import save_spectrogram
+    from .linspec import frame_blocks, save_spectrogram, spectrogram_sidecar
     cfg = load_config(args.config_path)
     spec = _cube_spectrogram(args.cube_path, cfg, args.config_path)
-    files.join()
-    out = save_spectrogram(spec, args.out_path, format=args.format)
+    out = Path(args.out_path)
+    if args.format == "pgm":
+        save_spectrogram(dataclasses.replace(spec, power=spec.power.read()), files.stage(out),
+                         format="pgm")
+    else:
+        blocks = spec.power.blocks(frame_blocks(spec.num_frames))
+        _write_matrix(files, out, spec.power.shape, blocks, args.format)
+        files.stage(sidecar_path(out)).write_text(spectrogram_sidecar(spec))
     _log("info", f"wrote {out} ({spec.num_frames} frames x {spec.num_freq_bins} bins)")
     _write_manifest(files, "spectrogram", argv, config=cfg)
 
 
 def cmd_ra(args, argv, files: _Files) -> None:
-    from .linspec import load_spectrogram
-    from .ra_core import ra_transform, save_ra_spectrogram
+    """RA spectrogram in three passes over the frames: the peak, for the log floor;
+    the energy profile, for the corner; and the rebin. A cube's frames are spilled
+    once, so the STFT runs once."""
+    from .linspec import open_spectrogram
+    from .ra_core import RASpectrogram, ra_plan, ra_sidecar, rebin_blocks, save_ra_spectrogram
     cfg = load_config(args.config_path)
-    in_path = Path(args.input_path)
+    in_path, out = Path(args.input_path), Path(args.out_path)
     if in_path.suffix == ".iq":
-        spec = _cube_spectrogram(in_path, cfg, args.config_path)
+        spec = _spill(_cube_spectrogram(in_path, cfg, args.config_path), out.parent)
     else:
-        spec = load_spectrogram(in_path)
+        spec = open_spectrogram(in_path)
 
-    num_filters = args.M if args.M is not None else cfg.num_filters
-    force_bins = None if args.force_fc is None else args.force_fc / spec.hz_per_bin
-    try:
-        ra = ra_transform(spec, num_filters=num_filters, floor=cfg.log_floor,
-                          force_fc=force_bins)
-    except ForcedCornerError as exc:
-        raise ForcedCornerError(f"--force-fc {args.force_fc:g}: {exc}") from None
-    corner = ra.corner
-    _log("info", f"corner: f_nc={corner.f_nc} f_pc={corner.f_pc} f_c={corner.f_c} bins "
-                 f"({corner.f_c * ra.hz_per_bin:.2f} Hz){' [forced]' if corner.forced else ''}")
+    with spec.power:
+        num_filters = args.M if args.M is not None else cfg.num_filters
+        force_bins = None if args.force_fc is None else args.force_fc / spec.hz_per_bin
+        try:
+            corner, bank = ra_plan(spec, num_filters, cfg.log_floor, force_bins)
+        except ForcedCornerError as exc:
+            raise ForcedCornerError(f"--force-fc {args.force_fc:g}: {exc}") from None
+        _log("info", f"corner: f_nc={corner.f_nc} f_pc={corner.f_pc} f_c={corner.f_c} bins "
+                     f"({corner.f_c * spec.hz_per_bin:.2f} Hz)"
+                     f"{' [forced]' if corner.forced else ''}")
+        blocks = rebin_blocks(spec, bank)
+        if args.format == "pgm":
+            power = np.concatenate([block.copy() for block in blocks])
+            ra = RASpectrogram(power=power, corner=corner, bank=bank, frame_dt=spec.frame_dt,
+                               hz_per_bin=spec.hz_per_bin)
+            save_ra_spectrogram(ra, files.stage(out), format="pgm")
+        else:
+            _write_matrix(files, out, (spec.num_frames, 2 * num_filters), blocks, args.format)
+            files.stage(sidecar_path(out)).write_text(ra_sidecar(
+                spec.num_frames, corner, bank, spec.frame_dt, spec.hz_per_bin))
 
-    files.join()
-    save_ra_spectrogram(ra, args.out_path, format=args.format)
     extra = [("f_nc_bins", corner.f_nc), ("f_pc_bins", corner.f_pc), ("f_c_bins", corner.f_c),
-             ("f_c_hz", corner.f_c * ra.hz_per_bin), ("forced", corner.forced)]
+             ("f_c_hz", corner.f_c * spec.hz_per_bin), ("forced", corner.forced)]
     _write_manifest(files, "ra", argv, config=cfg, extra=extra)
 
 
@@ -238,17 +340,17 @@ def cmd_track(args, argv, files: _Files) -> None:
         kind = sidecar_value(in_path, read_sidecar(in_path, None), "kind", str)
 
     if kind == "spectrogram":
-        from .linspec import load_spectrogram
-        spec = load_spectrogram(in_path)
+        from .linspec import open_spectrogram
+        spec = open_spectrogram(in_path)
         power, axis, times = spec.power, spec.freq_axis, spec.time_axis
         axis_kind = "doppler_hz"
     elif kind == "ra_spectrogram":
-        from .ra_core import load_ra_spectrogram
-        ra = load_ra_spectrogram(in_path)
+        from .ra_core import open_ra_spectrogram
+        ra = open_ra_spectrogram(in_path)
         power, axis, times = ra.power, ra.warped_axis_hz(), ra.time_axis
         axis_kind = "ra_center_hz"
     elif kind is None:
-        power = load_matrix(in_path)
+        power = open_matrix(in_path)
         axis = np.arange(power.shape[1], dtype=np.float64)
         times = np.arange(power.shape[0], dtype=np.float64)
         axis_kind = "column_index"
@@ -256,10 +358,10 @@ def cmd_track(args, argv, files: _Files) -> None:
         raise FileFormatError(f"{sidecar_path(in_path)}: key 'kind' = {kind!r} is neither "
                               f"'spectrogram' nor 'ra_spectrogram'")
 
-    track = track_signature(power, axis, times, q=args.q, r=args.r)
-    files.join()
-    out = write_track_csv(track, args.out_csv, axis_kind=axis_kind)
-    _log("info", f"wrote {out} ({track.raw_peaks.size} frames, axis {axis_kind})")
+    with power:
+        track = track_signature(power, axis, times, q=args.q, r=args.r)
+    write_track_csv(track, files.stage(args.out_csv), axis_kind=axis_kind)
+    _log("info", f"wrote {args.out_csv} ({track.raw_peaks.size} frames, axis {axis_kind})")
     _write_manifest(files, "track", argv,
                     extra=[("axis_kind", axis_kind), ("q", args.q), ("r", args.r)])
 

@@ -22,6 +22,7 @@ Matrix ``pgm``
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -41,6 +42,7 @@ _MATRIX_HEADER = struct.Struct("<4sB3sII")
 WINDOW_KINDS = ("hann", "hamming", "rect")
 
 CHIRP_BLOCK = 4096  # chirps per read, write or rendered tile of a cube payload
+CSV_ROWS = 128  # matrix rows formatted at a time by a csv write
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +268,23 @@ def sidecar_value(path, meta: dict[str, str], key: str, kind: type = float):
         raise FileFormatError(f"{sidecar_path(path)}: {exc}") from None
 
 
-def load_framed_matrix(path, kind: str) -> tuple[np.ndarray, dict[str, str], float]:
-    """A matrix of frames, its ``kind`` sidecar, and the sidecar's ``frame_dt``; the
-    sidecar's ``num_frames`` must match the rows, and ``frame_dt`` must be positive
-    unless there is a single frame."""
+def open_framed_matrix(path, kind: str) -> tuple[MatrixReader, dict[str, str], float]:
+    """A matrix of frames opened for reading, its ``kind`` sidecar, and the sidecar's
+    ``frame_dt``; the sidecar's ``num_frames`` must match the rows, and ``frame_dt``
+    must be positive unless there is a single frame."""
     meta = read_sidecar(path, kind)
-    power = load_matrix(path)
-    sidecar_count(path, meta, "num_frames", power.shape[0], "rows")
-    dt = sidecar_value(path, meta, "frame_dt")
-    if power.shape[0] > 1 and dt <= 0:
-        raise FileFormatError(f"{sidecar_path(path)}: key 'frame_dt' must be positive "
-                              f"for {power.shape[0]} frames, got {meta['frame_dt']!r}")
-    return power, meta, dt
+    matrix = open_matrix(path)
+    try:
+        rows = matrix.shape[0]
+        sidecar_count(path, meta, "num_frames", rows, "rows")
+        dt = sidecar_value(path, meta, "frame_dt")
+        if rows > 1 and dt <= 0:
+            raise FileFormatError(f"{sidecar_path(path)}: key 'frame_dt' must be positive "
+                                  f"for {rows} frames, got {meta['frame_dt']!r}")
+    except BaseException:
+        matrix.close()
+        raise
+    return matrix, meta, dt
 
 
 def sidecar_count(path, meta: dict[str, str], key: str, count: int, what: str) -> None:
@@ -377,64 +384,162 @@ def write_matrix(matrix: np.ndarray, path, format: str = "bin") -> Path:
         raise ValueError("matrix must be 2-D and non-empty")
     if np.iscomplexobj(matrix):
         raise ValueError(f"matrix must be real, got {matrix.dtype}")
-    path = Path(path)
-    if format == "bin":
-        _write_matrix_bin(matrix, path)
-    elif format == "csv":
-        np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
-    elif format == "pgm":
-        _write_matrix_pgm(matrix, path)
-    else:
+    if format not in ("bin", "csv", "pgm"):
         raise ValueError(f"unknown matrix format {format!r}")
+    path = Path(path)
+    if format == "pgm":
+        _write_matrix_pgm(matrix, path)
+        return path
+    with path.open("wb") as fh:
+        writer = MatrixWriter(fh, *matrix.shape, format)
+        writer.write(matrix)
+        writer.finish()
     return path
+
+
+class MatrixWriter:
+    """A rows x cols matrix written to an open binary file in row blocks, as bin or csv.
+
+    The bin header goes first, so the row count is fixed before any row is
+    known; ``finish`` checks that exactly that many rows came. A csv block is
+    np.savetxt of its rows, CSV_ROWS at a time, which gives the bytes of one
+    np.savetxt of the whole matrix.
+    """
+
+    def __init__(self, fh, rows: int, cols: int, format: str = "bin"):
+        if format not in ("bin", "csv"):
+            raise ValueError(f"unknown matrix format {format!r}")
+        self._fh, self.shape, self.format, self.written = fh, (rows, cols), format, 0
+        if format == "bin":
+            fh.write(_MATRIX_HEADER.pack(_MATRIX_MAGIC, 0, b"\x00" * 3, rows, cols))
+
+    def write(self, block: np.ndarray) -> None:
+        """Append the rows of a real [k, cols] block."""
+        rows, cols = self.shape
+        if block.ndim != 2 or block.shape[1] != cols or self.written + len(block) > rows:
+            raise ValueError(f"a {block.shape} block does not fit rows {self.written}.. "
+                             f"of a {rows} x {cols} matrix")
+        if np.iscomplexobj(block):
+            raise ValueError(f"matrix must be real, got {block.dtype}")
+        if self.format == "bin":
+            self._fh.write(np.ascontiguousarray(block, dtype="<f8"))
+        else:
+            for first in range(0, len(block), CSV_ROWS):
+                text = io.StringIO()
+                np.savetxt(text, block[first : first + CSV_ROWS], fmt="%.17g", delimiter=",")
+                self._fh.write(text.getvalue().encode("ascii"))
+        self.written += len(block)
+
+    def finish(self) -> None:
+        """Check that every declared row was written; the file stays open."""
+        if self.written != self.shape[0]:
+            raise ValueError(f"{self.written} rows written of a {self.shape[0]} x "
+                             f"{self.shape[1]} matrix")
+
+
+def open_matrix(path) -> MatrixReader:
+    """Open a matrix file written by write_matrix (csv or bin) for reading (see MatrixReader)."""
+    path = Path(path)
+    if not path.exists():
+        raise FileFormatError(f"matrix file not found: {path}")
+    fh = path.open("rb")
+    try:
+        return MatrixReader(fh, path)
+    except BaseException:
+        fh.close()
+        raise
 
 
 def load_matrix(path) -> np.ndarray:
     """Load a float64 matrix written by write_matrix (csv or bin), opening the file once."""
-    path = Path(path)
-    if not path.exists():
-        raise FileFormatError(f"matrix file not found: {path}")
-    with path.open("rb") as fh:
+    with open_matrix(path) as matrix:
+        return matrix.read()
+
+
+class MatrixReader:
+    """A loadable matrix in an open binary file, read whole or in row blocks.
+
+    Constructing one reads the head of ``fh`` (named ``name`` in errors). A
+    bin matrix has its header and its size on disk checked, and no payload
+    is read yet; a csv matrix is parsed whole and ``fh`` closed. The reader
+    owns ``fh`` and closes it on ``close``.
+    """
+
+    def __init__(self, fh, name):
+        self.name, self._fh, self._matrix = name, fh, None
         head = fh.read(_MATRIX_HEADER.size)
         if head[:4] == _MATRIX_MAGIC:
-            return _load_matrix_bin(path, fh, head)
+            self.shape = self._check_bin_header(head)
+            return
         if head[:2] in (b"P5", b"P2"):
-            raise FileFormatError(f"{path}: pgm is a display format and cannot be loaded")
+            raise FileFormatError(f"{name}: pgm is a display format and cannot be loaded")
         text = (head + fh.read()).decode(errors="replace")
-    # csv text is UTF-8 without NULs, and a binary header almost always holds one
-    if b"\0" in head or "\ufffd" in text:
-        raise FileFormatError(f"{path}: neither a bin matrix (no RDMX magic) nor csv text")
-    return _load_matrix_csv(path, text)
+        # csv text is UTF-8 without NULs, and a binary header almost always holds one
+        if b"\0" in head or "\ufffd" in text:
+            raise FileFormatError(f"{name}: neither a bin matrix (no RDMX magic) nor csv text")
+        self._matrix = _load_matrix_csv(name, text)
+        self.shape = self._matrix.shape
+        fh.close()
+
+    def _check_bin_header(self, head: bytes) -> tuple[int, int]:
+        """The header's shape, checked against the size of the file on disk."""
+        if len(head) < _MATRIX_HEADER.size:
+            raise FileFormatError(f"{self.name}: truncated header")
+        _, dtype, _, rows, cols = _MATRIX_HEADER.unpack(head)
+        if dtype != 0:
+            raise FileFormatError(f"{self.name}: unknown dtype code {dtype}")
+        if not rows or not cols:
+            raise FileFormatError(f"{self.name}: header declares an empty {rows} x {cols} matrix")
+        expected = _MATRIX_HEADER.size + rows * cols * 8
+        size = os.fstat(self._fh.fileno()).st_size
+        if size != expected:
+            raise FileFormatError(f"{self.name}: payload is {size} bytes, header declares "
+                                  f"{expected}")
+        return rows, cols
+
+    def _read_rows(self, first: int, out: np.ndarray) -> np.ndarray:
+        """Read rows first.. of a bin payload into ``out``, a C-ordered f8 array."""
+        self._fh.seek(_MATRIX_HEADER.size + first * 8 * self.shape[1])
+        if self._fh.readinto(memoryview(out).cast("B")) != out.nbytes:
+            raise FileFormatError(f"{self.name}: payload ended while being read")
+        return out
+
+    def read(self) -> np.ndarray:
+        """The whole matrix: a bin payload is read into one new array."""
+        if self._matrix is not None:
+            return self._matrix
+        return self._read_rows(0, np.empty(self.shape, dtype="<f8"))
+
+    def blocks(self, edges):
+        """Yield rows first:stop for each (first, stop) of ``edges`` in turn. A bin
+        payload is read into one reused buffer, so consume or copy each block before
+        taking the next."""
+        if self._matrix is not None:
+            yield from (self._matrix[first:stop] for first, stop in edges)
+            return
+        buffer = np.empty((max(stop - first for first, stop in edges), self.shape[1]), "<f8")
+        for first, stop in edges:
+            yield self._read_rows(first, buffer[: stop - first])
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
-def _write_matrix_bin(matrix: np.ndarray, path: Path) -> None:
-    rows, cols = matrix.shape
-    with path.open("wb") as fh:
-        fh.write(_MATRIX_HEADER.pack(_MATRIX_MAGIC, 0, b"\x00" * 3, rows, cols))
-        fh.write(np.ascontiguousarray(matrix, dtype="<f8"))
+def row_blocks(matrix, edges):
+    """Rows first:stop of ``matrix`` for each (first, stop) of ``edges``: slices of an
+    array, or the blocks of a reader such as MatrixReader."""
+    if isinstance(matrix, np.ndarray):
+        return (matrix[first:stop] for first, stop in edges)
+    return matrix.blocks(edges)
 
 
-def _load_matrix_bin(path: Path, fh, head: bytes) -> np.ndarray:
-    """Check the header read from ``fh`` and the size on disk, then read the
-    payload into one preallocated array."""
-    if len(head) < _MATRIX_HEADER.size:
-        raise FileFormatError(f"{path}: truncated header")
-    _, dtype, _, rows, cols = _MATRIX_HEADER.unpack(head)
-    if dtype != 0:
-        raise FileFormatError(f"{path}: unknown dtype code {dtype}")
-    if not rows or not cols:
-        raise FileFormatError(f"{path}: header declares an empty {rows} x {cols} matrix")
-    expected = _MATRIX_HEADER.size + rows * cols * 8
-    size = os.fstat(fh.fileno()).st_size
-    if size != expected:
-        raise FileFormatError(f"{path}: payload is {size} bytes, header declares {expected}")
-    matrix = np.empty((rows, cols), dtype="<f8")
-    if fh.readinto(memoryview(matrix).cast("B")) != matrix.nbytes:
-        raise FileFormatError(f"{path}: payload ended while being read")
-    return matrix
-
-
-def _load_matrix_csv(path: Path, text: str) -> np.ndarray:
+def _load_matrix_csv(path, text: str) -> np.ndarray:
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):

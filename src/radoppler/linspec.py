@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,11 +13,12 @@ from .errors import ConfigMismatchError, DegenerateInputError, FileFormatError
 from .ingest import (
     CHIRP_BLOCK,
     CubeReader,
+    MatrixReader,
     PipelineConfig,
     RadarCube,
     RadarParams,
     format_kv,
-    load_framed_matrix,
+    open_framed_matrix,
     sidecar_count,
     sidecar_path,
     sidecar_value,
@@ -33,9 +35,11 @@ __all__ = [
     "spectrogram_from_file",
     "save_spectrogram",
     "load_spectrogram",
+    "open_spectrogram",
+    "open_cube_spectrogram",
 ]
 
-FRAME_BLOCK = 128  # STFT frames per batch; ra_core's energy-profile blocks
+FRAME_BLOCK = 128  # frames per block of the STFT, the energy profile and the CLI's matrix I/O
 CHIRP_SLICE = 1024  # chirps of a read block that non-coherent mode casts and transforms at once
 
 
@@ -45,10 +49,12 @@ class Spectrogram:
 
     power[t, k] is the squared STFT magnitude of frame t, starting at
     t * frame_dt seconds, at (k - F/2) * hz_per_bin Hz for an even bin count
-    F. Both axes derive from the two scalars the sidecar stores.
+    F. Both axes derive from the two scalars the sidecar stores. The power is
+    a matrix, or frames read a block at a time: a PowerFile (open_spectrogram)
+    or StftFrames (open_cube_spectrogram).
     """
 
-    power: np.ndarray  # [num_frames, num_freq_bins]
+    power: np.ndarray  # [num_frames, num_freq_bins]; or PowerFile, StftFrames
     f_max: float  # Hz, half the chirp repetition frequency
     frame_dt: float  # seconds between frame starts
 
@@ -60,7 +66,8 @@ class Spectrogram:
         if not (math.isfinite(f_max) and f_max > 0):
             raise ValueError(f"f_max must be positive and finite, got {f_max!r}")
         check_frame_dt(frame_dt, power.shape[0])
-        power.setflags(write=False)
+        if isinstance(power, np.ndarray):
+            power.setflags(write=False)
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "f_max", f_max)
         object.__setattr__(self, "frame_dt", frame_dt)
@@ -90,7 +97,17 @@ class Spectrogram:
 
 def check_power(power) -> np.ndarray:
     """``power`` as a float64 matrix; a ValueError names the first frame and column
-    that is not real, finite and non-negative. Both spectrogram types check with it."""
+    that is not real, finite and non-negative. Both spectrogram types check with it.
+    A PowerFile passes as it is, since it checks each block as it reads it, and so
+    does StftFrames, whose power comes from a checked cube."""
+    if isinstance(power, (PowerFile, StftFrames)):
+        return power
+    return _checked(power, 0)
+
+
+def _checked(power, first: int) -> np.ndarray:
+    """check_power of rows first.. of a matrix; an error names the frame by its number
+    in the whole matrix."""
     power = np.asarray(power)
     if power.ndim != 2 or power.size == 0:
         raise ValueError("power must be a non-empty 2-D matrix")
@@ -104,8 +121,61 @@ def check_power(power) -> np.ndarray:
             return power
         ok, need = np.isfinite(power) & (power >= 0), "finite and non-negative"
     frame, column = divmod(int(ok.argmin()), power.shape[1])
-    raise ValueError(f"power must be {need}; frame {frame} holds {power[frame, column]} "
-                     f"in column {column}")
+    raise ValueError(f"power must be {need}; frame {first + frame} holds "
+                     f"{power[frame, column]} in column {column}")
+
+
+def frame_blocks(num_frames: int, size: int = FRAME_BLOCK) -> list[tuple[int, int]]:
+    """(first, stop) frame ranges of ``size`` rows; the last one takes the rest.
+
+    Every block of a matrix with at least ``size`` frames holds ``size`` to
+    2 ``size`` - 1 rows: a BLAS product of a few rows may run another kernel
+    (OpenBLAS has one for small matrices) and round differently from the
+    same rows of a whole-matrix product.
+    """
+    edges = [k * size for k in range(max(1, num_frames // size))] + [num_frames]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+class PowerFile:
+    """A power matrix left in its file, read in frame blocks through a MatrixReader.
+
+    Each block is checked as check_power checks a whole matrix, and an error
+    names the file. ``max`` reads the file once for its peak unless the
+    peak was given. Closing it closes the reader.
+    """
+
+    def __init__(self, matrix: MatrixReader, peak=None):
+        self._matrix, self._peak = matrix, peak
+        self.shape = matrix.shape
+
+    def blocks(self, edges):
+        """The checked rows first:stop for each (first, stop) of ``edges``; each block
+        is overwritten by the next (see MatrixReader.blocks)."""
+        for (first, _), block in zip(edges, self._matrix.blocks(edges)):
+            try:
+                _checked(block, first)
+            except ValueError as exc:
+                raise FileFormatError(f"{self._matrix.name}: {exc}") from None
+            yield block
+
+    def max(self):
+        if self._peak is None:
+            self._peak = max(block.max() for block in self.blocks(frame_blocks(self.shape[0])))
+        return self._peak
+
+    def read(self) -> np.ndarray:
+        """The whole matrix, unchecked: a Spectrogram built on it checks it."""
+        return self._matrix.read()
+
+    def close(self) -> None:
+        self._matrix.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 def check_frame_dt(frame_dt: float, num_frames: int) -> None:
@@ -153,47 +223,77 @@ def _check_fit(cfg: PipelineConfig, bins: int, chirps: int, prf: float) -> None:
 
 
 def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spectrogram:
-    """Spectrogram of the range-collapsed slow-time signal (see _stft)."""
-    return _stft(slow_time_signal(profiles, cfg), profiles.chirp_repetition_freq, cfg)
+    """Spectrogram of the range-collapsed slow-time signal (see StftFrames)."""
+    return _in_memory(_stft(slow_time_signal(profiles, cfg), profiles.chirp_repetition_freq, cfg))
+
+
+class StftFrames:
+    """The power of a slow-time series' STFT, computed a block of frames at a time.
+
+    Frame t covers samples [t*hop, t*hop + window_length) of a series at least
+    one window long; each windowed frame is zero-padded to fft_length,
+    transformed, fftshifted so negative Doppler comes first, and squared. A
+    frame's power does not depend on the block it is computed in.
+    """
+
+    def __init__(self, s: np.ndarray, cfg: PipelineConfig):
+        self._s, self._cfg = s, cfg
+        self._window = window_function(cfg.window_kind, cfg.window_length)
+        self.shape = ((s.size - cfg.window_length) // cfg.hop + 1, cfg.fft_length)
+
+    def blocks(self, edges):
+        """A new power matrix of frames first:stop for each (first, stop) of ``edges``."""
+        cfg = self._cfg
+        taps = np.arange(cfg.window_length)
+        for first, stop in edges:
+            starts = cfg.hop * np.arange(first, stop)
+            spectrum = np.fft.fft(self._s[starts[:, None] + taps] * self._window,
+                                  n=cfg.fft_length, axis=1)
+            yield np.fft.fftshift(spectrum.real**2 + spectrum.imag**2, axes=1)
+
+    def read(self) -> np.ndarray:
+        """Every frame, transformed a frame block (frame_blocks) at a time into one matrix."""
+        power = np.empty(self.shape)
+        edges = frame_blocks(self.shape[0], FRAME_BLOCK)
+        for (first, stop), block in zip(edges, self.blocks(edges)):
+            power[first:stop] = block
+        return power
 
 
 def _stft(s: np.ndarray, prf: float, cfg: PipelineConfig) -> Spectrogram:
-    """Spectrogram of a slow-time series s sampled at prf Hz, at least one window long.
+    """The spectrogram of a slow-time series s sampled at prf Hz, as StftFrames."""
+    return Spectrogram(power=StftFrames(s, cfg), f_max=prf / 2.0, frame_dt=cfg.hop * (1.0 / prf))
 
-    Frame t covers samples [t*hop, t*hop + window_length); each windowed
-    frame is zero-padded to fft_length, transformed, fftshifted so
-    negative Doppler comes first, and squared. Frames are transformed
-    FRAME_BLOCK at a time straight into the power matrix.
-    """
-    num_frames = (s.size - cfg.window_length) // cfg.hop + 1
-    offsets = cfg.hop * np.arange(num_frames)
-    taps = np.arange(cfg.window_length)
-    window = window_function(cfg.window_kind, cfg.window_length)
-    power = np.empty((num_frames, cfg.fft_length))
-    for first in range(0, num_frames, FRAME_BLOCK):
-        starts = offsets[first : first + FRAME_BLOCK]
-        spectrum = np.fft.fft(s[starts[:, None] + taps] * window, n=cfg.fft_length, axis=1)
-        power[first : first + starts.size] = np.fft.fftshift(
-            spectrum.real**2 + spectrum.imag**2, axes=1)
-    return Spectrogram(power=power, f_max=prf / 2.0, frame_dt=cfg.hop * (1.0 / prf))
+
+def _in_memory(spec: Spectrogram) -> Spectrogram:
+    """``spec`` with its whole power matrix read."""
+    return dataclasses.replace(spec, power=spec.power.read())
 
 
 def spectrogram_from_cube(cube: RadarCube, cfg: PipelineConfig) -> Spectrogram:
     """Raw cube to spectrogram, cut in the file path's CHIRP_BLOCK slices to equal it."""
     starts = range(0, cube.params.num_chirps, CHIRP_BLOCK)
-    return _front_end(cube.params, (cube.samples[:, s : s + CHIRP_BLOCK] for s in starts), cfg)
+    chunks = (cube.samples[:, s : s + CHIRP_BLOCK] for s in starts)
+    return _in_memory(_front_end(cube.params, chunks, cfg))
 
 
 def spectrogram_from_file(path, cfg: PipelineConfig) -> Spectrogram:
     """Cube file to spectrogram; equals spectrogram_from_cube(load_radar_cube(path), cfg),
     but reduces each chirp block read by CubeReader before reading the next."""
+    return _in_memory(open_cube_spectrogram(path, cfg))
+
+
+def open_cube_spectrogram(path, cfg: PipelineConfig) -> Spectrogram:
+    """The spectrogram of a cube file as StftFrames: the cube is read and reduced to its
+    slow-time series here, and each block of frames is transformed when it is read."""
     reader = CubeReader(path)
     return _front_end(reader.params, (block.T for block in reader), cfg)
 
 
 def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
-    """Spectrogram from complex [num_fast_samples, chirps] chunks in chirp order; cfg is
-    checked before the first chunk is read, and the high-pass is designed once."""
+    """Spectrogram (as StftFrames) of complex [num_fast_samples, chirps] chunks in chirp
+    order; cfg is checked before the first chunk is read, and the high-pass is designed
+    once."""
     prf = params.chirp_repetition_freq
     _check_fit(cfg, params.num_fast_samples // 2, params.num_chirps, prf)
     if params.num_chirps < 2:
@@ -275,22 +375,43 @@ def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
     if format == "pgm":
         return write_matrix(spec.power.T, path, format="pgm")
     out = write_matrix(spec.power, path, format=format)
-    sidecar_path(out).write_text(format_kv([
+    sidecar_path(out).write_text(spectrogram_sidecar(spec))
+    return out
+
+
+def spectrogram_sidecar(spec: Spectrogram) -> str:
+    """The text of a spectrogram's ``.meta`` sidecar."""
+    return format_kv([
         ("kind", "spectrogram"),
         ("num_frames", spec.num_frames),
         ("num_freq_bins", spec.num_freq_bins),
         ("f_max", spec.f_max),
         ("frame_dt", spec.frame_dt),
-    ]))
-    return out
+    ])
 
 
 def load_spectrogram(path) -> Spectrogram:
     """Read a spectrogram; sidecar counts must match the matrix, and errors name the file."""
-    power, meta, frame_dt = load_framed_matrix(path, "spectrogram")
-    sidecar_count(path, meta, "num_freq_bins", power.shape[1], "columns")
-    f_max = sidecar_value(path, meta, "f_max")
+    spec = open_spectrogram(path)
+    with spec.power as power:
+        try:
+            return dataclasses.replace(spec, power=power.read())
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
+
+
+def open_spectrogram(path) -> Spectrogram:
+    """A spectrogram file with its power left in the file as a PowerFile, which the
+    caller closes. The checks are load_spectrogram's, but the power is checked a block
+    at a time as it is read."""
+    matrix, meta, frame_dt = open_framed_matrix(path, "spectrogram")
     try:
-        return Spectrogram(power=power, f_max=f_max, frame_dt=frame_dt)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+        sidecar_count(path, meta, "num_freq_bins", matrix.shape[1], "columns")
+        f_max = sidecar_value(path, meta, "f_max")
+        try:
+            return Spectrogram(power=PowerFile(matrix), f_max=f_max, frame_dt=frame_dt)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
+    except BaseException:
+        matrix.close()
+        raise

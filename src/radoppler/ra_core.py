@@ -11,16 +11,20 @@ on the warped axis.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (DegenerateCornerError, DegenerateInputError, FileFormatError,
                      FilterBankError, ForcedCornerError)
-from .ingest import format_kv, load_framed_matrix, sidecar_path, sidecar_value, write_matrix
-from .linspec import FRAME_BLOCK, Spectrogram, check_frame_dt, check_power, floored_log10, log_floor
+from .ingest import (format_kv, open_framed_matrix, row_blocks, sidecar_path, sidecar_value,
+                     write_matrix)
+from .linspec import (FRAME_BLOCK, PowerFile, Spectrogram, check_frame_dt, check_power,
+                      floored_log10, frame_blocks, log_floor)
 
 __all__ = [
     "EnergyProfile",
@@ -35,6 +39,7 @@ __all__ = [
     "ra_transform",
     "save_ra_spectrogram",
     "load_ra_spectrogram",
+    "open_ra_spectrogram",
 ]
 
 TINY_MEAN = 1e-300
@@ -108,11 +113,11 @@ class FilterBank:
     and the weights follow from them: row m-1 is filter m, peaked at p_m and
     zero outside (p_{m-1}, p_{m+1}). Each interior bin receives complementary
     rising/falling weights from the two filters sharing its interval, so the
-    bank partitions unity on [p_1, p_M].
+    bank partitions unity on [p_1, p_M]. The weights are built on first use,
+    so a bank read from a sidecar costs nothing until it rebins.
     """
 
     break_points: np.ndarray  # [M + 2]
-    weights: np.ndarray = field(init=False)  # [M, f_max + 1]
 
     def __post_init__(self):
         p = np.asarray(self.break_points, dtype=np.float64)
@@ -126,6 +131,13 @@ class FilterBank:
             m = int(fall[0]) + 1
             raise ValueError(f"key 'p_{m}' = {float(p[m])!r} must exceed {float(p[m - 1])!r}: "
                              f"p_1..p_{p.size - 2} rise strictly from p_0 = 0 to p_{p.size - 1}")
+        p.setflags(write=False)
+        object.__setattr__(self, "break_points", p)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """[M, f_max + 1] filter weights."""
+        p = self.break_points
         bins = np.arange(int(p[-1]) + 1)
         # interval k = [p_k, p_{k+1}) of each bin; the final interval keeps its right edge
         k = np.searchsorted(p[1:-1], bins, side="right")
@@ -136,14 +148,12 @@ class FilterBank:
         padded[k + 1, bins] = rise
         padded[k, bins] = 1.0 - rise
         weights = padded[1:-1]
-        p.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "break_points", p)
-        object.__setattr__(self, "weights", weights)
+        return weights
 
     @property
     def num_filters(self) -> int:
-        return self.weights.shape[0]
+        return self.break_points.size - 2
 
     @property
     def f_max(self) -> float:
@@ -152,9 +162,13 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class RASpectrogram:
-    """Warped-axis spectrogram: negative side reversed, then positive side (ROW_ORDER)."""
+    """Warped-axis spectrogram: negative side reversed, then positive side (ROW_ORDER).
 
-    power: np.ndarray  # [num_frames, 2 * M]
+    As in Spectrogram, the power may be left in its file as a PowerFile
+    (open_ra_spectrogram).
+    """
+
+    power: np.ndarray  # [num_frames, 2 * M]; or PowerFile
     corner: CornerResult
     bank: FilterBank
     frame_dt: float  # seconds between frame starts, from the source spectrogram
@@ -168,7 +182,8 @@ class RASpectrogram:
         check_frame_dt(frame_dt, power.shape[0])
         if not (math.isfinite(hz_per_bin) and hz_per_bin > 0):
             raise ValueError(f"key 'hz_per_bin' = {hz_per_bin!r} must be positive and finite")
-        power.setflags(write=False)
+        if isinstance(power, np.ndarray):
+            power.setflags(write=False)
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "frame_dt", frame_dt)
         object.__setattr__(self, "hz_per_bin", hz_per_bin)
@@ -195,31 +210,20 @@ ROW_ORDER = "negative side m=M..1, then positive side m=1..M (warped frequency a
 # energy profile and corner search
 # ---------------------------------------------------------------------------
 
-def frame_blocks(num_frames: int, size: int = FRAME_BLOCK) -> list[tuple[int, int]]:
-    """(first, stop) frame ranges of ``size`` rows; the last one takes the rest.
-
-    Every block of a matrix with at least ``size`` frames holds ``size`` to
-    2 ``size`` - 1 rows: a BLAS product of a few rows may run another kernel
-    (OpenBLAS has one for small matrices) and round differently from the
-    same rows of a whole-matrix product.
-    """
-    edges = [k * size for k in range(max(1, num_frames // size))] + [num_frames]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def energy_profile(spec: Spectrogram, floor: float = 1e-12) -> EnergyProfile:
     """Sum the floored log-power over frames: e(f) on the signed bin axis.
 
     Each frame block is floored and logged into rows 1.. of one buffer whose
     row 0 carries the running sum. numpy sums axis 0 of a C-ordered matrix
-    row by row, so e(f) equals the sum of the whole log view bit for bit.
+    row by row, so e(f) equals the sum of the whole log view bit for bit,
+    whatever the blocks.
     """
     threshold = log_floor(spec, floor)
     blocks = frame_blocks(spec.num_frames)
     buffer = np.zeros((max(stop - first for first, stop in blocks) + 1, spec.num_freq_bins))
-    for first, stop in blocks:
+    for (first, stop), block in zip(blocks, row_blocks(spec.power, blocks)):
         rows = buffer[: stop - first + 1]
-        floored_log10(spec.power[first:stop], threshold, out=rows[1:])
+        floored_log10(block, threshold, out=rows[1:])
         e = rows.sum(axis=0)
         buffer[0] = e
     return EnergyProfile(e=e, zero_index=spec.num_freq_bins // 2)
@@ -375,9 +379,28 @@ def ra_transform(
 
     Detects the corner from the energy profile (unless force_fc, in bins,
     overrides it), builds the warped filter bank, and applies it to the
-    positive and mirrored negative frequency halves. Output columns run
-    from the most negative warped frequency to the most positive. A
-    forced corner that rounds outside [1, half - 1] bins raises
+    positive and mirrored negative frequency halves (ra_plan, then
+    rebin_blocks). Output columns run from the most negative warped
+    frequency to the most positive.
+    """
+    corner, bank = ra_plan(spec, num_filters, floor, force_fc)
+    power = np.empty((spec.num_frames, 2 * num_filters))
+    for _ in rebin_blocks(spec, bank, power):
+        pass
+    return RASpectrogram(
+        power=power,
+        corner=corner,
+        bank=bank,
+        frame_dt=spec.frame_dt,
+        hz_per_bin=spec.hz_per_bin,
+    )
+
+
+def ra_plan(spec: Spectrogram, num_filters: int, floor: float,
+            force_fc: float | None) -> tuple[CornerResult, FilterBank]:
+    """The corner and the filter bank of ra_transform.
+
+    A forced corner that rounds outside [1, half - 1] bins raises
     ForcedCornerError (a ValueError). Each of the half + 1 bins weighs into
     at most two filters, so a larger M is a FilterBankError, raised first.
     """
@@ -398,37 +421,38 @@ def ra_transform(
                               objective_value=math.nan)
     else:
         corner = find_corners(profile)
-    bank = build_filter_bank(float(corner.f_c), half, num_filters)
+    return corner, build_filter_bank(float(corner.f_c), half, num_filters)
 
-    # rebin one frame block at a time into the output, through one reused
-    # buffer that holds a block's positive half, then its negative half
+
+def rebin_blocks(spec: Spectrogram, bank: FilterBank, power: np.ndarray | None = None):
+    """Yield the RA power of each REBIN_BLOCK frame block of ``spec`` in turn: rows
+    first:stop of ``power`` when it is given, else of one reused buffer that the next
+    block overwrites. Blocks of a reused buffer round as those of ``power`` do."""
+    half, num_filters = spec.num_freq_bins // 2, bank.num_filters
     blocks = frame_blocks(spec.num_frames, REBIN_BLOCK)
-    power = np.empty((spec.num_frames, 2 * num_filters))
     largest = max(stop - first for first, stop in blocks)
+    reuse = power is None
+    if reuse:
+        power = np.empty((largest, 2 * num_filters))
+    # one reused buffer holds a block's positive half, then its negative half
     buffer = np.empty((largest, half + 1))
     negative = np.empty((largest, num_filters))
     weights = bank.weights.T
-    for first, stop in blocks:
-        block = spec.power[first:stop]
+    for (first, stop), block in zip(blocks, row_blocks(spec.power, blocks)):
+        out = power[: stop - first] if reuse else power[first:stop]
         rows = buffer[: stop - first]
         # positive half covers bins 0..half, aliasing the Nyquist bin from index 0
         rows[:, :half] = block[:, half:]
         rows[:, half] = block[:, 0]
-        np.matmul(rows, weights, out=power[first:stop, num_filters:])
+        np.matmul(rows, weights, out=out[:, num_filters:])
         # negative half, bins 0..-half, fills the first M columns mirrored.
         # numpy multiplies a lone reversed row without BLAS: a one-frame block
         # passes that view, so it rounds as the whole-matrix product does
         rows[:] = block[:, half::-1]
         product = np.matmul(rows if len(rows) > 1 else block[:, half::-1], weights,
                             out=negative[: stop - first])
-        power[first:stop, :num_filters] = product[:, ::-1]
-    return RASpectrogram(
-        power=power,
-        corner=corner,
-        bank=bank,
-        frame_dt=spec.frame_dt,
-        hz_per_bin=spec.hz_per_bin,
-    )
+        out[:, :num_filters] = product[:, ::-1]
+        yield out
 
 
 # ---------------------------------------------------------------------------
@@ -441,43 +465,70 @@ def save_ra_spectrogram(ra: RASpectrogram, path, format: str = "bin") -> Path:
     if format == "pgm":
         return write_matrix(ra.power.T, path, format="pgm")
     out = write_matrix(ra.power, path, format=format)
+    sidecar_path(out).write_text(
+        ra_sidecar(ra.power.shape[0], ra.corner, ra.bank, ra.frame_dt, ra.hz_per_bin))
+    return out
+
+
+def ra_sidecar(num_frames: int, corner: CornerResult, bank: FilterBank, frame_dt: float,
+               hz_per_bin: float) -> str:
+    """The text of an RA spectrogram's ``.meta`` sidecar: axes, corner report and break
+    points."""
     pairs = [
         ("kind", "ra_spectrogram"),
-        ("num_frames", ra.power.shape[0]),
-        ("num_filters", ra.num_filters),
+        ("num_frames", num_frames),
+        ("num_filters", bank.num_filters),
         ("row_order", ROW_ORDER),
-        ("frame_dt", ra.frame_dt),
-        ("hz_per_bin", ra.hz_per_bin),
-        ("forced", ra.corner.forced),
-        ("objective_value", ra.corner.objective_value),
-        ("f_nc_bins", ra.corner.f_nc),
-        ("f_pc_bins", ra.corner.f_pc),
-        ("f_c_bins", ra.corner.f_c),
-        ("f_nc_hz", ra.corner.f_nc * ra.hz_per_bin),
-        ("f_pc_hz", ra.corner.f_pc * ra.hz_per_bin),
-        ("f_c_hz", ra.corner.f_c * ra.hz_per_bin),
+        ("frame_dt", frame_dt),
+        ("hz_per_bin", hz_per_bin),
+        ("forced", corner.forced),
+        ("objective_value", corner.objective_value),
+        ("f_nc_bins", corner.f_nc),
+        ("f_pc_bins", corner.f_pc),
+        ("f_c_bins", corner.f_c),
+        ("f_nc_hz", corner.f_nc * hz_per_bin),
+        ("f_pc_hz", corner.f_pc * hz_per_bin),
+        ("f_c_hz", corner.f_c * hz_per_bin),
     ]
-    pairs += [(f"p_{m}", float(v)) for m, v in enumerate(ra.bank.break_points)]
-    sidecar_path(out).write_text(format_kv(pairs))
-    return out
+    pairs += [(f"p_{m}", float(v)) for m, v in enumerate(bank.break_points)]
+    return format_kv(pairs)
 
 
 def load_ra_spectrogram(path) -> RASpectrogram:
     """Read what save_ra_spectrogram writes; sidecar counts must match the matrix,
-    and a missing or bad key, or a value the types reject, names the sidecar."""
-    power, meta, frame_dt = load_framed_matrix(path, "ra_spectrogram")
-    sidecar = sidecar_path(path)
-    num_filters = sidecar_value(path, meta, "num_filters", int)
-    if num_filters < 1 or 2 * num_filters != power.shape[1]:
-        raise FileFormatError(f"{sidecar}: key 'num_filters' = {num_filters} must be at least 1 "
-                              f"and half the {power.shape[1]} matrix columns")
-    corners = [sidecar_value(path, meta, f"{key}_bins", int) for key in ("f_nc", "f_pc", "f_c")]
-    forced = sidecar_value(path, meta, "forced", bool)
-    objective = math.nan if forced else sidecar_value(path, meta, "objective_value")
-    p = np.array([sidecar_value(path, meta, f"p_{m}") for m in range(num_filters + 2)])
+    and a missing or bad key, or a value the types reject, names the sidecar. A
+    power matrix that is not finite and non-negative names the matrix file."""
+    ra = open_ra_spectrogram(path)
+    with ra.power as power:
+        try:
+            return dataclasses.replace(ra, power=power.read())
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
+
+
+def open_ra_spectrogram(path) -> RASpectrogram:
+    """An RA spectrogram file with its power left in the file as a PowerFile, which
+    the caller closes. The checks are load_ra_spectrogram's, but the power is checked
+    a block at a time as it is read."""
+    matrix, meta, frame_dt = open_framed_matrix(path, "ra_spectrogram")
     try:
-        return RASpectrogram(power=power, corner=CornerResult(*corners, objective),
-                             bank=FilterBank(p), frame_dt=frame_dt,
-                             hz_per_bin=sidecar_value(path, meta, "hz_per_bin"))
-    except ValueError as exc:
-        raise FileFormatError(f"{sidecar}: {exc}") from None
+        sidecar = sidecar_path(path)
+        num_filters = sidecar_value(path, meta, "num_filters", int)
+        if num_filters < 1 or 2 * num_filters != matrix.shape[1]:
+            raise FileFormatError(f"{sidecar}: key 'num_filters' = {num_filters} must be at "
+                                  f"least 1 and half the {matrix.shape[1]} matrix columns")
+        corners = [sidecar_value(path, meta, f"{key}_bins", int)
+                   for key in ("f_nc", "f_pc", "f_c")]
+        forced = sidecar_value(path, meta, "forced", bool)
+        objective = math.nan if forced else sidecar_value(path, meta, "objective_value")
+        p = np.array([sidecar_value(path, meta, f"p_{m}") for m in range(num_filters + 2)])
+        try:
+            return RASpectrogram(power=PowerFile(matrix),
+                                 corner=CornerResult(*corners, objective),
+                                 bank=FilterBank(p), frame_dt=frame_dt,
+                                 hz_per_bin=sidecar_value(path, meta, "hz_per_bin"))
+        except ValueError as exc:
+            raise FileFormatError(f"{sidecar}: {exc}") from None
+    except BaseException:
+        matrix.close()
+        raise

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import row_blocks
+
 __all__ = [
     "SignatureTrack",
     "peak_track",
@@ -38,33 +40,37 @@ class SignatureTrack:
         object.__setattr__(self, "frame_times", times)
 
 
-def peak_track(power: np.ndarray, axis: np.ndarray) -> np.ndarray:
+def peak_track(power, axis: np.ndarray) -> np.ndarray:
     """Axis value of the strongest bin in each frame (row).
 
     Ties go to the bin whose axis value is nearest zero frequency, then
     to the lower bin index, so flat frames resolve deterministically.
     Frames are reordered and searched PEAK_BLOCK elements at a time, so
-    the matrix is never copied whole.
+    the matrix is never copied whole; ``power`` is a matrix, or a reader of
+    row blocks such as ingest.MatrixReader or linspec.PowerFile.
     """
-    power = np.asarray(power, dtype=np.float64)
+    if not hasattr(power, "blocks"):
+        power = np.asarray(power, dtype=np.float64)
     axis = np.asarray(axis, dtype=np.float64)
-    if power.ndim != 2 or power.size == 0:
+    if len(power.shape) != 2 or 0 in power.shape:
         raise ValueError("power must be a non-empty 2-D matrix")
     if axis.shape != (power.shape[1],):
         raise ValueError("axis length must match the column count")
     prefer = np.lexsort((np.arange(axis.size), np.abs(axis)))
     rows = max(1, PEAK_BLOCK // axis.size)
+    edges = [(start, min(start + rows, power.shape[0]))
+             for start in range(0, power.shape[0], rows)]
     pick = np.empty(power.shape[0], dtype=np.intp)
-    for start in range(0, power.shape[0], rows):
-        block = power[start : start + rows, prefer]
+    for (start, stop), frames in zip(edges, row_blocks(power, edges)):
+        block = frames[:, prefer]
         finite = np.isfinite(block)
         if not finite.all():
             row = int(np.flatnonzero(~finite.all(axis=1))[0])
             col = int(prefer[~finite[row]].min())
             raise ValueError(f"power must be finite; frame {start + row} holds "
-                             f"{power[start + row, col]} in column {col}")
+                             f"{frames[row, col]} in column {col}")
         # argmax keeps the first occurrence, i.e. the most preferred tied bin
-        pick[start : start + rows] = block.argmax(axis=1)
+        pick[start:stop] = block.argmax(axis=1)
     return axis[prefer[pick]]
 
 
@@ -121,13 +127,13 @@ def kalman_smooth(raw: np.ndarray, dt: float, q: float = 10.0, r: float = 4.0) -
 
 
 def track_signature(
-    power: np.ndarray,
+    power,
     axis: np.ndarray,
     frame_times: np.ndarray,
     q: float = 10.0,
     r: float = 4.0,
 ) -> SignatureTrack:
-    """Peak-pick every frame, smooth, and clip back into the axis range.
+    """Peak-pick every frame (see peak_track), smooth, and clip back into the axis range.
 
     Frame times must increase and be evenly spaced: no spacing may depart
     from the first by more than 1e-6 of it. A single frame is smoothed at

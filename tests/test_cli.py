@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,12 @@ from radoppler.ingest import (
     write_config,
     write_radar_cube,
 )
-from radoppler.linspec import load_spectrogram, save_spectrogram, spectrogram_from_cube
+from radoppler.linspec import (
+    load_spectrogram,
+    save_spectrogram,
+    spectrogram_from_cube,
+    spectrogram_from_file,
+)
 from radoppler.simulator import DEFAULT_PARAMS, preset, save_scenario, synthesize
 
 
@@ -839,6 +846,22 @@ class TestOutputOverwritesInput:
         assert err == f"error: output {out} would overwrite input {workdir / 'spec.bin'}\n"
         assert list(tmp_path.iterdir()) == [link]
 
+    def test_output_hard_linked_to_its_input(self, workdir, tmp_path):
+        """An output that is another name of an input's file is renamed over, not written
+        through: ra reads spec.bin while it writes, and the input keeps its bytes and the
+        manifest its digest."""
+        for name in ("spec.bin", "spec.bin.meta"):
+            shutil.copyfile(workdir / name, tmp_path / name)
+        spec, out = tmp_path / "spec.bin", tmp_path / "ra.bin"
+        before = spec.read_bytes()
+        os.link(spec, out)
+        assert cli.main(["ra", str(spec), str(workdir / "pipeline.cfg"), str(out)]) == 0
+        assert spec.read_bytes() == before
+        assert out.read_bytes() == (workdir / "ra.bin").read_bytes()
+        inputs = [v for k, v in parse_kv((tmp_path / "ra.bin.manifest").read_text())
+                  if k == "input"]
+        assert inputs[0] == f"{spec} sha256:{hashlib.sha256(before).hexdigest()}"
+
     def test_simulate_onto_its_scenario(self, workdir, tmp_path, capsys):
         scene = tmp_path / "c.meta"
         shutil.copyfile(workdir / "scene.scn", scene)
@@ -981,7 +1004,7 @@ class TestHashThread:
             shutil.copyfile(workdir / name, tmp_path / name)
         cube = tmp_path / "cube.iq"
         stage_done = threading.Event()
-        cli_sha256, stage = cli._sha256, linspec.spectrogram_from_file
+        cli_sha256, stage = cli._sha256, linspec.open_cube_spectrogram
 
         def sha256_after_stage(path, stop):
             assert stage_done.wait(10)
@@ -994,7 +1017,7 @@ class TestHashThread:
             return spec
 
         monkeypatch.setattr(cli, "_sha256", sha256_after_stage)
-        monkeypatch.setattr(linspec, "spectrogram_from_file", stage_then_delete)
+        monkeypatch.setattr(linspec, "open_cube_spectrogram", stage_then_delete)
         out = tmp_path / "out"
         out.mkdir()
         assert self.main_leaving_no_thread(["spectrogram", str(cube),
@@ -1036,3 +1059,209 @@ class TestHashThread:
         assert done.returncode == 0 and plain.returncode == 0, done.stderr + plain.stderr
         assert done.stdout == plain.stdout
         assert done.stdout.split()[0] == str(env)
+
+
+EDGE_FRAMES = (1, 127, 128, 129, 255, 256, 257, 511, 512, 513)
+EDGE_CFG = dict(window_length=64, hop=4, fft_length=128, num_filters=16)
+
+
+@pytest.fixture(scope="module")
+def edge_cubes(tmp_path_factory):
+    """limp_like cubes whose spectrograms hold 1 to 513 frames, around the FRAME_BLOCK
+    and REBIN_BLOCK edges, and a config file per mode."""
+    root = tmp_path_factory.mktemp("edges")
+    scene = preset("limp_like")
+    chirps = EDGE_CFG["window_length"] + EDGE_CFG["hop"] * (max(EDGE_FRAMES) - 1)
+    params = dataclasses.replace(scene.params, num_chirps=chirps)
+    cube = synthesize(dataclasses.replace(scene, params=params))
+    for frames in EDGE_FRAMES:
+        count = EDGE_CFG["window_length"] + EDGE_CFG["hop"] * (frames - 1)
+        part = RadarCube(params=dataclasses.replace(params, num_chirps=count),
+                         samples=cube.samples[:, :count])
+        write_radar_cube(part, root / f"cube{frames}.iq")
+    for mode in ("coherent", "noncoherent"):
+        write_config(PipelineConfig(coherent=mode == "coherent", **EDGE_CFG),
+                     root / f"{mode}.cfg")
+    return root
+
+
+def output_digests_hash_their_files(directory):
+    """Every manifest output line in ``directory`` names its file's SHA-256."""
+    manifests = sorted(directory.glob("*.manifest"))
+    assert manifests
+    for manifest in manifests:
+        outputs = [v for k, v in parse_kv(manifest.read_text()) if k == "output"]
+        assert outputs, manifest
+        for line in outputs:
+            path, _, digest = line.rpartition(" sha256:")
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest(), line
+
+
+class TestStreamedOutputs:
+    """The CLI writes its spectrogram and RA matrices a frame block at a time and hashes
+    them as written; the bytes equal the API's save of the in-memory result."""
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("mode", ["coherent", "noncoherent"])
+    @pytest.mark.parametrize("frames", EDGE_FRAMES)
+    def test_same_bytes_as_the_api(self, edge_cubes, tmp_path, frames, mode, fmt):
+        from radoppler.ra_core import load_ra_spectrogram, ra_transform, save_ra_spectrogram
+        from radoppler.tracker import track_signature, write_track_csv
+        cube, cfg_path = edge_cubes / f"cube{frames}.iq", edge_cubes / f"{mode}.cfg"
+        cfg = ingest.load_config(cfg_path)
+        out, api = tmp_path / "cli", tmp_path / "api"
+        out.mkdir()
+        api.mkdir()
+        spec_name, ra_name = f"spec.{fmt}", f"ra.{fmt}"
+        for argv in (["spectrogram", cube, cfg_path, out / spec_name, "--format", fmt],
+                     ["ra", cube, cfg_path, out / ra_name, "--format", fmt],
+                     ["ra", out / spec_name, cfg_path, out / f"ra_spec.{fmt}", "--format", fmt],
+                     ["track", out / spec_name, out / "track_spec.csv"],
+                     ["track", out / ra_name, out / "track_ra.csv"]):
+            assert cli.main([str(a) for a in argv]) == 0, argv
+
+        spec = spectrogram_from_file(cube, cfg)
+        assert spec.num_frames == frames
+        save_spectrogram(spec, api / spec_name, format=fmt)
+        ra = ra_transform(spec, num_filters=cfg.num_filters, floor=cfg.log_floor)
+        save_ra_spectrogram(ra, api / ra_name, format=fmt)
+        for matrix, axis, name, kind in (
+                (spec.power, spec.freq_axis, "track_spec.csv", "doppler_hz"),
+                (ra.power, ra.warped_axis_hz(), "track_ra.csv", "ra_center_hz")):
+            track = track_signature(matrix, axis, spec.time_axis)
+            write_track_csv(track, api / name, axis_kind=kind)
+
+        pairs = [(spec_name, spec_name), (ra_name, ra_name), (f"ra_spec.{fmt}", ra_name),
+                 ("track_spec.csv", "track_spec.csv"), ("track_ra.csv", "track_ra.csv")]
+        pairs += [(a + ".meta", b + ".meta") for a, b in pairs[:3]]
+        for cli_name, api_name in pairs:
+            assert (out / cli_name).read_bytes() == (api / api_name).read_bytes(), cli_name
+        np.testing.assert_array_equal(load_ra_spectrogram(out / ra_name).power, ra.power)
+        output_digests_hash_their_files(out)
+
+
+class TestFailedRunLeavesNoTrace:
+    """Each output is written under a temporary name and renamed into place only when
+    the run is whole: a failure after the first written block leaves the output
+    directory as it was, with no staged output and no spill left open."""
+
+    @staticmethod
+    def open_fds():
+        fd_dir = Path("/proc/self/fd")
+        return len(os.listdir(fd_dir)) if fd_dir.exists() else 0
+
+    @pytest.mark.parametrize("command, failing_cols", [
+        ("spectrogram", 256), ("ra_cube", 128), ("ra_cube_spill", 256), ("ra_spec", 128),
+        ("track", None)])
+    def test_directory_unchanged(self, workdir, tmp_path, capsys, monkeypatch, command,
+                                 failing_cols):
+        from radoppler import tracker
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("unrelated\n")
+        before = sorted(p.name for p in out.iterdir())
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_block = ingest.MatrixWriter.write
+
+        def write_then_fail(self, block):
+            write_block(self, block)
+            if self.shape[1] == failing_cols:
+                raise full
+
+        def track_then_fail(track, path, axis_kind="doppler_hz"):
+            write_csv(track, path, axis_kind)
+            raise full
+
+        write_csv = tracker.write_track_csv
+        monkeypatch.setattr(ingest.MatrixWriter, "write", write_then_fail)
+        monkeypatch.setattr(tracker, "write_track_csv", track_then_fail)
+        cfg = str(workdir / "pipeline.cfg")
+        argv = {"spectrogram": ["spectrogram", workdir / "cube.iq", cfg, out / "spec.bin"],
+                "ra_cube": ["ra", workdir / "cube.iq", cfg, out / "ra.bin"],
+                "ra_cube_spill": ["ra", workdir / "cube.iq", cfg, out / "ra.bin"],
+                "ra_spec": ["ra", workdir / "spec.bin", cfg, out / "ra.bin"],
+                "track": ["track", workdir / "spec.bin", out / "t.csv"]}[command]
+        fds = self.open_fds()
+        assert cli.main([str(a) for a in argv]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == before
+        assert self.open_fds() == fds
+
+
+class TestTrackReadsNoBankWeights:
+    def test_huge_last_break_point_allocates_nothing(self, workdir, tmp_path):
+        """track needs the filter centers p_1..p_M, not the bank's M x (p_(M+1) + 1)
+        weights: a sidecar p_65 of 200000 would make them 102 MB."""
+        for name in ("ra.bin", "ra.bin.meta"):
+            shutil.copyfile(workdir / name, tmp_path / name)
+        meta = (tmp_path / "ra.bin.meta").read_text()
+        assert "p_65 = 128.0\n" in meta
+        (tmp_path / "ra.bin.meta").write_text(meta.replace("p_65 = 128.0\n",
+                                                           "p_65 = 200000.0\n"))
+        tracemalloc.start()
+        try:
+            code = cli.main(["track", str(tmp_path / "ra.bin"), str(tmp_path / "t.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert cli.main(["track", str(workdir / "ra.bin"), str(tmp_path / "plain.csv")]) == 0
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        weights = 64 * 200_001 * 8
+        assert peak < weights / 8, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.fixture(scope="module")
+def long_cube(dwell, tmp_path_factory):
+    """The 30 000-chirp dwell four times over: 120 000 chirps, a 15 MB spectrogram."""
+    root = tmp_path_factory.mktemp("long")
+    payload = dwell.read_bytes()
+    with open(root / "long.iq", "wb") as fh:
+        for _ in range(4):
+            fh.write(payload)
+    meta = dwell.with_suffix(".meta").read_text()
+    assert "num_chirps = 30000\n" in meta
+    (root / "long.meta").write_text(meta.replace("num_chirps = 30000\n",
+                                                 "num_chirps = 120000\n"))
+    write_config(PipelineConfig(), root / "pipeline.cfg")
+    return root / "long.iq"
+
+
+class TestPeakMemory:
+    """No CLI process holds a spectrogram or an RA matrix whole: beyond what the front
+    end needs to reduce the cube (its read and cast blocks, the 16 B/chirp series, the
+    filter's working set and the filtered copy), each peaks below a quarter of the
+    spectrogram's payload."""
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("command", ["spectrogram", "ra_cube", "ra_spec", "track_spec",
+                                         "track_ra"])
+    def test_below_a_quarter_spectrogram(self, long_cube, tmp_path, command):
+        from radoppler.linspec import open_cube_spectrogram
+        cfg = long_cube.parent / "pipeline.cfg"
+        spec, ra = tmp_path / "spec.bin", tmp_path / "ra.bin"
+        assert cli.main(["spectrogram", str(long_cube), str(cfg), str(spec)]) == 0
+        assert cli.main(["ra", str(spec), str(cfg), str(ra)]) == 0
+        argv = {"spectrogram": ["spectrogram", long_cube, cfg, tmp_path / "again.bin"],
+                "ra_cube": ["ra", long_cube, cfg, tmp_path / "again.bin"],
+                "ra_spec": ["ra", spec, cfg, tmp_path / "again.bin"],
+                "track_spec": ["track", spec, tmp_path / "t.csv"],
+                "track_ra": ["track", ra, tmp_path / "t.csv"]}[command]
+        code, peak = self.traced_peak(lambda: cli.main([str(a) for a in argv]))
+        assert code == 0
+        front_end = 0
+        if argv[1] == long_cube:
+            _, front_end = self.traced_peak(
+                lambda: open_cube_spectrogram(long_cube, PipelineConfig()))
+        payload = spec.stat().st_size
+        assert peak - front_end < payload / 4, (
+            f"{(peak - front_end) / 2**20:.2f} MB beyond the front end's "
+            f"{front_end / 2**20:.2f} MB")

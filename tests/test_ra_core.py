@@ -26,7 +26,13 @@ from radoppler.errors import (
     ForcedCornerError,
 )
 from radoppler.ingest import PipelineConfig, read_sidecar
-from radoppler.linspec import FRAME_BLOCK, Spectrogram, spectrogram_from_file
+from radoppler.linspec import (
+    FRAME_BLOCK,
+    Spectrogram,
+    open_spectrogram,
+    save_spectrogram,
+    spectrogram_from_file,
+)
 from radoppler.ra_core import (
     REBIN_BLOCK,
     CornerResult,
@@ -37,6 +43,7 @@ from radoppler.ra_core import (
     find_corners,
     frame_blocks,
     load_ra_spectrogram,
+    open_ra_spectrogram,
     ra_transform,
     save_ra_spectrogram,
     scale_forward,
@@ -644,6 +651,26 @@ class TestFrameBlocks:
         np.testing.assert_array_equal(energy_profile(spec).e, energy_profile_whole(power, 1e-12))
         ra = ra_transform(spec, num_filters=num_filters)
         np.testing.assert_array_equal(ra.power, rebin_whole(power, ra.bank.weights))
+
+    @pytest.mark.parametrize("frames", [1, REBIN_BLOCK, 2 * REBIN_BLOCK + 1])
+    def test_power_left_in_its_file(self, rng, tmp_path, frames):
+        """A spectrogram or RA spectrogram left in its file (PowerFile) is read block by
+        block by energy_profile, ra_transform and track_signature, to the same bits."""
+        from radoppler.tracker import track_signature
+        spec = make_spec(rng.uniform(0.1, 1.0, size=(frames, 256)))
+        ra = ra_transform(spec, num_filters=64)
+        save_spectrogram(spec, tmp_path / "s.bin")
+        save_ra_spectrogram(ra, tmp_path / "r.bin")
+        opened = open_spectrogram(tmp_path / "s.bin")
+        opened_ra = open_ra_spectrogram(tmp_path / "r.bin")
+        with opened.power, opened_ra.power:
+            np.testing.assert_array_equal(energy_profile(opened).e, energy_profile(spec).e)
+            np.testing.assert_array_equal(ra_transform(opened, num_filters=64).power, ra.power)
+            for lazy, whole, axis in ((opened, spec, spec.freq_axis),
+                                      (opened_ra, ra, ra.warped_axis_hz())):
+                np.testing.assert_array_equal(
+                    track_signature(lazy.power, axis, spec.time_axis).smoothed,
+                    track_signature(whole.power, axis, spec.time_axis).smoothed)
 
     def test_peak_memory_below_a_quarter_spectrogram(self, dwell):
         spec = spectrogram_from_file(dwell, PipelineConfig())
