@@ -8,10 +8,10 @@ reruns are byte-identical except for the timestamp line. While the stage
 computes on the main thread, a second thread hashes the inputs (see
 ``_Files``); an output path that resolves to an input exits 2 before
 anything is written. Spectrograms and RA spectrograms pass through a
-process in frame blocks: each matrix output is hashed as its blocks are
-written, and every output is written under a temporary name and renamed
-into place once it is whole, so a failed run leaves its directory as it
-found it.
+process in frame blocks, written by the API's savers. Every output is
+written under a temporary name, hashed once the input digests are in,
+and renamed into place once it is whole, so a failed run leaves its
+directory as it found it.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input or config.
 RADOPPLER_LOG={error|info|debug} sets stderr verbosity; stdout stays
@@ -100,10 +100,11 @@ class _Files:
     it, so no hash outlives the subcommand. An output that resolves to an
     input is refused here, before anything is written.
 
-    Each output is written under the temporary name ``stage`` gives it, in
-    its own directory; ``commit`` renames them into place once the input
-    digests are in, the manifest last. Leaving the block removes whatever
-    was staged and not committed.
+    Each output is written under the temporary name ``stage`` looks up,
+    named here: hidden, beside it, and ending in its name, so the sidecar
+    of a staged matrix or cube payload is the staged sidecar. ``commit``
+    renames them into place once the input digests are in, the manifest
+    last. Leaving the block removes whatever was staged and not committed.
     """
 
     def __init__(self, inputs, outputs):
@@ -116,8 +117,9 @@ class _Files:
                 raise RadopplerError(f"output {out} would overwrite input "
                                      f"{resolved[out.resolve()]}")
         self.digests: list[str] = []
-        self.staged: dict[Path, Path] = {}  # output -> its temporary name
-        self.written: dict[Path, str] = {}  # output -> digest of the bytes as written
+        # output -> its temporary name
+        self.staged = {out: out.with_name(f".part-{os.getpid()}.{out.name}")
+                       for out in self.outputs + [self.manifest]}
         self._error: Exception | None = None
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._hash, name="radoppler-hash", daemon=True)
@@ -150,31 +152,13 @@ class _Files:
             raise self._error
 
     def stage(self, out) -> Path:
-        """The temporary name ``out`` is written under: hidden, beside it, and with its
-        suffix, so a staged cube payload's sidecar is the staged cube sidecar."""
-        out = Path(out)
-        self.staged[out] = out.with_name(f".{out.stem}.part-{os.getpid()}{out.suffix}")
-        return self.staged[out]
-
-    def digest(self, out: Path) -> str:
-        """SHA-256 of a staged output: of its bytes as written, or else of its file."""
-        return self.written.get(out) or _sha256(self.staged[out])
+        """The temporary name ``out`` is written under."""
+        return self.staged[Path(out)]
 
     def commit(self) -> None:
         for out, temp in self.staged.items():
             os.replace(temp, out)
         self.staged.clear()
-
-
-class _HashedFile:
-    """A binary file's ``write``, keeping the SHA-256 of every byte written."""
-
-    def __init__(self, fh):
-        self._fh, self.sha256 = fh, hashlib.sha256()
-
-    def write(self, data) -> None:
-        self.sha256.update(data)
-        self._fh.write(data)
 
 
 def _subcommand_files(args) -> _Files:
@@ -197,8 +181,8 @@ def _subcommand_files(args) -> _Files:
 
 
 def _write_manifest(files: _Files, command, argv, config=None, extra=()):
-    """Write the manifest once the input digests are in, then rename every staged
-    output into place, the manifest last."""
+    """Once the input digests are in, hash the staged outputs and write the manifest,
+    then rename every staged output into place, the manifest last."""
     files.join()
     pairs = [
         ("tool_version", __version__),
@@ -208,7 +192,7 @@ def _write_manifest(files: _Files, command, argv, config=None, extra=()):
     if config is not None:
         pairs += [(f"config_{name}", value) for name, value in field_pairs(config)]
     pairs += [("input", f"{p} sha256:{d}") for p, d in zip(files.inputs, files.digests)]
-    pairs += [("output", f"{p} sha256:{files.digest(p)}") for p in files.outputs]
+    pairs += [("output", f"{p} sha256:{_sha256(files.stage(p))}") for p in files.outputs]
     pairs += list(extra)
     pairs.append(("timestamp", datetime.now(timezone.utc).isoformat()))
     files.stage(files.manifest).write_text(format_kv(pairs))
@@ -224,18 +208,6 @@ def _cube_spectrogram(cube_path, cfg, config_path):
         return open_cube_spectrogram(cube_path, cfg)
     except ConfigMismatchError as exc:
         raise ConfigMismatchError(f"{config_path}: {exc} of {cube_path}") from None
-
-
-def _write_matrix(files: _Files, out: Path, shape, blocks, format: str) -> None:
-    """Write the row blocks of a ``shape`` matrix to the staged ``out`` in the bin or csv
-    dialect, hashing its bytes as they are written."""
-    with files.stage(out).open("wb") as fh:
-        hashed = _HashedFile(fh)
-        writer = MatrixWriter(hashed, *shape, format)
-        for block in blocks:
-            writer.write(block)
-        writer.finish()
-    files.written[out] = hashed.sha256.hexdigest()
 
 
 def _spill(spec, directory: Path):
@@ -270,35 +242,28 @@ def cmd_simulate(args, argv, files: _Files) -> None:
     from .simulator import load_scenario, synthesize
     scenario = load_scenario(args.scenario_path)
     cube = synthesize(scenario)
-    payload, meta = _cube_paths(args.out_cube_path)
-    files.stage(meta)
+    payload, _ = _cube_paths(args.out_cube_path)
     write_radar_cube(cube, files.stage(payload))
     _log("info", f"wrote {payload} ({cube.params.num_chirps} chirps)")
     _write_manifest(files, "simulate", argv)
 
 
 def cmd_spectrogram(args, argv, files: _Files) -> None:
-    from .linspec import frame_blocks, save_spectrogram, spectrogram_sidecar
+    from .linspec import save_spectrogram
     cfg = load_config(args.config_path)
     spec = _cube_spectrogram(args.cube_path, cfg, args.config_path)
     out = Path(args.out_path)
-    if args.format == "pgm":
-        save_spectrogram(dataclasses.replace(spec, power=spec.power.read()), files.stage(out),
-                         format="pgm")
-    else:
-        blocks = spec.power.blocks(frame_blocks(spec.num_frames))
-        _write_matrix(files, out, spec.power.shape, blocks, args.format)
-        files.stage(sidecar_path(out)).write_text(spectrogram_sidecar(spec))
+    save_spectrogram(spec, files.stage(out), format=args.format)
     _log("info", f"wrote {out} ({spec.num_frames} frames x {spec.num_freq_bins} bins)")
     _write_manifest(files, "spectrogram", argv, config=cfg)
 
 
 def cmd_ra(args, argv, files: _Files) -> None:
     """RA spectrogram in three passes over the frames: the peak, for the log floor;
-    the energy profile, for the corner; and the rebin. A cube's frames are spilled
-    once, so the STFT runs once."""
+    the energy profile, for the corner; and the rebin as it is written. A cube's
+    frames are spilled once, so the STFT runs once."""
     from .linspec import open_spectrogram
-    from .ra_core import RASpectrogram, ra_plan, ra_sidecar, rebin_blocks, save_ra_spectrogram
+    from .ra_core import ra_frames, save_ra_spectrogram
     cfg = load_config(args.config_path)
     in_path, out = Path(args.input_path), Path(args.out_path)
     if in_path.suffix == ".iq":
@@ -310,22 +275,14 @@ def cmd_ra(args, argv, files: _Files) -> None:
         num_filters = args.M if args.M is not None else cfg.num_filters
         force_bins = None if args.force_fc is None else args.force_fc / spec.hz_per_bin
         try:
-            corner, bank = ra_plan(spec, num_filters, cfg.log_floor, force_bins)
+            ra = ra_frames(spec, num_filters, cfg.log_floor, force_bins)
         except ForcedCornerError as exc:
             raise ForcedCornerError(f"--force-fc {args.force_fc:g}: {exc}") from None
+        corner = ra.corner
         _log("info", f"corner: f_nc={corner.f_nc} f_pc={corner.f_pc} f_c={corner.f_c} bins "
                      f"({corner.f_c * spec.hz_per_bin:.2f} Hz)"
                      f"{' [forced]' if corner.forced else ''}")
-        blocks = rebin_blocks(spec, bank)
-        if args.format == "pgm":
-            power = np.concatenate([block.copy() for block in blocks])
-            ra = RASpectrogram(power=power, corner=corner, bank=bank, frame_dt=spec.frame_dt,
-                               hz_per_bin=spec.hz_per_bin)
-            save_ra_spectrogram(ra, files.stage(out), format="pgm")
-        else:
-            _write_matrix(files, out, (spec.num_frames, 2 * num_filters), blocks, args.format)
-            files.stage(sidecar_path(out)).write_text(ra_sidecar(
-                spec.num_frames, corner, bank, spec.frame_dt, spec.hz_per_bin))
+        save_ra_spectrogram(ra, files.stage(out), format=args.format)
 
     extra = [("f_nc_bins", corner.f_nc), ("f_pc_bins", corner.f_pc), ("f_c_bins", corner.f_c),
              ("f_c_hz", corner.f_c * spec.hz_per_bin), ("forced", corner.forced)]

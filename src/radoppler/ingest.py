@@ -377,13 +377,20 @@ def load_radar_cube(path) -> RadarCube:
 # matrix files
 # ---------------------------------------------------------------------------
 
-def write_matrix(matrix: np.ndarray, path, format: str = "bin") -> Path:
-    """Persist a real matrix as csv, bin, or pgm; a complex one raises ValueError."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ValueError("matrix must be 2-D and non-empty")
-    if np.iscomplexobj(matrix):
-        raise ValueError(f"matrix must be real, got {matrix.dtype}")
+def write_matrix(matrix, path, format: str = "bin", edges=None) -> Path:
+    """Persist a real matrix as csv, bin, or pgm; a complex one raises ValueError.
+
+    ``matrix`` is an array, or (for bin and csv) frames read a block at a
+    time, such as linspec.PowerFile. Its rows go through one MatrixWriter a
+    (first, stop) block of ``edges`` at a time, all at once by default. A
+    bad format raises before the file is created.
+    """
+    if not hasattr(matrix, "blocks"):
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise ValueError("matrix must be 2-D and non-empty")
+        if np.iscomplexobj(matrix):
+            raise ValueError(f"matrix must be real, got {matrix.dtype}")
     if format not in ("bin", "csv", "pgm"):
         raise ValueError(f"unknown matrix format {format!r}")
     path = Path(path)
@@ -392,9 +399,24 @@ def write_matrix(matrix: np.ndarray, path, format: str = "bin") -> Path:
         return path
     with path.open("wb") as fh:
         writer = MatrixWriter(fh, *matrix.shape, format)
-        writer.write(matrix)
+        for block in row_blocks(matrix, edges or [(0, matrix.shape[0])]):
+            writer.write(block)
         writer.finish()
     return path
+
+
+def write_frames(power, path, format: str, edges, sidecar) -> Path:
+    """Write a matrix of frames (see write_matrix) over ``edges`` plus a ``.meta``
+    sidecar of the (key, value) pairs ``sidecar``, or for ``pgm`` only an unloadable
+    image of the whole matrix with frequency on its rows (a steady tone reads as one
+    bright row). The image's gray levels need the whole matrix, so pgm gathers the
+    blocks of frames first."""
+    if format == "pgm":
+        whole = power if isinstance(power, np.ndarray) else gather_rows(power, edges)
+        return write_matrix(whole.T, path, format="pgm")
+    out = write_matrix(power, path, format, edges)
+    sidecar_path(out).write_text(format_kv(sidecar))
+    return out
 
 
 class MatrixWriter:
@@ -537,6 +559,14 @@ def row_blocks(matrix, edges):
     if isinstance(matrix, np.ndarray):
         return (matrix[first:stop] for first, stop in edges)
     return matrix.blocks(edges)
+
+
+def gather_rows(matrix, edges) -> np.ndarray:
+    """One new array of the rows of ``matrix`` over ``edges`` (see row_blocks)."""
+    whole = np.empty(matrix.shape)
+    for (first, stop), block in zip(edges, row_blocks(matrix, edges)):
+        whole[first:stop] = block
+    return whole
 
 
 def _load_matrix_csv(path, text: str) -> np.ndarray:

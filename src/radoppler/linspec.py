@@ -17,12 +17,11 @@ from .ingest import (
     PipelineConfig,
     RadarCube,
     RadarParams,
-    format_kv,
+    gather_rows,
     open_framed_matrix,
     sidecar_count,
-    sidecar_path,
     sidecar_value,
-    write_matrix,
+    write_frames,
 )
 from .preprocess import BLOCK, RangeProfileMatrix, highpass_sos, sosfilt
 
@@ -39,7 +38,7 @@ __all__ = [
     "open_cube_spectrogram",
 ]
 
-FRAME_BLOCK = 128  # frames per block of the STFT, the energy profile and the CLI's matrix I/O
+FRAME_BLOCK = 128  # frames per block of the STFT, the energy profile and spectrogram writes
 CHIRP_SLICE = 1024  # chirps of a read block that non-coherent mode casts and transforms at once
 
 
@@ -50,11 +49,11 @@ class Spectrogram:
     power[t, k] is the squared STFT magnitude of frame t, starting at
     t * frame_dt seconds, at (k - F/2) * hz_per_bin Hz for an even bin count
     F. Both axes derive from the two scalars the sidecar stores. The power is
-    a matrix, or frames read a block at a time: a PowerFile (open_spectrogram)
+    a matrix, or Frames read a block at a time: a PowerFile (open_spectrogram)
     or StftFrames (open_cube_spectrogram).
     """
 
-    power: np.ndarray  # [num_frames, num_freq_bins]; or PowerFile, StftFrames
+    power: np.ndarray  # [num_frames, num_freq_bins]; or Frames
     f_max: float  # Hz, half the chirp repetition frequency
     frame_dt: float  # seconds between frame starts
 
@@ -98,9 +97,9 @@ class Spectrogram:
 def check_power(power) -> np.ndarray:
     """``power`` as a float64 matrix; a ValueError names the first frame and column
     that is not real, finite and non-negative. Both spectrogram types check with it.
-    A PowerFile passes as it is, since it checks each block as it reads it, and so
-    does StftFrames, whose power comes from a checked cube."""
-    if isinstance(power, (PowerFile, StftFrames)):
+    Frames pass as they are: a PowerFile checks each block as it reads it, and the
+    other kinds compute their power from checked input."""
+    if isinstance(power, Frames):
         return power
     return _checked(power, 0)
 
@@ -137,7 +136,29 @@ def frame_blocks(num_frames: int, size: int = FRAME_BLOCK) -> list[tuple[int, in
     return list(zip(edges[:-1], edges[1:]))
 
 
-class PowerFile:
+class Frames:
+    """A ``shape`` power matrix whose frames are read a block at a time.
+
+    A kind of Frames gives ``blocks(edges)``: rows first:stop for each
+    (first, stop) of ``edges``, each block valid until the next is taken.
+    ``max`` is one pass over ``block``-frame blocks, kept for later calls;
+    ``read`` gathers such blocks into one matrix.
+    """
+
+    block = FRAME_BLOCK  # frames per block of max and read
+    _peak = None
+
+    def max(self):
+        if self._peak is None:
+            edges = frame_blocks(self.shape[0], self.block)
+            self._peak = max(block.max() for block in self.blocks(edges))
+        return self._peak
+
+    def read(self) -> np.ndarray:
+        return gather_rows(self, frame_blocks(self.shape[0], self.block))
+
+
+class PowerFile(Frames):
     """A power matrix left in its file, read in frame blocks through a MatrixReader.
 
     Each block is checked as check_power checks a whole matrix, and an error
@@ -158,11 +179,6 @@ class PowerFile:
             except ValueError as exc:
                 raise FileFormatError(f"{self._matrix.name}: {exc}") from None
             yield block
-
-    def max(self):
-        if self._peak is None:
-            self._peak = max(block.max() for block in self.blocks(frame_blocks(self.shape[0])))
-        return self._peak
 
     def read(self) -> np.ndarray:
         """The whole matrix, unchecked: a Spectrogram built on it checks it."""
@@ -227,7 +243,7 @@ def stft_spectrogram(profiles: RangeProfileMatrix, cfg: PipelineConfig) -> Spect
     return _in_memory(_stft(slow_time_signal(profiles, cfg), profiles.chirp_repetition_freq, cfg))
 
 
-class StftFrames:
+class StftFrames(Frames):
     """The power of a slow-time series' STFT, computed a block of frames at a time.
 
     Frame t covers samples [t*hop, t*hop + window_length) of a series at least
@@ -250,14 +266,6 @@ class StftFrames:
             spectrum = np.fft.fft(self._s[starts[:, None] + taps] * self._window,
                                   n=cfg.fft_length, axis=1)
             yield np.fft.fftshift(spectrum.real**2 + spectrum.imag**2, axes=1)
-
-    def read(self) -> np.ndarray:
-        """Every frame, transformed a frame block (frame_blocks) at a time into one matrix."""
-        power = np.empty(self.shape)
-        edges = frame_blocks(self.shape[0], FRAME_BLOCK)
-        for (first, stop), block in zip(edges, self.blocks(edges)):
-            power[first:stop] = block
-        return power
 
 
 def _stft(s: np.ndarray, prf: float, cfg: PipelineConfig) -> Spectrogram:
@@ -370,18 +378,10 @@ def floored_log10(power: np.ndarray, threshold: float, out=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
-    """Write the power matrix plus a ``<name>.meta`` axis sidecar, or for ``pgm`` only an
-    unloadable image with frequency on its rows (a steady tone reads as one bright row)."""
-    if format == "pgm":
-        return write_matrix(spec.power.T, path, format="pgm")
-    out = write_matrix(spec.power, path, format=format)
-    sidecar_path(out).write_text(spectrogram_sidecar(spec))
-    return out
-
-
-def spectrogram_sidecar(spec: Spectrogram) -> str:
-    """The text of a spectrogram's ``.meta`` sidecar."""
-    return format_kv([
+    """Write the power matrix a FRAME_BLOCK block of frames at a time plus a
+    ``<name>.meta`` axis sidecar, or for ``pgm`` only an image (see write_frames).
+    Frames are computed or read as they are written; only pgm reads them whole."""
+    return write_frames(spec.power, path, format, frame_blocks(spec.num_frames), [
         ("kind", "spectrogram"),
         ("num_frames", spec.num_frames),
         ("num_freq_bins", spec.num_freq_bins),

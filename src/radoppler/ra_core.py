@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import (DegenerateCornerError, DegenerateInputError, FileFormatError,
                      FilterBankError, ForcedCornerError)
-from .ingest import (format_kv, open_framed_matrix, row_blocks, sidecar_path, sidecar_value,
-                     write_matrix)
-from .linspec import (FRAME_BLOCK, PowerFile, Spectrogram, check_frame_dt, check_power,
+from .ingest import open_framed_matrix, row_blocks, sidecar_path, sidecar_value, write_frames
+from .linspec import (FRAME_BLOCK, Frames, PowerFile, Spectrogram, check_frame_dt, check_power,
                       floored_log10, frame_blocks, log_floor)
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "scale_inverse",
     "build_filter_bank",
     "ra_transform",
+    "ra_frames",
     "save_ra_spectrogram",
     "load_ra_spectrogram",
     "open_ra_spectrogram",
@@ -164,11 +164,11 @@ class FilterBank:
 class RASpectrogram:
     """Warped-axis spectrogram: negative side reversed, then positive side (ROW_ORDER).
 
-    As in Spectrogram, the power may be left in its file as a PowerFile
-    (open_ra_spectrogram).
+    As in Spectrogram, the power may be Frames: left in its file as a
+    PowerFile (open_ra_spectrogram), or rebinned as it is read (ra_frames).
     """
 
-    power: np.ndarray  # [num_frames, 2 * M]; or PowerFile
+    power: np.ndarray  # [num_frames, 2 * M]; or Frames
     corner: CornerResult
     bank: FilterBank
     frame_dt: float  # seconds between frame starts, from the source spectrogram
@@ -375,34 +375,24 @@ def ra_transform(
     floor: float = 1e-12,
     force_fc: float | None = None,
 ) -> RASpectrogram:
-    """Full resolution-adaptive pipeline on one spectrogram.
+    """Full resolution-adaptive pipeline on one spectrogram: ra_frames, read whole.
+
+    Output columns run from the most negative warped frequency to the most
+    positive.
+    """
+    ra = ra_frames(spec, num_filters, floor, force_fc)
+    return dataclasses.replace(ra, power=ra.power.read())
+
+
+def ra_frames(spec: Spectrogram, num_filters: int = 64, floor: float = 1e-12,
+              force_fc: float | None = None) -> RASpectrogram:
+    """The RA spectrogram of ``spec`` with its power rebinned as it is read (RebinFrames).
 
     Detects the corner from the energy profile (unless force_fc, in bins,
-    overrides it), builds the warped filter bank, and applies it to the
-    positive and mirrored negative frequency halves (ra_plan, then
-    rebin_blocks). Output columns run from the most negative warped
-    frequency to the most positive.
-    """
-    corner, bank = ra_plan(spec, num_filters, floor, force_fc)
-    power = np.empty((spec.num_frames, 2 * num_filters))
-    for _ in rebin_blocks(spec, bank, power):
-        pass
-    return RASpectrogram(
-        power=power,
-        corner=corner,
-        bank=bank,
-        frame_dt=spec.frame_dt,
-        hz_per_bin=spec.hz_per_bin,
-    )
-
-
-def ra_plan(spec: Spectrogram, num_filters: int, floor: float,
-            force_fc: float | None) -> tuple[CornerResult, FilterBank]:
-    """The corner and the filter bank of ra_transform.
-
-    A forced corner that rounds outside [1, half - 1] bins raises
-    ForcedCornerError (a ValueError). Each of the half + 1 bins weighs into
-    at most two filters, so a larger M is a FilterBankError, raised first.
+    overrides it) and builds the warped filter bank. A forced corner that
+    rounds outside [1, half - 1] bins raises ForcedCornerError (a
+    ValueError). Each of the half + 1 bins weighs into at most two filters,
+    so a larger M is a FilterBankError, raised first.
     """
     half = spec.num_freq_bins // 2
     if num_filters > 2 * (half + 1):
@@ -421,38 +411,61 @@ def ra_plan(spec: Spectrogram, num_filters: int, floor: float,
                               objective_value=math.nan)
     else:
         corner = find_corners(profile)
-    return corner, build_filter_bank(float(corner.f_c), half, num_filters)
+    bank = build_filter_bank(float(corner.f_c), half, num_filters)
+    return RASpectrogram(power=RebinFrames(spec, bank), corner=corner, bank=bank,
+                         frame_dt=spec.frame_dt, hz_per_bin=spec.hz_per_bin)
 
 
-def rebin_blocks(spec: Spectrogram, bank: FilterBank, power: np.ndarray | None = None):
-    """Yield the RA power of each REBIN_BLOCK frame block of ``spec`` in turn: rows
-    first:stop of ``power`` when it is given, else of one reused buffer that the next
-    block overwrites. Blocks of a reused buffer round as those of ``power`` do."""
-    half, num_filters = spec.num_freq_bins // 2, bank.num_filters
-    blocks = frame_blocks(spec.num_frames, REBIN_BLOCK)
-    largest = max(stop - first for first, stop in blocks)
-    reuse = power is None
-    if reuse:
-        power = np.empty((largest, 2 * num_filters))
-    # one reused buffer holds a block's positive half, then its negative half
-    buffer = np.empty((largest, half + 1))
-    negative = np.empty((largest, num_filters))
-    weights = bank.weights.T
-    for (first, stop), block in zip(blocks, row_blocks(spec.power, blocks)):
-        out = power[: stop - first] if reuse else power[first:stop]
-        rows = buffer[: stop - first]
-        # positive half covers bins 0..half, aliasing the Nyquist bin from index 0
-        rows[:, :half] = block[:, half:]
-        rows[:, half] = block[:, 0]
-        np.matmul(rows, weights, out=out[:, num_filters:])
-        # negative half, bins 0..-half, fills the first M columns mirrored.
-        # numpy multiplies a lone reversed row without BLAS: a one-frame block
-        # passes that view, so it rounds as the whole-matrix product does
-        rows[:] = block[:, half::-1]
-        product = np.matmul(rows if len(rows) > 1 else block[:, half::-1], weights,
-                            out=negative[: stop - first])
-        out[:, :num_filters] = product[:, ::-1]
-        yield out
+class RebinFrames(Frames):
+    """A spectrogram's power through a filter bank, rebinned a block of frames at a time.
+
+    Each block's positive half (bins 0..half, aliasing the Nyquist bin from
+    index 0) and negative half (bins 0..-half) are one product each with the
+    bank's weights, and the negative product fills the first M columns
+    mirrored (ROW_ORDER). A product may round differently with its row
+    count, so read and save_ra_spectrogram take REBIN_BLOCK blocks. Each
+    pass reads the spectrogram's power again, so it must stay open.
+    """
+
+    block = REBIN_BLOCK
+
+    def __init__(self, spec: Spectrogram, bank: FilterBank):
+        self._spec, self._bank = spec, bank
+        self.shape = (spec.num_frames, 2 * bank.num_filters)
+
+    def read(self) -> np.ndarray:
+        """Every frame, rebinned a REBIN_BLOCK block at a time straight into one matrix."""
+        power = np.empty(self.shape)
+        for _ in self.blocks(frame_blocks(self.shape[0], self.block), power):
+            pass
+        return power
+
+    def blocks(self, edges, power: np.ndarray | None = None):
+        """The RA power of frames first:stop for each (first, stop) of ``edges``: rows
+        first:stop of ``power`` when it is given, else one reused buffer that the next
+        block overwrites. Blocks of a reused buffer round as those of ``power`` do."""
+        half, num_filters = self._spec.num_freq_bins // 2, self._bank.num_filters
+        largest = max(stop - first for first, stop in edges)
+        reuse = power is None
+        if reuse:
+            power = np.empty((largest, 2 * num_filters))
+        # one reused buffer holds a block's positive half, then its negative half
+        buffer = np.empty((largest, half + 1))
+        negative = np.empty((largest, num_filters))
+        weights = self._bank.weights.T
+        for (first, stop), block in zip(edges, row_blocks(self._spec.power, edges)):
+            out = power[: stop - first] if reuse else power[first:stop]
+            rows = buffer[: stop - first]
+            rows[:, :half] = block[:, half:]
+            rows[:, half] = block[:, 0]
+            np.matmul(rows, weights, out=out[:, num_filters:])
+            # numpy multiplies a lone reversed row without BLAS: a one-frame block
+            # passes that view, so it rounds as the whole-matrix product does
+            rows[:] = block[:, half::-1]
+            product = np.matmul(rows if len(rows) > 1 else block[:, half::-1], weights,
+                                out=negative[: stop - first])
+            out[:, :num_filters] = product[:, ::-1]
+            yield out
 
 
 # ---------------------------------------------------------------------------
@@ -460,26 +473,16 @@ def rebin_blocks(spec: Spectrogram, bank: FilterBank, power: np.ndarray | None =
 # ---------------------------------------------------------------------------
 
 def save_ra_spectrogram(ra: RASpectrogram, path, format: str = "bin") -> Path:
-    """Write the warped power matrix plus a sidecar with the corner report, or
-    only a pgm image of it (see save_spectrogram)."""
-    if format == "pgm":
-        return write_matrix(ra.power.T, path, format="pgm")
-    out = write_matrix(ra.power, path, format=format)
-    sidecar_path(out).write_text(
-        ra_sidecar(ra.power.shape[0], ra.corner, ra.bank, ra.frame_dt, ra.hz_per_bin))
-    return out
-
-
-def ra_sidecar(num_frames: int, corner: CornerResult, bank: FilterBank, frame_dt: float,
-               hz_per_bin: float) -> str:
-    """The text of an RA spectrogram's ``.meta`` sidecar: axes, corner report and break
-    points."""
+    """Write the warped power matrix a REBIN_BLOCK block of frames at a time plus a
+    sidecar with the axes, the corner report and the break points, or only a pgm image
+    of it (see save_spectrogram)."""
+    corner, hz_per_bin = ra.corner, ra.hz_per_bin
     pairs = [
         ("kind", "ra_spectrogram"),
-        ("num_frames", num_frames),
-        ("num_filters", bank.num_filters),
+        ("num_frames", ra.power.shape[0]),
+        ("num_filters", ra.num_filters),
         ("row_order", ROW_ORDER),
-        ("frame_dt", frame_dt),
+        ("frame_dt", ra.frame_dt),
         ("hz_per_bin", hz_per_bin),
         ("forced", corner.forced),
         ("objective_value", corner.objective_value),
@@ -490,8 +493,9 @@ def ra_sidecar(num_frames: int, corner: CornerResult, bank: FilterBank, frame_dt
         ("f_pc_hz", corner.f_pc * hz_per_bin),
         ("f_c_hz", corner.f_c * hz_per_bin),
     ]
-    pairs += [(f"p_{m}", float(v)) for m, v in enumerate(bank.break_points)]
-    return format_kv(pairs)
+    pairs += [(f"p_{m}", float(v)) for m, v in enumerate(ra.bank.break_points)]
+    edges = frame_blocks(ra.power.shape[0], REBIN_BLOCK)
+    return write_frames(ra.power, path, format, edges, pairs)
 
 
 def load_ra_spectrogram(path) -> RASpectrogram:

@@ -1098,8 +1098,9 @@ def output_digests_hash_their_files(directory):
 
 
 class TestStreamedOutputs:
-    """The CLI writes its spectrogram and RA matrices a frame block at a time and hashes
-    them as written; the bytes equal the API's save of the in-memory result."""
+    """The CLI writes its spectrogram and RA matrices a frame block at a time through the
+    API's savers and hashes the staged files; the bytes equal the API's save of the
+    in-memory result."""
 
     @pytest.mark.parametrize("fmt", ["bin", "csv"])
     @pytest.mark.parametrize("mode", ["coherent", "noncoherent"])
@@ -1187,6 +1188,36 @@ class TestFailedRunLeavesNoTrace:
         assert sorted(p.name for p in out.iterdir()) == before
         assert self.open_fds() == fds
 
+    @pytest.mark.parametrize("command, source", [("spectrogram", "cube.iq"),
+                                                 ("ra", "cube.iq"), ("ra", "spec.bin")])
+    def test_sidecar_write_fails(self, workdir, tmp_path, capsys, monkeypatch, command,
+                                 source):
+        """A failure once the matrix is whole, while the saver writes its .meta."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("unrelated\n")
+        before = sorted(p.name for p in out.iterdir())
+        name = {"spectrogram": "spec.bin", "ra": "ra.bin"}[command]
+        write_text, staged = Path.write_text, []
+
+        def write_then_fail(self, data, *args, **kwargs):
+            count = write_text(self, data, *args, **kwargs)
+            if self.name.endswith(f"{name}.meta"):
+                matrix = self.with_name(self.name.removesuffix(".meta"))
+                staged.append((matrix.name, matrix.stat().st_size))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return count
+
+        monkeypatch.setattr(Path, "write_text", write_then_fail)
+        fds = self.open_fds()
+        assert cli.main([command, str(workdir / source), str(workdir / "pipeline.cfg"),
+                         str(out / name)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert staged == [(f".part-{os.getpid()}.{name}", (workdir / name).stat().st_size)]
+        assert sorted(p.name for p in out.iterdir()) == before
+        assert not list(out.glob(".part-*"))
+        assert self.open_fds() == fds
+
 
 class TestTrackReadsNoBankWeights:
     def test_huge_last_break_point_allocates_nothing(self, workdir, tmp_path):
@@ -1261,6 +1292,36 @@ class TestPeakMemory:
         if argv[1] == long_cube:
             _, front_end = self.traced_peak(
                 lambda: open_cube_spectrogram(long_cube, PipelineConfig()))
+        payload = spec.stat().st_size
+        assert peak - front_end < payload / 4, (
+            f"{(peak - front_end) / 2**20:.2f} MB beyond the front end's "
+            f"{front_end / 2**20:.2f} MB")
+
+    @pytest.mark.parametrize("command", ["spectrogram", "ra"])
+    def test_the_api_streams(self, long_cube, tmp_path, command):
+        """save_spectrogram of a cube's lazily computed spectrogram, and
+        save_ra_spectrogram of its lazily rebinned RA spectrogram, write the CLI's bytes
+        and hold neither matrix whole."""
+        from radoppler.linspec import open_cube_spectrogram
+        from radoppler.ra_core import ra_frames, save_ra_spectrogram
+        cfg_path = long_cube.parent / "pipeline.cfg"
+        cfg = ingest.load_config(cfg_path)
+        spec, cli_out, api_out = tmp_path / "spec.bin", tmp_path / "cli.bin", tmp_path / "api.bin"
+        assert cli.main(["spectrogram", str(long_cube), str(cfg_path), str(spec)]) == 0
+        assert cli.main([command, str(long_cube), str(cfg_path), str(cli_out)]) == 0
+
+        def save():
+            lazy = open_cube_spectrogram(long_cube, cfg)
+            if command == "spectrogram":
+                return save_spectrogram(lazy, api_out)
+            return save_ra_spectrogram(ra_frames(lazy, cfg.num_filters, cfg.log_floor),
+                                       api_out)
+
+        _, peak = self.traced_peak(save)
+        _, front_end = self.traced_peak(lambda: open_cube_spectrogram(long_cube, cfg))
+        for suffix in ("", ".meta"):
+            assert (Path(f"{api_out}{suffix}").read_bytes()
+                    == Path(f"{cli_out}{suffix}").read_bytes()), suffix
         payload = spec.stat().st_size
         assert peak - front_end < payload / 4, (
             f"{(peak - front_end) / 2**20:.2f} MB beyond the front end's "

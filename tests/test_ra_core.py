@@ -29,6 +29,7 @@ from radoppler.ingest import PipelineConfig, read_sidecar
 from radoppler.linspec import (
     FRAME_BLOCK,
     Spectrogram,
+    open_cube_spectrogram,
     open_spectrogram,
     save_spectrogram,
     spectrogram_from_file,
@@ -44,6 +45,7 @@ from radoppler.ra_core import (
     frame_blocks,
     load_ra_spectrogram,
     open_ra_spectrogram,
+    ra_frames,
     ra_transform,
     save_ra_spectrogram,
     scale_forward,
@@ -683,3 +685,75 @@ class TestFrameBlocks:
         # the whole-matrix log view alone weighs one spectrogram
         extra = peak - ra.power.nbytes
         assert extra < spec.power.nbytes / 4, f"{extra / 2**20:.2f} MB beside the output"
+
+
+class TestLazyPower:
+    """A spectrogram whose frames are computed as they are read (StftFrames) and an RA
+    spectrogram rebinned as it is read (RebinFrames) give the bits of their whole
+    matrices, and the savers take them."""
+
+    def test_cube_spectrogram_transforms(self, dwell):
+        cfg = PipelineConfig()
+        lazy, whole = open_cube_spectrogram(dwell, cfg), spectrogram_from_file(dwell, cfg)
+        assert lazy.power.max() == whole.power.max()
+        np.testing.assert_array_equal(energy_profile(lazy).e, energy_profile(whole).e)
+        ra, expected = ra_transform(lazy), ra_transform(whole)
+        np.testing.assert_array_equal(ra.power, expected.power)
+        assert ra.corner == expected.corner
+
+    @pytest.mark.parametrize("frames", [1, REBIN_BLOCK - 1, 2 * REBIN_BLOCK + 1])
+    def test_rebinned_as_read(self, rng, frames):
+        spec = make_spec(rng.uniform(0.1, 1.0, size=(frames, 256)))
+        lazy, whole = ra_frames(spec), ra_transform(spec)
+        assert lazy.power.shape == whole.power.shape
+        assert lazy.power.max() == whole.power.max()
+        np.testing.assert_array_equal(lazy.power.read(), whole.power)
+        assert (lazy.corner, lazy.bank.f_max) == (whole.corner, whole.bank.f_max)
+
+    @pytest.mark.parametrize("format", ["bin", "csv", "pgm"])
+    def test_saved_as_the_whole_matrix(self, rng, tmp_path, format):
+        spec = make_spec(rng.uniform(0.1, 1.0, size=(2 * REBIN_BLOCK + 1, 256)))
+        save_ra_spectrogram(ra_frames(spec), tmp_path / "lazy", format)
+        save_ra_spectrogram(ra_transform(spec), tmp_path / "whole", format)
+        names = ["lazy", "whole"] if format == "pgm" else ["lazy", "lazy.meta", "whole",
+                                                           "whole.meta"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names[: len(names) // 2]:
+            lazy, whole = name, name.replace("lazy", "whole")
+            assert (tmp_path / lazy).read_bytes() == (tmp_path / whole).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["spectrogram", "ra"])
+    def test_pgm_of_a_file_checks_its_frames(self, rng, tmp_path, kind):
+        """An image of a power left in its file reads the frames checked, as a bin or
+        csv save does: a NaN in the file names it, and no image is written."""
+        spec = make_spec(rng.uniform(0.1, 1.0, size=(4, 64)))
+        if kind == "spectrogram":
+            path = save_spectrogram(spec, tmp_path / "m.bin")
+            opener, save = open_spectrogram, save_spectrogram
+        else:
+            path = save_ra_spectrogram(ra_transform(spec, num_filters=8), tmp_path / "m.bin")
+            opener, save = open_ra_spectrogram, save_ra_spectrogram
+        raw = bytearray(path.read_bytes())
+        raw[16 + 8 * 9 : 16 + 8 * 10] = np.array([np.nan]).tobytes()  # frame 0, column 9
+        path.write_bytes(bytes(raw))
+        opened = opener(path)
+        with opened.power:
+            with pytest.raises(FileFormatError, match=r"m\.bin: .* frame 0 holds nan in column 9"):
+                save(opened, tmp_path / "m.pgm", "pgm")
+        assert not (tmp_path / "m.pgm").exists()
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_unknown_format_creates_no_file(self, rng, tmp_path, lazy):
+        spec = make_spec(rng.uniform(0.1, 1.0, size=(4, 64)))
+        if lazy:  # a PowerFile, and an RA spectrogram rebinned from it as it is read
+            spec = open_spectrogram(save_spectrogram(spec, tmp_path / "s.bin"))
+        ra = (ra_frames if lazy else ra_transform)(spec, num_filters=8)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match="unknown matrix format 'tiff'"):
+            save_spectrogram(spec, out / "s.tiff", format="tiff")
+        with pytest.raises(ValueError, match="unknown matrix format 'tiff'"):
+            save_ra_spectrogram(ra, out / "r.tiff", format="tiff")
+        assert list(out.iterdir()) == []
+        if lazy:
+            spec.power.close()
