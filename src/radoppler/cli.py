@@ -54,6 +54,7 @@ from .ingest import (
     MatrixReader,
     MatrixWriter,
     _cube_paths,
+    block_edges,
     field_pairs,
     format_kv,
     load_config,
@@ -218,11 +219,11 @@ def _spill(spec, directory: Path):
     tmpfs nor a memory map would keep the frames out of the process's
     footprint. The file vanishes when the PowerFile is closed.
     """
-    from .linspec import PowerFile, frame_blocks
+    from .linspec import PowerFile
     spill = tempfile.TemporaryFile(dir=directory)
     try:
         writer, peaks = MatrixWriter(spill, *spec.power.shape), []
-        for block in spec.power.blocks(frame_blocks(spec.num_frames)):
+        for block in spec.power.blocks(block_edges(spec.power)):
             writer.write(block)
             peaks.append(block.max())
         writer.finish()

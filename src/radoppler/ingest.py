@@ -43,6 +43,7 @@ WINDOW_KINDS = ("hann", "hamming", "rect")
 
 CHIRP_BLOCK = 4096  # chirps per read, write or rendered tile of a cube payload
 CSV_ROWS = 128  # matrix rows formatted at a time by a csv write
+FRAME_BLOCK = 128  # frames per block of the STFT, the energy profile and spectrogram writes
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +378,12 @@ def load_radar_cube(path) -> RadarCube:
 # matrix files
 # ---------------------------------------------------------------------------
 
-def write_matrix(matrix, path, format: str = "bin", edges=None) -> Path:
+def write_matrix(matrix, path, format: str = "bin") -> Path:
     """Persist a real matrix as csv, bin, or pgm; a complex one raises ValueError.
 
-    ``matrix`` is an array, or (for bin and csv) frames read a block at a
-    time, such as linspec.PowerFile. Its rows go through one MatrixWriter a
-    (first, stop) block of ``edges`` at a time, all at once by default. A
-    bad format raises before the file is created.
+    ``matrix`` is an array or (for bin and csv) frames such as linspec.PowerFile;
+    its rows go through one MatrixWriter in its block_edges. A bad format raises
+    before the file is created, and a failed block removes the file begun.
     """
     if not hasattr(matrix, "blocks"):
         matrix = np.asarray(matrix)
@@ -398,23 +398,25 @@ def write_matrix(matrix, path, format: str = "bin", edges=None) -> Path:
         _write_matrix_pgm(matrix, path)
         return path
     with path.open("wb") as fh:
-        writer = MatrixWriter(fh, *matrix.shape, format)
-        for block in row_blocks(matrix, edges or [(0, matrix.shape[0])]):
-            writer.write(block)
-        writer.finish()
+        try:
+            writer = MatrixWriter(fh, *matrix.shape, format)
+            for block in row_blocks(matrix, block_edges(matrix)):
+                writer.write(block)
+            writer.finish()
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
     return path
 
 
-def write_frames(power, path, format: str, edges, sidecar) -> Path:
-    """Write a matrix of frames (see write_matrix) over ``edges`` plus a ``.meta``
-    sidecar of the (key, value) pairs ``sidecar``, or for ``pgm`` only an unloadable
-    image of the whole matrix with frequency on its rows (a steady tone reads as one
-    bright row). The image's gray levels need the whole matrix, so pgm gathers the
-    blocks of frames first."""
+def write_frames(power, path, format: str, sidecar) -> Path:
+    """Write a matrix of frames (see write_matrix) plus a ``.meta`` of the (key, value)
+    pairs ``sidecar``, or for ``pgm`` only an unloadable image with frequency on its rows
+    (a steady tone reads as one bright row), whose gray levels need the frames whole."""
     if format == "pgm":
-        whole = power if isinstance(power, np.ndarray) else gather_rows(power, edges)
+        whole = power if isinstance(power, np.ndarray) else gather_rows(power)
         return write_matrix(whole.T, path, format="pgm")
-    out = write_matrix(power, path, format, edges)
+    out = write_matrix(power, path, format)
     sidecar_path(out).write_text(format_kv(sidecar))
     return out
 
@@ -561,9 +563,27 @@ def row_blocks(matrix, edges):
     return matrix.blocks(edges)
 
 
-def gather_rows(matrix, edges) -> np.ndarray:
-    """One new array of the rows of ``matrix`` over ``edges`` (see row_blocks)."""
-    whole = np.empty(matrix.shape)
+def frame_blocks(num_frames: int, size: int = FRAME_BLOCK) -> list[tuple[int, int]]:
+    """(first, stop) frame ranges of ``size`` rows; the last one takes the rest.
+
+    Every block of a matrix with at least ``size`` frames holds ``size`` to
+    2 ``size`` - 1 rows: a BLAS product of a few rows may run another kernel
+    (OpenBLAS has one for small matrices) and round differently from the
+    same rows of a whole-matrix product.
+    """
+    edges = [k * size for k in range(max(1, num_frames // size))] + [num_frames]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def block_edges(matrix) -> list[tuple[int, int]]:
+    """The (first, stop) row blocks in which a whole ``matrix`` is read: frame_blocks
+    of its own ``block`` size for frames (see linspec.Frames), one block otherwise."""
+    return frame_blocks(matrix.shape[0], getattr(matrix, "block", max(1, matrix.shape[0])))
+
+
+def gather_rows(matrix) -> np.ndarray:
+    """One new array of the rows of ``matrix``, read in its block_edges."""
+    whole, edges = np.empty(matrix.shape), block_edges(matrix)
     for (first, stop), block in zip(edges, row_blocks(matrix, edges)):
         whole[first:stop] = block
     return whole

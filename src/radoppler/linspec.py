@@ -12,11 +12,13 @@ import numpy as np
 from .errors import ConfigMismatchError, DegenerateInputError, FileFormatError
 from .ingest import (
     CHIRP_BLOCK,
+    FRAME_BLOCK,
     CubeReader,
     MatrixReader,
     PipelineConfig,
     RadarCube,
     RadarParams,
+    block_edges,
     gather_rows,
     open_framed_matrix,
     sidecar_count,
@@ -38,7 +40,6 @@ __all__ = [
     "open_cube_spectrogram",
 ]
 
-FRAME_BLOCK = 128  # frames per block of the STFT, the energy profile and spectrogram writes
 CHIRP_SLICE = 1024  # chirps of a read block that non-coherent mode casts and transforms at once
 
 
@@ -124,18 +125,6 @@ def _checked(power, first: int) -> np.ndarray:
                      f"{power[frame, column]} in column {column}")
 
 
-def frame_blocks(num_frames: int, size: int = FRAME_BLOCK) -> list[tuple[int, int]]:
-    """(first, stop) frame ranges of ``size`` rows; the last one takes the rest.
-
-    Every block of a matrix with at least ``size`` frames holds ``size`` to
-    2 ``size`` - 1 rows: a BLAS product of a few rows may run another kernel
-    (OpenBLAS has one for small matrices) and round differently from the
-    same rows of a whole-matrix product.
-    """
-    edges = [k * size for k in range(max(1, num_frames // size))] + [num_frames]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 class Frames:
     """A ``shape`` power matrix whose frames are read a block at a time.
 
@@ -145,17 +134,16 @@ class Frames:
     ``read`` gathers such blocks into one matrix.
     """
 
-    block = FRAME_BLOCK  # frames per block of max and read
+    block = FRAME_BLOCK  # frames per block of a whole read or write (block_edges)
     _peak = None
 
     def max(self):
         if self._peak is None:
-            edges = frame_blocks(self.shape[0], self.block)
-            self._peak = max(block.max() for block in self.blocks(edges))
+            self._peak = max(block.max() for block in self.blocks(block_edges(self)))
         return self._peak
 
     def read(self) -> np.ndarray:
-        return gather_rows(self, frame_blocks(self.shape[0], self.block))
+        return gather_rows(self)
 
 
 class PowerFile(Frames):
@@ -378,10 +366,10 @@ def floored_log10(power: np.ndarray, threshold: float, out=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
-    """Write the power matrix a FRAME_BLOCK block of frames at a time plus a
-    ``<name>.meta`` axis sidecar, or for ``pgm`` only an image (see write_frames).
-    Frames are computed or read as they are written; only pgm reads them whole."""
-    return write_frames(spec.power, path, format, frame_blocks(spec.num_frames), [
+    """Write the power matrix plus a ``<name>.meta`` axis sidecar, or for ``pgm``
+    only an image (see write_frames). Frames are computed or read a block at a time
+    as they are written; only pgm reads them whole."""
+    return write_frames(spec.power, path, format, [
         ("kind", "spectrogram"),
         ("num_frames", spec.num_frames),
         ("num_freq_bins", spec.num_freq_bins),

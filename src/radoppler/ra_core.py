@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import (DegenerateCornerError, DegenerateInputError, FileFormatError,
                      FilterBankError, ForcedCornerError)
-from .ingest import open_framed_matrix, row_blocks, sidecar_path, sidecar_value, write_frames
+from .ingest import (block_edges, frame_blocks, open_framed_matrix, row_blocks, sidecar_path,
+                     sidecar_value, write_frames)
 from .linspec import (FRAME_BLOCK, Frames, PowerFile, Spectrogram, check_frame_dt, check_power,
-                      floored_log10, frame_blocks, log_floor)
+                      floored_log10, log_floor)
 
 __all__ = [
     "EnergyProfile",
@@ -423,7 +424,7 @@ class RebinFrames(Frames):
     index 0) and negative half (bins 0..-half) are one product each with the
     bank's weights, and the negative product fills the first M columns
     mirrored (ROW_ORDER). A product may round differently with its row
-    count, so read and save_ra_spectrogram take REBIN_BLOCK blocks. Each
+    count, so a whole read or write takes REBIN_BLOCK blocks (block_edges). Each
     pass reads the spectrogram's power again, so it must stay open.
     """
 
@@ -436,7 +437,7 @@ class RebinFrames(Frames):
     def read(self) -> np.ndarray:
         """Every frame, rebinned a REBIN_BLOCK block at a time straight into one matrix."""
         power = np.empty(self.shape)
-        for _ in self.blocks(frame_blocks(self.shape[0], self.block), power):
+        for _ in self.blocks(block_edges(self), power):
             pass
         return power
 
@@ -473,9 +474,8 @@ class RebinFrames(Frames):
 # ---------------------------------------------------------------------------
 
 def save_ra_spectrogram(ra: RASpectrogram, path, format: str = "bin") -> Path:
-    """Write the warped power matrix a REBIN_BLOCK block of frames at a time plus a
-    sidecar with the axes, the corner report and the break points, or only a pgm image
-    of it (see save_spectrogram)."""
+    """Write the warped power matrix plus a sidecar with the axes, the corner report
+    and the break points, or only a pgm image of it (see save_spectrogram)."""
     corner, hz_per_bin = ra.corner, ra.hz_per_bin
     pairs = [
         ("kind", "ra_spectrogram"),
@@ -494,8 +494,7 @@ def save_ra_spectrogram(ra: RASpectrogram, path, format: str = "bin") -> Path:
         ("f_c_hz", corner.f_c * hz_per_bin),
     ]
     pairs += [(f"p_{m}", float(v)) for m, v in enumerate(ra.bank.break_points)]
-    edges = frame_blocks(ra.power.shape[0], REBIN_BLOCK)
-    return write_frames(ra.power, path, format, edges, pairs)
+    return write_frames(ra.power, path, format, pairs)
 
 
 def load_ra_spectrogram(path) -> RASpectrogram:

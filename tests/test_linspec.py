@@ -238,12 +238,12 @@ class TestStftSpectrogram:
         signal = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
         blocks = (7, linspec.FRAME_BLOCK)
         # one batch: more frames per batch than the signal has samples
-        monkeypatch.setattr(linspec, "FRAME_BLOCK", signal.size)
+        monkeypatch.setattr(linspec.StftFrames, "block", signal.size)
         whole = stft_spectrogram(profiles_of(signal), CFG)
-        assert whole.num_frames < linspec.FRAME_BLOCK
+        assert whole.num_frames < linspec.StftFrames.block
         for block in blocks:
             assert whole.num_frames > block
-            monkeypatch.setattr(linspec, "FRAME_BLOCK", block)
+            monkeypatch.setattr(linspec.StftFrames, "block", block)
             blocked = stft_spectrogram(profiles_of(signal), CFG)
             np.testing.assert_array_equal(blocked.power, whole.power)
 

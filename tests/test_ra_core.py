@@ -742,6 +742,31 @@ class TestLazyPower:
                 save(opened, tmp_path / "m.pgm", "pgm")
         assert not (tmp_path / "m.pgm").exists()
 
+    @pytest.mark.parametrize("format", ["bin", "csv"])
+    @pytest.mark.parametrize("kind", ["spectrogram", "ra"])
+    def test_failed_frame_leaves_no_file(self, rng, tmp_path, kind, format):
+        """A save of a power left in its file that meets a NaN after its first blocks
+        are written removes the file it began and writes no sidecar."""
+        frames = 3 * REBIN_BLOCK
+        spec = make_spec(rng.uniform(0.1, 1.0, size=(frames, 64)))
+        if kind == "spectrogram":
+            path = save_spectrogram(spec, tmp_path / "m.bin")
+            opener, save = open_spectrogram, save_spectrogram
+        else:
+            path = save_ra_spectrogram(ra_transform(spec, num_filters=8), tmp_path / "m.bin")
+            opener, save = open_ra_spectrogram, save_ra_spectrogram
+        cols = 64 if kind == "spectrogram" else 16
+        raw = bytearray(path.read_bytes())
+        cell = 16 + 8 * ((frames - 1) * cols + 3)  # last frame, column 3
+        raw[cell : cell + 8] = np.array([np.nan]).tobytes()
+        path.write_bytes(bytes(raw))
+        opened = opener(path)
+        out = tmp_path / f"out.{format}"
+        with opened.power:
+            with pytest.raises(FileFormatError, match=rf"m\.bin: .* frame {frames - 1} holds nan"):
+                save(opened, out, format)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.bin.meta"]
+
     @pytest.mark.parametrize("lazy", [False, True])
     def test_unknown_format_creates_no_file(self, rng, tmp_path, lazy):
         spec = make_spec(rng.uniform(0.1, 1.0, size=(4, 64)))
