@@ -41,7 +41,8 @@ _MATRIX_HEADER = struct.Struct("<4sB3sII")
 
 WINDOW_KINDS = ("hann", "hamming", "rect")
 
-CHIRP_BLOCK = 4096  # chirps per read, write or rendered tile of a cube payload
+CHIRP_BLOCK = 4096  # chirps per write or rendered tile of a cube, and per non-coherent filter group
+CHIRP_SLICE = 1024  # chirps per read of a cube payload, cast and reduced at once by the front end
 CSV_ROWS = 128  # matrix rows formatted at a time by a csv write
 FRAME_BLOCK = 128  # frames per block of the STFT, the energy profile and spectrogram writes
 
@@ -326,10 +327,11 @@ class CubeReader:
 
     Constructing one parses and validates ``<name>.meta`` and compares the
     payload's size on disk with the declared shape; nothing of the payload
-    is read yet. Iterating reads it CHIRP_BLOCK chirps at a time into one
-    reused float32 buffer, checks each block for non-finite values, and
-    yields it as a complex64 [chirps, num_fast_samples] view. The next
-    block overwrites that view, so consume or copy it before advancing.
+    is read yet. Iterating reads it CHIRP_SLICE chirps at a time into one
+    reused float32 buffer (1 MB at 128 samples per chirp), checks each read
+    for non-finite values, and yields it as a complex64 [chirps,
+    num_fast_samples] view. The next read overwrites that view, so consume
+    or copy it before advancing.
     """
 
     def __init__(self, path):
@@ -351,10 +353,10 @@ class CubeReader:
 
     def __iter__(self):
         p = self.params
-        buffer = np.empty((min(CHIRP_BLOCK, p.num_chirps), p.num_fast_samples, 2), dtype="<f4")
+        buffer = np.empty((min(CHIRP_SLICE, p.num_chirps), p.num_fast_samples, 2), dtype="<f4")
         with self.payload.open("rb") as fh:
-            for start in range(0, p.num_chirps, CHIRP_BLOCK):
-                block = buffer[: min(CHIRP_BLOCK, p.num_chirps - start)]
+            for start in range(0, p.num_chirps, CHIRP_SLICE):
+                block = buffer[: min(CHIRP_SLICE, p.num_chirps - start)]
                 if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
                     raise FileFormatError(f"{self.payload}: payload ended while being read")
                 if not np.all(np.isfinite(block)):

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import ConfigMismatchError, DegenerateInputError, FileFormatError
 from .ingest import (
     CHIRP_BLOCK,
+    CHIRP_SLICE,
     FRAME_BLOCK,
     CubeReader,
     MatrixReader,
@@ -39,8 +40,6 @@ __all__ = [
     "open_spectrogram",
     "open_cube_spectrogram",
 ]
-
-CHIRP_SLICE = 1024  # chirps of a read block that non-coherent mode casts and transforms at once
 
 
 @dataclass(frozen=True)
@@ -267,15 +266,15 @@ def _in_memory(spec: Spectrogram) -> Spectrogram:
 
 
 def spectrogram_from_cube(cube: RadarCube, cfg: PipelineConfig) -> Spectrogram:
-    """Raw cube to spectrogram, cut in the file path's CHIRP_BLOCK slices to equal it."""
-    starts = range(0, cube.params.num_chirps, CHIRP_BLOCK)
-    chunks = (cube.samples[:, s : s + CHIRP_BLOCK] for s in starts)
+    """Raw cube to spectrogram, cut in the file path's CHIRP_SLICE reads to equal it."""
+    starts = range(0, cube.params.num_chirps, CHIRP_SLICE)
+    chunks = (cube.samples[:, s : s + CHIRP_SLICE] for s in starts)
     return _in_memory(_front_end(cube.params, chunks, cfg))
 
 
 def spectrogram_from_file(path, cfg: PipelineConfig) -> Spectrogram:
     """Cube file to spectrogram; equals spectrogram_from_cube(load_radar_cube(path), cfg),
-    but reduces each chirp block read by CubeReader before reading the next."""
+    but reduces each CHIRP_SLICE read of CubeReader before reading the next."""
     return _in_memory(open_cube_spectrogram(path, cfg))
 
 
@@ -297,7 +296,8 @@ def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
     sos = highpass_sos(cfg.notch_order, cfg.notch_cutoff, prf)
     series = _slow_time_series(params, chunks, cfg, sos)
     if cfg.coherent:
-        series = sosfilt(sos, series[np.newaxis])[0][0]
+        row = series[np.newaxis]
+        sosfilt(sos, row, out=row)
     return _stft(series, prf, cfg)
 
 
@@ -305,42 +305,55 @@ def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig,
                       sos: np.ndarray) -> np.ndarray:
     """The num_chirps slow-time series of the chunks, filtered by sos in non-coherent mode.
 
-    Each chunk is cast to complex128 and reduced to one sample per chirp:
-    by one product per chunk in coherent mode, by range FFTs of CHIRP_SLICE
-    chirps at a time in non-coherent mode. Returning drops the last chunk,
-    the read buffer behind it and the last cast, so only the 16 B/chirp
-    series outlives the loop. Coherent mode: range FFT plus the sum over
-    [range_bin_start, range_bin_end] is one linear functional per chirp,
-    w[i] = sum_r exp(-2j*pi*r*i/N), and the filter is linear, time-invariant
-    and starts from a state linear in the first sample, so filtering that
-    series after the loop equals summing filtered bins. Magnitudes do not
-    commute with the filter, so non-coherent mode filters each chunk's bins
-    from the state the last chunk left; a partial BLOCK cannot pass that
-    state on, so only the last chunk may be partial.
+    Each chunk is cast to complex128 and reduced to one sample per chirp
+    before the next is taken, so beside the 16 B/chirp series only one
+    chunk, its cast and (non-coherent mode) one filter group are held. The
+    cast is a temporary of the statement that uses it: bound to a name, it
+    would live on beside the next cast or the filter's working set. A
+    chunk must start on a BLOCK boundary and lie inside one CHIRP_BLOCK
+    group; a ValueError names the chirp of one that does not.
+
+    Coherent mode: range FFT plus the sum over [range_bin_start,
+    range_bin_end] is one linear functional per chirp, w[i] = sum_r
+    exp(-2j*pi*r*i/N), applied as one product w @ chunk. Each output is a
+    dot product over fast time, so how the chirps are cut into chunks does
+    not move a bit (a threaded BLAS, too, splits the product by columns).
+    The filter is linear, time-invariant and starts from a state linear in
+    the first sample, so filtering this series afterwards equals summing
+    filtered bins.
+
+    Non-coherent mode: magnitudes do not commute with the filter, so the
+    chunks' range-FFT bins fill one [bins, CHIRP_BLOCK] group, which is
+    filtered in place from the state the previous group left once it is
+    full or the chirps run out. sosfilt's block products round by row
+    length, so the groups, not the chunks, fix the bits.
     """
-    n = params.num_fast_samples
+    n, num_chirps = params.num_fast_samples, params.num_chirps
     bins = np.arange(cfg.range_bin_start, cfg.range_bin_end + 1)
     if cfg.coherent:
         # reduce r*i modulo N so every twiddle angle stays below 2*pi
         w = np.exp(-2j * np.pi * (np.outer(bins, np.arange(n)) % n) / n).sum(axis=0)
-    series = np.empty(params.num_chirps, dtype=np.complex128)
+    else:
+        group = np.empty((bins.size, min(CHIRP_BLOCK, num_chirps)), dtype=np.complex128)
+    series = np.empty(num_chirps, dtype=np.complex128)
     start, zi = 0, None
     for chunk in chunks:
+        count, first = chunk.shape[1], start % CHIRP_BLOCK
         if start % BLOCK:
             raise ValueError(f"chunk at chirp {start} follows a partial {BLOCK}-chirp block")
-        count = chunk.shape[1]
+        if first + count > CHIRP_BLOCK:
+            raise ValueError(f"chunk at chirp {start} crosses the {CHIRP_BLOCK}-chirp group "
+                             f"ending at chirp {start - first + CHIRP_BLOCK}")
         if cfg.coherent:
-            # one BLAS product per chunk: each threaded product can stall while
-            # the host is busy, so slicing the chunk would only add stalls
+            # one product per read; a CLI process runs it on one BLAS thread
             series[start : start + count] = w @ chunk.astype(np.complex128, copy=False)
         else:
-            kept = np.empty((bins.size, count), dtype=np.complex128)
-            for first in range(0, count, CHIRP_SLICE):
-                part = chunk[:, first : first + CHIRP_SLICE].astype(np.complex128, copy=False)
-                kept[:, first : first + part.shape[1]] = np.fft.fft(part, n=n, axis=0)[bins]
-            # filter whole chunks: sosfilt's block products round by chunk length
-            kept, zi = sosfilt(sos, kept, zi)
-            series[start : start + count] = np.abs(kept).sum(axis=0)
+            group[:, first : first + count] = np.fft.fft(
+                chunk.astype(np.complex128, copy=False), n=n, axis=0)[bins]
+            if first + count == CHIRP_BLOCK or start + count == num_chirps:
+                kept = group[:, : first + count]
+                _, zi = sosfilt(sos, kept, zi, out=kept)
+                series[start - first : start + count] = np.abs(kept).sum(axis=0)
         start += count
     return series
 

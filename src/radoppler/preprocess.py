@@ -139,7 +139,8 @@ def step_state(sos: np.ndarray) -> np.ndarray:
     return zi
 
 
-def sosfilt(sos: np.ndarray, x: np.ndarray, zi=None) -> tuple[np.ndarray, np.ndarray]:
+def sosfilt(sos: np.ndarray, x: np.ndarray, zi=None,
+            out=None) -> tuple[np.ndarray, np.ndarray]:
     """Filter complex rows x [rows, n] along n from the state zi; return (y, zf).
 
     Same recurrence and state layout as scipy.signal.sosfilt (transposed
@@ -151,6 +152,10 @@ def sosfilt(sos: np.ndarray, x: np.ndarray, zi=None) -> tuple[np.ndarray, np.nda
     to a multiple of BLOCK, so a row filtered in pieces, each from the zf
     of the one before, equals the whole row if only the last is partial.
     Without zi, each row starts at rest on the step of its first sample.
+    y is written into ``out``, a complex128 [rows, n] array, or a new one;
+    ``out`` may be ``x`` itself, since x is copied into the real working
+    rows before any of y is written. Beside x and y the runner holds those
+    rows (16 B per sample) and the block products (about 17 B per sample).
     """
     rows, n = x.shape
     if zi is None:
@@ -161,20 +166,21 @@ def sosfilt(sos: np.ndarray, x: np.ndarray, zi=None) -> tuple[np.ndarray, np.nda
     u = np.zeros((2, rows, blocks * BLOCK))
     u[0, :, :n], u[1, :, :n] = x.real, x.imag
     u = u.reshape(-1, BLOCK)
-    out = u @ forward
-    driven = out[:, BLOCK:].reshape(2 * rows, blocks, -1)
+    products = u @ forward
+    driven = products[:, BLOCK:].reshape(2 * rows, blocks, -1)
     state = np.moveaxis([zi.real, zi.imag], 1, -2).reshape(2 * rows, -1)
     starts = np.empty((2 * rows, blocks, state.shape[1]))
     for j in range(blocks):
         starts[:, j] = state
         state = state @ advance + driven[:, j]
     y = np.matmul(starts.reshape(-1, state.shape[1]), observe, out=u)  # u's input is spent
-    y += out[:, :BLOCK]
-    filtered = np.empty((rows, n), dtype=np.complex128)
-    filtered.real, filtered.imag = y.reshape(2, rows, -1)[:, :, :n]
+    y += products[:, :BLOCK]
+    if out is None:
+        out = np.empty((rows, n), dtype=np.complex128)
+    out.real, out.imag = y.reshape(2, rows, -1)[:, :, :n]
     zf = np.empty((rows, len(sos), 2), dtype=np.complex128)
     zf.real, zf.imag = state.reshape(2, rows, len(sos), 2)
-    return filtered, np.moveaxis(zf, -2, 0)
+    return out, np.moveaxis(zf, -2, 0)
 
 
 def _block_operators(sos: np.ndarray):

@@ -26,7 +26,8 @@ def rng():
 
 @pytest.fixture(scope="session")
 def dwell(tmp_path_factory):
-    """A walk_like cube file of 30 000 chirps: seven full read blocks and a partial one."""
+    """A walk_like cube file of 30 000 chirps: 29 full reads and a partial one, seven
+    full filter groups and a partial one."""
     scenario = preset("walk_like")
     scenario = dataclasses.replace(
         scenario, params=dataclasses.replace(scenario.params, num_chirps=30_000))

@@ -724,8 +724,8 @@ class TestKeyValueFuzz:
 class TestCorruptCube:
     @pytest.fixture(params=["nan_in_later_block", "truncated"])
     def bad_cube(self, request, workdir, tmp_path, monkeypatch):
-        # 1024 chirps in read blocks of 256
-        monkeypatch.setattr(ingest, "CHIRP_BLOCK", 256)
+        # 1024 chirps in reads of 256, so the NaN at chirp 700 sits in the third read
+        monkeypatch.setattr(ingest, "CHIRP_SLICE", 256)
         raw = np.fromfile(workdir / "cube.iq", dtype="<f4")
         if request.param == "nan_in_later_block":
             raw[2 * DEFAULT_PARAMS.num_fast_samples * 700] = np.nan
@@ -748,6 +748,64 @@ class TestCorruptCube:
                          str(out / "x.bin")]) == 2
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+class TestCubeReadFuzz:
+    """A cube of 2 to 9000 chirps, whole, with a NaN or cut short: spectrogram and ra
+    from it, in both modes, exit 0 with the bytes of the in-memory API or exit 2
+    naming the cause and leaving nothing behind, never 1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(chirps=st.integers(2, 9000), fault=st.sampled_from([None, "nan", "truncated"]),
+           where=st.integers(0, 8999), cut=st.integers(1, 2048))
+    def test_exit_code_and_output(self, dwell, chirps, fault, where, cut):
+        from radoppler.errors import RadopplerError
+        from radoppler.ra_core import ra_transform, save_ra_spectrogram
+        samples = 2 * DEFAULT_PARAMS.num_fast_samples
+        assert f"num_fast_samples = {DEFAULT_PARAMS.num_fast_samples}\n" in (
+            dwell.with_suffix(".meta").read_text())
+        raw = np.fromfile(dwell, dtype="<f4", count=samples * chirps)
+        if fault == "nan":
+            raw[samples * (where % chirps)] = np.nan
+        payload = raw.tobytes()[:-cut] if fault == "truncated" else raw.tobytes()
+        with tempfile.TemporaryDirectory(dir=dwell.parent) as tmp:
+            work = Path(tmp)
+            cube = work / "cube.iq"
+            cube.write_bytes(payload)
+            cube.with_suffix(".meta").write_text(dwell.with_suffix(".meta").read_text().replace(
+                "num_chirps = 30000\n", f"num_chirps = {chirps}\n"))
+            for coherent in (True, False):
+                cfg = PipelineConfig(coherent=coherent)
+                write_config(cfg, work / "p.cfg")
+                api, expected, error = work / f"api_{coherent}", {}, None
+                api.mkdir()
+                try:
+                    spec = spectrogram_from_cube(load_radar_cube(cube), cfg)
+                    expected["spectrogram"] = save_spectrogram(spec, api / "spec.bin")
+                    expected["ra"] = save_ra_spectrogram(
+                        ra_transform(spec, cfg.num_filters, cfg.log_floor), api / "ra.bin")
+                except (RadopplerError, ValueError) as exc:
+                    error = str(exc)
+                for command in ("spectrogram", "ra"):
+                    out = work / f"{command}_{coherent}"
+                    out.mkdir()
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err):
+                        code = cli.main([command, str(cube), str(work / "p.cfg"),
+                                         str(out / "x.bin")])
+                    err = err.getvalue()
+                    if command in expected:
+                        assert code == 0, err
+                        assert sorted(f.name for f in out.iterdir()) == [
+                            "x.bin", "x.bin.manifest", "x.bin.meta"]
+                        for suffix in ("", ".meta"):
+                            assert (Path(f"{out / 'x.bin'}{suffix}").read_bytes()
+                                    == Path(f"{expected[command]}{suffix}").read_bytes())
+                        continue
+                    # staged .part-* outputs and the spill live in the output's directory
+                    assert code == 2, err
+                    assert list(out.iterdir()) == [], err
+                    assert (str(cube) in err) if fault else (error in err), err
 
 
 class TestDiagnostics:
@@ -1260,9 +1318,8 @@ def long_cube(dwell, tmp_path_factory):
 
 class TestPeakMemory:
     """No CLI process holds a spectrogram or an RA matrix whole: beyond what the front
-    end needs to reduce the cube (its read and cast blocks, the 16 B/chirp series, the
-    filter's working set and the filtered copy), each peaks below a quarter of the
-    spectrogram's payload."""
+    end needs to reduce the cube (one read and its cast, the 16 B/chirp series and the
+    filter's working set), each peaks below a quarter of the spectrogram's payload."""
 
     @staticmethod
     def traced_peak(run):
@@ -1272,6 +1329,20 @@ class TestPeakMemory:
             return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_front_end(self, long_cube, coherent):
+        """Beside the series the front end holds one read, its cast and the filter's
+        working set: in coherent mode the filter runs in place on the series, so the
+        peak stays below four series; in non-coherent mode it runs in place on one
+        [bins, CHIRP_BLOCK] group, so the peak stays below the series and four groups."""
+        from radoppler.linspec import open_cube_spectrogram
+        cfg = PipelineConfig(coherent=coherent)
+        series = 16 * ingest.CubeReader(long_cube).params.num_chirps
+        group = 16 * (cfg.range_bin_end - cfg.range_bin_start + 1) * ingest.CHIRP_BLOCK
+        _, peak = self.traced_peak(lambda: open_cube_spectrogram(long_cube, cfg))
+        bound = 4 * series if coherent else series + 4 * group
+        assert peak < bound, f"{peak / 2**20:.2f} MB against {bound / 2**20:.2f} MB"
 
     @pytest.mark.parametrize("command", ["spectrogram", "ra_cube", "ra_spec", "track_spec",
                                          "track_ra"])

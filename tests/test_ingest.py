@@ -118,8 +118,9 @@ class TestCubeFiles:
             load_radar_cube(payload)
 
     def test_blocks_round_trip(self, tmp_path, rng, monkeypatch):
-        # 8 chirps in blocks of 3: two full blocks and a 2-chirp tail
+        # 8 chirps written and read in blocks of 3: two full blocks and a 2-chirp tail
         monkeypatch.setattr(ingest, "CHIRP_BLOCK", 3)
+        monkeypatch.setattr(ingest, "CHIRP_SLICE", 3)
         samples = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
         payload = write_radar_cube(RadarCube(params=small_params(), samples=samples),
                                    tmp_path / "c.iq")
@@ -130,12 +131,12 @@ class TestCubeFiles:
         np.testing.assert_array_equal(loaded.samples.imag, samples.imag.astype(np.float32))
 
     def test_non_finite_in_later_block_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "CHIRP_BLOCK", 3)
+        monkeypatch.setattr(ingest, "CHIRP_SLICE", 3)
         samples = np.ones((16, 8), dtype=complex)
         payload = write_radar_cube(RadarCube(params=small_params(), samples=samples),
                                    tmp_path / "c.iq")
         raw = np.fromfile(payload, dtype="<f4")
-        raw[2 * 16 * 7 + 5] = np.inf  # chirp 7 sits in the third block
+        raw[2 * 16 * 7 + 5] = np.inf  # chirp 7 sits in the third read
         raw.tofile(payload)
         with pytest.raises(FileFormatError, match="non-finite samples"):
             load_radar_cube(payload)

@@ -7,7 +7,13 @@ import pytest
 from _oracles import dft_frame
 from radoppler import linspec
 from radoppler.errors import ConfigMismatchError, DegenerateInputError, FileFormatError
-from radoppler.ingest import CHIRP_BLOCK, PipelineConfig, load_radar_cube, write_radar_cube
+from radoppler.ingest import (
+    CHIRP_BLOCK,
+    CHIRP_SLICE,
+    PipelineConfig,
+    load_radar_cube,
+    write_radar_cube,
+)
 from radoppler.linspec import (
     Spectrogram,
     load_spectrogram,
@@ -145,8 +151,8 @@ class TestSpectrogramFromFile:
 
     @pytest.mark.parametrize("last,payloads", [(63, 1), (7, 1)])
     def test_non_coherent_peak_memory(self, dwell, last, payloads):
-        # only a read block's kept bins and the 16 B/chirp series are held,
-        # where the whole dwell's 64 of 128 bins would weigh one payload
+        # only one filter group's kept bins and the 16 B/chirp series are
+        # held, where the whole dwell's 64 of 128 bins would weigh one payload
         cfg = PipelineConfig(coherent=False, range_bin_end=last)
         assert self.traced_peak(dwell, cfg) < payloads * dwell.stat().st_size
 
@@ -161,7 +167,7 @@ class TestSpectrogramFromFile:
         np.testing.assert_array_equal(ours.freq_axis, expect.freq_axis)
 
     def test_single_chirp_tail_block(self, tmp_path):
-        # 4097 chirps leave a last read block of one chirp; hop 1 and a rect
+        # 4097 chirps leave a last read and filter group of one chirp; hop 1 and a rect
         # window (hann ends in a zero tap) let that chirp reach the power
         scenario = preset("limp_like")
         scenario = dataclasses.replace(
@@ -175,7 +181,7 @@ class TestSpectrogramFromFile:
 
     def test_non_finite_in_later_block_rejected(self, dwell, tmp_path):
         raw = np.fromfile(dwell, dtype="<f4")
-        raw[2 * 128 * (CHIRP_BLOCK + 10)] = np.nan  # a chirp of the second read block
+        raw[2 * 128 * (CHIRP_BLOCK + 10)] = np.nan  # a chirp of a later read and filter group
         bad = tmp_path / "bad.iq"
         raw.tofile(bad)
         bad.with_suffix(".meta").write_text(dwell.with_suffix(".meta").read_text())
@@ -198,7 +204,8 @@ class TestSpectrogramFromFile:
 
 
 class TestStreamedNonCoherent:
-    """Each read block's bins filtered from the state the previous block left."""
+    """Each CHIRP_BLOCK group of range bins, filled by CHIRP_SLICE reads, filtered from
+    the state the previous group left."""
 
     @pytest.fixture(scope="class")
     def blocks3(self, tmp_path_factory):
@@ -224,6 +231,29 @@ class TestStreamedNonCoherent:
         per_row = stft_spectrogram(filtered, cfg).power
         unfiltered_peak = stft_spectrogram(unfiltered, cfg).power.max()
         assert np.abs(ours.power - per_row).max() <= 1e-9 * unfiltered_peak
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_chunking_keeps_the_bits(self, blocks3, coherent):
+        """Reads of 64, CHIRP_SLICE or CHIRP_BLOCK chirps give the same power: the
+        coherent product is cut by columns, and the non-coherent filter runs on the
+        same groups whatever fills them."""
+        cube = blocks3[0]
+        cfg = PipelineConfig(coherent=coherent)
+        powers = []
+        for size in (64, CHIRP_SLICE, CHIRP_BLOCK):
+            chunks = (cube.samples[:, s : s + size]
+                      for s in range(0, cube.params.num_chirps, size))
+            powers.append(linspec._front_end(cube.params, chunks, cfg).power.read())
+        for power in powers[1:]:
+            np.testing.assert_array_equal(power.view(np.uint64), powers[0].view(np.uint64))
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_chunk_must_not_cross_a_group(self, blocks3, coherent):
+        cube = blocks3[0]
+        chunks = [cube.samples[:, :3072], cube.samples[:, 3072:6144]]
+        with pytest.raises(ValueError, match=r"^chunk at chirp 3072 crosses the 4096-chirp "
+                                             r"group ending at chirp 4096$"):
+            linspec._front_end(cube.params, chunks, PipelineConfig(coherent=coherent))
 
     @pytest.mark.parametrize("coherent", [True, False])
     def test_partial_chunk_must_be_last(self, blocks3, coherent):

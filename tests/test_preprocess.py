@@ -186,6 +186,21 @@ class TestInRepoFilter:
         assert out.dtype == np.complex128
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-8 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("start", [None, "carried"])
+    def test_runner_writes_into_x(self, rng, start):
+        # out may be x itself, including a column slice of a wider buffer, and
+        # the bits are those of a new result
+        sos = highpass_sos(4, 0.01, 2000.0)
+        wide = rng.standard_normal((3, 1000)) + 1j * rng.standard_normal((3, 1000))
+        zi = None if start is None else sosfilt(sos, wide[:, :BLOCK])[1]
+        x = wide[:, : 9 * BLOCK + 5]
+        expect, expect_zf = sosfilt(sos, x.copy(), zi)
+        y, zf = sosfilt(sos, x, zi, out=x)
+        assert y is x
+        np.testing.assert_array_equal(wide[:, : x.shape[1]].view(np.uint64),
+                                      expect.view(np.uint64))
+        np.testing.assert_array_equal(zf.view(np.uint64), expect_zf.view(np.uint64))
+
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_runner_block_edges(self, rng, n):
         sos = highpass_sos(6, 5.0, 100.0)
