@@ -8,8 +8,9 @@ reruns are byte-identical except for the timestamp line. While the stage
 computes on the main thread, a second thread hashes the inputs (see
 ``_Files``); an output path that resolves to an input exits 2 before
 anything is written. Spectrograms and RA spectrograms pass through a
-process in frame blocks, written by the API's savers. Every output is
-written under a temporary name, hashed once the input digests are in,
+process in frame blocks, written by the API's savers, and ``simulate``
+writes its cube in chirp blocks as they are rendered. Every output is
+written under a temporary name, hashed while the input digests finish,
 and renamed into place once it is whole, so a failed run leaves its
 directory as it found it.
 
@@ -62,7 +63,7 @@ from .ingest import (
     read_sidecar,
     sidecar_path,
     sidecar_value,
-    write_radar_cube,
+    write_cube,
 )
 
 HASH_CHUNK = 1 << 20  # bytes per read while hashing manifest inputs and outputs
@@ -182,8 +183,9 @@ def _subcommand_files(args) -> _Files:
 
 
 def _write_manifest(files: _Files, command, argv, config=None, extra=()):
-    """Once the input digests are in, hash the staged outputs and write the manifest,
-    then rename every staged output into place, the manifest last."""
+    """Hash the staged outputs while the input digests finish, write the manifest
+    once they are in, then rename every staged output into place, the manifest last."""
+    outputs = [("output", f"{p} sha256:{_sha256(files.stage(p), None)}") for p in files.outputs]
     files.join()
     pairs = [
         ("tool_version", __version__),
@@ -193,7 +195,7 @@ def _write_manifest(files: _Files, command, argv, config=None, extra=()):
     if config is not None:
         pairs += [(f"config_{name}", value) for name, value in field_pairs(config)]
     pairs += [("input", f"{p} sha256:{d}") for p, d in zip(files.inputs, files.digests)]
-    pairs += [("output", f"{p} sha256:{_sha256(files.stage(p))}") for p in files.outputs]
+    pairs += outputs
     pairs += list(extra)
     pairs.append(("timestamp", datetime.now(timezone.utc).isoformat()))
     files.stage(files.manifest).write_text(format_kv(pairs))
@@ -240,12 +242,11 @@ def _spill(spec, directory: Path):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args, argv, files: _Files) -> None:
-    from .simulator import load_scenario, synthesize
+    from .simulator import chirp_blocks, load_scenario
     scenario = load_scenario(args.scenario_path)
-    cube = synthesize(scenario)
     payload, _ = _cube_paths(args.out_cube_path)
-    write_radar_cube(cube, files.stage(payload))
-    _log("info", f"wrote {payload} ({cube.params.num_chirps} chirps)")
+    write_cube(scenario.params, chirp_blocks(scenario), files.stage(payload))
+    _log("info", f"wrote {payload} ({scenario.params.num_chirps} chirps)")
     _write_manifest(files, "simulate", argv)
 
 

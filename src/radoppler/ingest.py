@@ -41,8 +41,8 @@ _MATRIX_HEADER = struct.Struct("<4sB3sII")
 
 WINDOW_KINDS = ("hann", "hamming", "rect")
 
-CHIRP_BLOCK = 4096  # chirps per write or rendered tile of a cube, and per non-coherent filter group
-CHIRP_SLICE = 1024  # chirps per read of a cube payload, cast and reduced at once by the front end
+CHIRP_BLOCK = 4096  # chirps per rendered tile of a cube, and per non-coherent filter group
+CHIRP_SLICE = 1024  # chirps per cube block written, read, cast or reduced at once
 CSV_ROWS = 128  # matrix rows formatted at a time by a csv write
 FRAME_BLOCK = 128  # frames per block of the STFT, the energy profile and spectrogram writes
 
@@ -309,17 +309,49 @@ def _cube_paths(path) -> tuple[Path, Path]:
 
 
 def write_radar_cube(cube: RadarCube, path) -> Path:
-    """Write ``<name>.iq`` + ``<name>.meta``; returns the payload path."""
+    """Write ``<name>.iq`` + ``<name>.meta`` (see write_cube); returns the payload path."""
+    starts = range(0, cube.params.num_chirps, CHIRP_SLICE)
+    return write_cube(cube.params, (cube.samples[:, s : s + CHIRP_SLICE] for s in starts), path)
+
+
+def write_cube(params: RadarParams, blocks, path) -> Path:
+    """Write ``<name>.meta``, then ``<name>.iq`` from ``blocks``, complex
+    [num_fast_samples, n] arrays of consecutive chirps; returns the payload path.
+
+    Each block is transposed to chirp-major and cast to little-endian complex64
+    (one interleaved float32 I/Q pair) before it is written. A block that is
+    non-finite once cast, a block that does not fit the declared shape, or too
+    few chirps raise ValueError, and a failed write removes both files.
+    """
     payload_path, meta_path = _cube_paths(path)
-    p = cube.params
-    meta_path.write_text(format_kv(field_pairs(p)))
-    # chirp-major on disk, so each block is transposed; a little-endian
-    # complex64 is one interleaved float32 I/Q pair
-    with payload_path.open("wb") as fh:
-        for start in range(0, p.num_chirps, CHIRP_BLOCK):
-            fh.write(np.ascontiguousarray(cube.samples[:, start : start + CHIRP_BLOCK].T,
-                                          dtype="<c8"))
+    meta_path.write_text(format_kv(field_pairs(params)))
+    try:
+        with payload_path.open("wb") as fh:
+            written = 0
+            for block in blocks:
+                if (block.shape[0] != params.num_fast_samples
+                        or written + block.shape[1] > params.num_chirps):
+                    raise ValueError(f"a {block.shape} block does not fit chirps {written}.. "
+                                     f"of a {params.num_fast_samples} x {params.num_chirps} cube")
+                fh.write(_chirp_major(block))
+                written += block.shape[1]
+        if written != params.num_chirps:
+            raise ValueError(f"{written} chirps written of a {params.num_fast_samples} x "
+                             f"{params.num_chirps} cube")
+    except BaseException:
+        payload_path.unlink(missing_ok=True)
+        meta_path.unlink(missing_ok=True)
+        raise
     return payload_path
+
+
+def _chirp_major(block) -> np.ndarray:
+    """A [num_fast_samples, n] block as the payload's [n, num_fast_samples] complex64,
+    checked to be finite; a temporary of the caller's write, freed before the next block."""
+    chirps = np.ascontiguousarray(block.T, dtype="<c8")
+    if not np.all(np.isfinite(chirps)):
+        raise ValueError("cube contains non-finite samples")
+    return chirps
 
 
 class CubeReader:

@@ -10,6 +10,8 @@ closed-form ground truth.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import AliasingError, FileFormatError
 from .ingest import (
     CHIRP_BLOCK,
+    CHIRP_SLICE,
     SPEED_OF_LIGHT,
     RadarCube,
     RadarParams,
@@ -34,12 +37,13 @@ __all__ = [
     "Scenario",
     "PRESET_NAMES",
     "synthesize",
+    "chirp_blocks",
     "preset",
     "save_scenario",
     "load_scenario",
 ]
 
-ROW_BLOCK = 8  # fast-time rows per rendering task
+ROW_BLOCK = 8  # fast-time rows per rendering task of CHIRP_BLOCK-chirp tiles
 
 
 @dataclass(frozen=True)
@@ -117,76 +121,149 @@ def _check_aliasing(scenario: Scenario) -> None:
 
 
 def synthesize(scenario: Scenario) -> RadarCube:
-    """Render a scenario into a raw radar cube.
+    """Render a scenario into a raw radar cube: chirp_blocks with one block
+    spanning the dwell, so its noise is drawn in a single pass."""
+    (samples,) = chirp_blocks(scenario, scenario.params.num_chirps)
+    return RadarCube(params=scenario.params, samples=samples)
 
-    Scatterers superpose coherently; circular complex Gaussian noise of
-    the configured power is drawn from a generator seeded with
-    scenario.seed, so equal scenarios produce bit-identical cubes.
 
-    The cube is filled ROW_BLOCK fast-time rows at a time, on a thread
-    pool with one worker per available core (numpy's exp and arithmetic
-    release the GIL), in CHIRP_BLOCK-chirp tiles so that the temporaries
-    stay small. Each element goes through the whole-grid formula's
-    operations in its order, and the noise keeps its stream order (real
-    rows, then imaginary rows), so the bytes depend neither on the block
-    sizes nor on the thread count.
+def chirp_blocks(scenario: Scenario, width: int | None = None):
+    """The scenario's cube as [num_fast_samples, n] complex128 blocks of
+    ``width`` chirps (CHIRP_SLICE by default; the last block takes the rest),
+    in chirp order. Every block is rendered into the same buffer, so consume
+    or copy each one before taking the next.
+
+    Scatterers superpose coherently; circular complex Gaussian noise of the
+    configured power is drawn from a generator seeded with scenario.seed,
+    so equal scenarios produce bit-identical cubes. The aliasing check runs
+    here, before any block is rendered.
+
+    Each block is filled on a thread pool with one worker per available
+    core (numpy's exp and arithmetic release the GIL), one task per group of
+    fast-time rows, in tiles of about ROW_BLOCK x CHIRP_BLOCK samples so
+    that the temporaries stay small. Each element goes through the
+    whole-grid formula's operations in its order, and each row's noise is
+    its run of the one noise stream (real rows, then imaginary rows), so
+    the bytes depend neither on the block sizes nor on the thread count
+    (see _row_noise).
     """
+    width = CHIRP_SLICE if width is None else width
+    if width < 1:
+        raise ValueError(f"chirp blocks need a width of at least 1, got {width}")
+    _check_aliasing(scenario)
+    return _render_blocks(scenario, width)
+
+
+def _render_blocks(scenario: Scenario, width: int):
+    """The generator behind chirp_blocks, once the scenario is checked."""
     from concurrent.futures import ThreadPoolExecutor
 
-    _check_aliasing(scenario)
     p = scenario.params
-    t_chirp = p.chirp_duration
-    t_slow = np.arange(p.num_chirps) / p.chirp_repetition_freq
-    terms = []
-    for sc in scenario.scatterers:
-        rng_range = sc.range_at(t_slow)
-        beat = 2.0 * p.bandwidth * rng_range / (SPEED_OF_LIGHT * t_chirp)
-        carrier = 2.0 * p.center_freq * rng_range / SPEED_OF_LIGHT
-        terms.append((beat, carrier, sc.rcs))
+    sigma = math.sqrt(scenario.noise_power / 2.0)
+    # a block narrower than CHIRP_BLOCK gives each task more rows: two workers
+    # that run short numpy calls wait on each other for the GIL around each one
+    task_rows = ROW_BLOCK * max(1, CHIRP_BLOCK // min(width, p.num_chirps))
+    groups = [(start, min(start + task_rows, p.num_fast_samples))
+              for start in range(0, p.num_fast_samples, task_rows)]
+    generators = None
+    buffer = np.empty(p.num_fast_samples * min(width, p.num_chirps), dtype=np.complex128)
+    with ThreadPoolExecutor(min(_available_cores(), len(groups))) as pool:
+        for first in range(0, p.num_chirps, width):
+            # slow-time vectors per block: per dwell they would grow with it
+            t_slow = np.arange(first, min(first + width, p.num_chirps)) / p.chirp_repetition_freq
+            terms = []
+            for sc in scenario.scatterers:
+                rng_range = sc.range_at(t_slow)
+                beat = 2.0 * p.bandwidth * rng_range / (SPEED_OF_LIGHT * p.chirp_duration)
+                carrier = 2.0 * p.center_freq * rng_range / SPEED_OF_LIGHT
+                terms.append((beat, carrier, sc.rcs))
+            block = buffer[: p.num_fast_samples * t_slow.size].reshape(p.num_fast_samples, -1)
+            add_noise = None
+            if generators is not None:
+                # each task adds its own rows' noise
+                add_noise = functools.partial(_add_noise, block, generators, sigma)
+            rendered = [pool.submit(_render_rows, block, rows, terms, p.sample_rate, add_noise)
+                        for rows in groups]
+            if scenario.noise_power > 0 and generators is None:
+                # the pre-pass runs while the pool renders
+                generators = _row_noise(scenario, width)
+                # a group's noise is added only once it holds the full scatterer sum
+                _add_noise(block, generators, sigma, groups, lambda k: rendered[k].result())
+            for done in rendered:
+                done.result()
+            yield block
 
-    samples = np.zeros((p.num_fast_samples, p.num_chirps), dtype=np.complex128)
 
-    def render(start: int) -> None:
-        rows = samples[start : start + ROW_BLOCK]
-        fast = np.arange(start, start + len(rows))[:, None]
-        phase_buffer = np.empty((len(rows), min(CHIRP_BLOCK, p.num_chirps)))
-        term_buffer = np.empty(phase_buffer.shape, dtype=np.complex128)
-        for first in range(0, p.num_chirps, CHIRP_BLOCK):
-            chirps = slice(first, first + CHIRP_BLOCK)
-            tile = rows[:, chirps]
-            phase = phase_buffer[:, : tile.shape[1]]
-            term = term_buffer[:, : tile.shape[1]]
-            lanes = term.view(np.float64)
-            for beat, carrier, rcs in terms:
-                np.multiply(beat[chirps], fast, out=phase)
-                phase /= p.sample_rate
-                phase += carrier[chirps]
-                phase *= 2.0 * math.pi
-                np.multiply(1j, phase, out=term)
-                np.exp(term, out=term)
-                lanes *= rcs  # the complex product with rcs+0j adds only exact zeros
-                tile += term
+def _render_rows(block: np.ndarray, rows: tuple[int, int], terms, sample_rate: float,
+                 add_noise=None) -> None:
+    """Set rows start:stop of ``block`` to the sum of every scatterer's term,
+    CHIRP_BLOCK chirps at a time; then call ``add_noise``, if given, on them."""
+    start, stop = rows
+    fast = np.arange(start, stop)[:, None]
+    phase_buffer = np.empty((stop - start, min(CHIRP_BLOCK, block.shape[1])))
+    term_buffer = np.empty(phase_buffer.shape, dtype=np.complex128)
+    for first in range(0, block.shape[1], CHIRP_BLOCK):
+        chirps = slice(first, first + CHIRP_BLOCK)
+        tile = block[start:stop, chirps]
+        phase = phase_buffer[:, : tile.shape[1]]
+        term = term_buffer[:, : tile.shape[1]]
+        lanes = term.view(np.float64)
+        tile[...] = 0
+        for beat, carrier, rcs in terms:
+            np.multiply(beat[chirps], fast, out=phase)
+            phase /= sample_rate
+            phase += carrier[chirps]
+            phase *= 2.0 * math.pi
+            np.multiply(1j, phase, out=term)
+            np.exp(term, out=term)
+            lanes *= rcs  # the complex product with rcs+0j adds only exact zeros
+            tile += term
+    if add_noise is not None:
+        add_noise([rows])
 
-    starts = range(0, p.num_fast_samples, ROW_BLOCK)
-    with ThreadPoolExecutor(min(_available_cores(), len(starts))) as pool:
-        rendered = [pool.submit(render, start) for start in starts]
-        if scenario.noise_power > 0:
-            # drawn here while the pool renders; one row of a C-ordered draw
-            # is a contiguous run of the stream, and it is added only once
-            # its row holds the full scatterer sum
-            rng = np.random.default_rng(scenario.seed)
-            sigma = math.sqrt(scenario.noise_power / 2.0)
-            noise = np.empty(p.num_chirps)
-            re_im = samples.view(np.float64)
-            for part in (re_im[:, 0::2], re_im[:, 1::2]):
-                for row, values in enumerate(part):
-                    rng.standard_normal(out=noise)
-                    noise *= sigma
-                    rendered[row // ROW_BLOCK].result()
-                    values += noise
-        for done in rendered:
-            done.result()
-    return RadarCube(params=p, samples=samples)
+
+def _add_noise(block: np.ndarray, generators, sigma: float, groups, ready=None) -> None:
+    """Add noise to each (start, stop) row group of ``groups``: to the real
+    parts of all groups, then to the imaginary parts. Row r's real part is
+    drawn from ``generators[r]``, its imaginary part from ``generators[R + r]``
+    (R rows), and a group's draws are added once ``ready(k)``, if given, has
+    returned for its index k."""
+    re_im = block.view(np.float64)
+    noise = np.empty((max(stop - start for start, stop in groups), block.shape[1]))
+    for lanes, offset in ((slice(0, None, 2), 0), (slice(1, None, 2), len(block))):
+        for k, (start, stop) in enumerate(groups):
+            draws = noise[: stop - start]
+            for row, values in enumerate(draws, start + offset):
+                generators[row].standard_normal(out=values)
+            draws *= sigma
+            if ready is not None:
+                ready(k)
+            re_im[start:stop, lanes] += draws
+
+
+def _row_noise(scenario: Scenario, width: int) -> list[np.random.Generator]:
+    """The generator of each noise row (the real rows, then the imaginary
+    rows), standing at the start of the row's run of the scenario's noise
+    stream.
+
+    A block spanning the dwell draws its rows in stream order, so every row
+    shares the one generator and the first block's draws are the one pass.
+    Narrower blocks draw each row a block at a time from its own copy, which
+    a pre-pass takes at each row start; split standard_normal draws equal
+    one draw of their total length. The main thread draws the first block's
+    rows, and each pool task draws its own rows of the later blocks.
+    """
+    p = scenario.params
+    rng = np.random.default_rng(scenario.seed)
+    rows = 2 * p.num_fast_samples
+    if width >= p.num_chirps:
+        return [rng] * rows
+    generators, skip = [], np.empty(min(CHIRP_BLOCK, p.num_chirps))
+    for _ in range(rows):
+        generators.append(copy.deepcopy(rng))
+        for first in range(0, p.num_chirps, skip.size):
+            rng.standard_normal(out=skip[: p.num_chirps - first])
+    return generators
 
 
 def _available_cores() -> int:

@@ -175,6 +175,39 @@ class TestSimulate:
         assert "scatterer 0" in err and "unambiguous" in err
 
 
+def scene_of(name, num_chirps=None, noise_power=None):
+    """A preset with its dwell and noise power replaced where given."""
+    scenario = preset(name)
+    if num_chirps is not None:
+        scenario = dataclasses.replace(
+            scenario, params=dataclasses.replace(scenario.params, num_chirps=num_chirps))
+    if noise_power is not None:
+        scenario = dataclasses.replace(scenario, noise_power=noise_power)
+    return scenario
+
+
+class TestSimulateStreams:
+    """simulate renders and writes its cube CHIRP_SLICE chirps at a time, and writes the
+    bytes of write_radar_cube(synthesize(scenario)): the payload and its sidecar."""
+
+    @pytest.mark.parametrize("scenario", [
+        *(scene_of(name) for name in simulator.PRESET_NAMES),
+        scene_of("limp_like", 2500),
+        scene_of("fall_like", ingest.CHIRP_SLICE - 1),
+        scene_of("walk_like", ingest.CHIRP_SLICE + 1),
+        scene_of("limp_like", 1),
+        scene_of("walk_like", 2500, noise_power=0.0),
+    ], ids=[*simulator.PRESET_NAMES, "noisy_2500", "slice_minus_1", "slice_plus_1",
+            "one_chirp", "noiseless_2500"])
+    def test_equals_the_api_cube(self, tmp_path, scenario):
+        save_scenario(scenario, tmp_path / "scene.scn")
+        assert cli.main(["simulate", str(tmp_path / "scene.scn"), str(tmp_path / "cli.iq")]) == 0
+        write_radar_cube(synthesize(scenario), tmp_path / "api.iq")
+        for suffix in (".iq", ".meta"):
+            assert ((tmp_path / f"cli{suffix}").read_bytes()
+                    == (tmp_path / f"api{suffix}").read_bytes()), suffix
+
+
 class TestSpectrogram:
     def test_matches_in_process_pipeline(self, workdir):
         # the .iq payload is float32, so rebuild from the stored cube
@@ -636,7 +669,7 @@ class TestNonFiniteParams:
         def no_render(scenario):
             raise AssertionError("rendered a scenario with a non-finite field")
 
-        monkeypatch.setattr(simulator, "synthesize", no_render)
+        monkeypatch.setattr(simulator, "chirp_blocks", no_render)
         assert cli.main(["simulate", str(path), str(tmp_path / "c.iq")]) == 2
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "c.iq").exists()
@@ -655,7 +688,7 @@ class TestBadScenarioValues:
         assert old in scene
         path = tmp_path / "bad.scn"
         path.write_text(scene.replace(old, new))
-        monkeypatch.setattr(simulator, "synthesize", lambda scenario: pytest.fail("rendered"))
+        monkeypatch.setattr(simulator, "chirp_blocks", lambda scenario: pytest.fail("rendered"))
         assert cli.main(["simulate", str(path), str(tmp_path / "c.iq")]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "c.iq").exists()
@@ -810,7 +843,7 @@ class TestCubeReadFuzz:
 
 class TestDiagnostics:
     def test_internal_error_exits_one(self, workdir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(simulator, "synthesize",
+        monkeypatch.setattr(simulator, "chirp_blocks",
                             lambda scenario: (_ for _ in ()).throw(RuntimeError("boom")))
         code = cli.main(["simulate", str(workdir / "scene.scn"), str(tmp_path / "c.iq")])
         assert code == 1
@@ -836,7 +869,7 @@ class TestDiagnostics:
     def test_debug_prints_traceback_on_internal_error(self, workdir, tmp_path, monkeypatch,
                                                        capsys):
         monkeypatch.setenv("RADOPPLER_LOG", "debug")
-        monkeypatch.setattr(simulator, "synthesize",
+        monkeypatch.setattr(simulator, "chirp_blocks",
                             lambda scenario: (_ for _ in ()).throw(RuntimeError("boom")))
         assert cli.main(["simulate", str(workdir / "scene.scn"), str(tmp_path / "c.iq")]) == 1
         err = capsys.readouterr().err
@@ -1277,6 +1310,21 @@ class TestFailedRunLeavesNoTrace:
         assert self.open_fds() == fds
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_cube(self, tmp_path, capsys):
+        """Two returns of rcs 1e308 at one range overflow once summed: the cube writer
+        rejects the block that holds them, after its sidecar and earlier blocks."""
+        scenario = dataclasses.replace(
+            preset("limp_like"),
+            scatterers=(simulator.ScattererSpec(base_range=2.0, rcs=1e308),) * 2)
+        save_scenario(scenario, tmp_path / "inf.scn")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["simulate", str(tmp_path / "inf.scn"), str(out / "cube.iq")]) == 2
+        assert "error: cube contains non-finite samples" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestTrackReadsNoBankWeights:
     def test_huge_last_break_point_allocates_nothing(self, workdir, tmp_path):
         """track needs the filter centers p_1..p_M, not the bank's M x (p_(M+1) + 1)
@@ -1329,6 +1377,23 @@ class TestPeakMemory:
             return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_simulate(self, tmp_path):
+        """simulate holds a few chirp blocks, not the cube: the peak stays below four
+        complex128 blocks of CHIRP_SLICE chirps and does not grow from 30 000 to 120 000
+        chirps. A first short run imports what simulate imports, outside the trace."""
+        peaks = []
+        save_scenario(scene_of("walk_like", 1), tmp_path / "scene.scn")
+        assert cli.main(["simulate", str(tmp_path / "scene.scn"), str(tmp_path / "cube.iq")]) == 0
+        for num_chirps in (30_000, 120_000):
+            save_scenario(scene_of("walk_like", num_chirps), tmp_path / "scene.scn")
+            code, peak = self.traced_peak(lambda: cli.main(
+                ["simulate", str(tmp_path / "scene.scn"), str(tmp_path / "cube.iq")]))
+            assert code == 0
+            peaks.append(peak)
+        blocks = 4 * DEFAULT_PARAMS.num_fast_samples * ingest.CHIRP_SLICE * 16
+        assert max(peaks) < blocks, f"{[p / 2**20 for p in peaks]} MB"
+        assert abs(peaks[1] - peaks[0]) < 0.1 * max(peaks), f"{[p / 2**20 for p in peaks]} MB"
 
     @pytest.mark.parametrize("coherent", [True, False])
     def test_front_end(self, long_cube, coherent):

@@ -25,6 +25,7 @@ from radoppler.ingest import (
     read_sidecar,
     sidecar_path,
     write_config,
+    write_cube,
     write_matrix,
     write_radar_cube,
 )
@@ -119,7 +120,6 @@ class TestCubeFiles:
 
     def test_blocks_round_trip(self, tmp_path, rng, monkeypatch):
         # 8 chirps written and read in blocks of 3: two full blocks and a 2-chirp tail
-        monkeypatch.setattr(ingest, "CHIRP_BLOCK", 3)
         monkeypatch.setattr(ingest, "CHIRP_SLICE", 3)
         samples = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
         payload = write_radar_cube(RadarCube(params=small_params(), samples=samples),
@@ -196,6 +196,54 @@ class TestCubeFiles:
         meta.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match="bandwidth"):
             load_radar_cube(payload)
+
+
+class TestCubeWriter:
+    """write_cube writes the sidecar, then each block of chirps as it comes."""
+
+    @staticmethod
+    def blocks(samples, edges):
+        return (samples[:, first:stop] for first, stop in zip(edges[:-1], edges[1:]))
+
+    def test_any_blocks_give_the_in_memory_bytes(self, tmp_path, rng):
+        samples = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+        expect = write_radar_cube(RadarCube(params=small_params(), samples=samples),
+                                  tmp_path / "whole.iq")
+        for edges in ([0, 8], [0, 1, 2, 3, 4, 5, 6, 7, 8], [0, 5, 8]):
+            payload = write_cube(small_params(), self.blocks(samples, edges),
+                                 tmp_path / "blocks.iq")
+            assert payload == tmp_path / "blocks.iq"
+            assert payload.read_bytes() == expect.read_bytes(), edges
+            assert (tmp_path / "blocks.meta").read_text() == (tmp_path / "whole.meta").read_text()
+
+    @pytest.mark.parametrize("edges, shape, message", [
+        ([0, 5], (16, 8), "5 chirps written of a 16 x 8 cube"),
+        ([0, 5, 8, 9], (16, 9), r"a \(16, 1\) block does not fit chirps 8\.\. of a 16 x 8 cube"),
+        ([0, 8], (15, 8), r"a \(15, 8\) block does not fit chirps 0\.\. of a 16 x 8 cube"),
+    ])
+    def test_blocks_must_fill_the_declared_cube(self, tmp_path, edges, shape, message):
+        samples = np.ones(shape, dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            write_cube(small_params(), self.blocks(samples, edges), tmp_path / "c.iq")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_a_block_non_finite_once_cast_removes_both_files(self, tmp_path, value):
+        """1e39 is finite as complex128 but overflows complex64: the payload would hold
+        an infinity that its reader rejects."""
+        samples = np.ones((16, 8), dtype=complex)
+        samples[3, 6] = value
+        written = []
+
+        def blocks():
+            for first in range(0, 8, 3):
+                written.append((tmp_path / "c.meta").exists())
+                yield samples[:, first : first + 3]
+
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite samples"):
+            write_cube(small_params(), blocks(), tmp_path / "c.iq")
+        assert written == [True, True, True]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestKvDialect:

@@ -216,21 +216,27 @@ class TestBlockedRender:
             noise_power=1e-4, seed=9)
         assert_bits_equal(synthesize(scenario).samples, synthesize_reference(scenario))
 
-    @pytest.mark.parametrize("row_block, chirp_block, cores", [(3, 7, 1), (1, 4999, 8), (64, 1, 2)])
-    def test_independent_of_blocks_and_threads(self, monkeypatch, row_block, chirp_block, cores):
+    @pytest.mark.parametrize("row_block, chirp_block, cores, chirp_slice",
+                             [(3, 7, 1, 1000), (1, 4999, 8, 7), (64, 1, 2, 2500)],
+                             ids=["3-7-1", "1-4999-8", "64-1-2"])
+    def test_independent_of_blocks_and_threads(self, monkeypatch, row_block, chirp_block, cores,
+                                               chirp_slice):
         # more workers than cores and frequent thread switches: a row whose
         # noise lands before its render finishes would change the bits
         expect = synthesize_reference(NOISY_SCENE)
         monkeypatch.setattr(simulator, "ROW_BLOCK", row_block)
         monkeypatch.setattr(simulator, "CHIRP_BLOCK", chirp_block)
+        monkeypatch.setattr(simulator, "CHIRP_SLICE", chirp_slice)
         monkeypatch.setattr(simulator, "_available_cores", lambda: cores)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             samples = synthesize(NOISY_SCENE).samples
+            streamed = stream(NOISY_SCENE)
         finally:
             sys.setswitchinterval(interval)
         assert_bits_equal(samples, expect)
+        assert_bits_equal(streamed, expect)
 
     def test_peak_memory_about_one_cube(self):
         scenario = Scenario(
@@ -243,6 +249,53 @@ class TestBlockedRender:
         finally:
             tracemalloc.stop()
         assert peak < 2 * cube.samples.nbytes
+
+
+def stream(scenario, width=None):
+    """The blocks of chirp_blocks, copied as they come and joined along the chirps."""
+    return np.concatenate([block.copy() for block in simulator.chirp_blocks(scenario, width)],
+                          axis=1)
+
+
+class TestChirpBlocks:
+    """chirp_blocks renders the cube of synthesize, bit for bit, in blocks of any width;
+    blocks narrower than the dwell restore each row's noise from a pre-pass."""
+
+    @pytest.mark.parametrize("width", [7, 1000, 4999, 5000, 10**6])
+    def test_equals_synthesize(self, width):
+        assert_bits_equal(stream(NOISY_SCENE, width), synthesize(NOISY_SCENE).samples)
+
+    @pytest.mark.parametrize("num_chirps", [1, 2, 300])
+    def test_one_chirp_blocks(self, num_chirps):
+        scenario = short(NOISY_SCENE, num_chirps)
+        assert_bits_equal(stream(scenario, 1), synthesize_reference(scenario))
+
+    def test_default_width_is_the_cube_slice(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CHIRP_SLICE", 1500)
+        shapes = [block.shape for block in simulator.chirp_blocks(NOISY_SCENE)]
+        assert shapes == [(40, 1500)] * 3 + [(40, 500)]
+
+    def test_noiseless(self):
+        scenario = dataclasses.replace(NOISY_SCENE, noise_power=0.0)
+        assert_bits_equal(stream(scenario, 999), synthesize_reference(scenario))
+
+    def test_synthesize_takes_no_pre_pass(self, monkeypatch):
+        """The one block spanning the dwell draws its noise in one pass, with no
+        generator copied for a row start."""
+        expect = synthesize(NOISY_SCENE).samples
+        monkeypatch.setattr(simulator.copy, "deepcopy",
+                            lambda obj: pytest.fail("synthesize took a pre-pass"))
+        assert_bits_equal(synthesize(NOISY_SCENE).samples, expect)
+
+    def test_aliasing_raises_before_the_first_block(self):
+        scenario = Scenario(params=SHORT_PARAMS,
+                            scatterers=(ScattererSpec(base_range=2.5, base_velocity=2.5),))
+        with pytest.raises(AliasingError, match="scatterer 0"):
+            simulator.chirp_blocks(scenario)
+
+    def test_width_below_one_raises(self):
+        with pytest.raises(ValueError, match="width of at least 1, got 0"):
+            simulator.chirp_blocks(NOISY_SCENE, 0)
 
 
 class TestPresets:
