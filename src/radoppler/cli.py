@@ -59,7 +59,6 @@ from .ingest import (
     field_pairs,
     format_kv,
     load_config,
-    open_matrix,
     read_sidecar,
     sidecar_path,
     sidecar_value,
@@ -215,7 +214,8 @@ def _cube_spectrogram(cube_path, cfg, config_path):
 
 def _spill(spec, directory: Path):
     """``spec`` with its frames written once to an unnamed temporary file in ``directory``
-    and read back from it as a PowerFile that knows its peak.
+    and read back from it as a PowerFile (a MatrixReader that checks its blocks) whose
+    peak the write has already found.
 
     The spill lives on the output's file system, not in memory: neither a
     tmpfs nor a memory map would keep the frames out of the process's
@@ -230,11 +230,11 @@ def _spill(spec, directory: Path):
             peaks.append(block.max())
         writer.finish()
         spill.seek(0)
-        frames = MatrixReader(spill, f"the spilled spectrogram in {directory}")
+        power = PowerFile(spill, f"the spilled spectrogram in {directory}", max(peaks))
     except BaseException:
         spill.close()
         raise
-    return dataclasses.replace(spec, power=PowerFile(frames, max(peaks)))
+    return dataclasses.replace(spec, power=power)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def cmd_track(args, argv, files: _Files) -> None:
         power, axis, times = ra.power, ra.warped_axis_hz(), ra.time_axis
         axis_kind = "ra_center_hz"
     elif kind is None:
-        power = open_matrix(in_path)
+        power = MatrixReader.open(in_path)
         axis = np.arange(power.shape[1], dtype=np.float64)
         times = np.arange(power.shape[0], dtype=np.float64)
         axis_kind = "column_index"

@@ -270,25 +270,6 @@ def sidecar_value(path, meta: dict[str, str], key: str, kind: type = float):
         raise FileFormatError(f"{sidecar_path(path)}: {exc}") from None
 
 
-def open_framed_matrix(path, kind: str) -> tuple[MatrixReader, dict[str, str], float]:
-    """A matrix of frames opened for reading, its ``kind`` sidecar, and the sidecar's
-    ``frame_dt``; the sidecar's ``num_frames`` must match the rows, and ``frame_dt``
-    must be positive unless there is a single frame."""
-    meta = read_sidecar(path, kind)
-    matrix = open_matrix(path)
-    try:
-        rows = matrix.shape[0]
-        sidecar_count(path, meta, "num_frames", rows, "rows")
-        dt = sidecar_value(path, meta, "frame_dt")
-        if rows > 1 and dt <= 0:
-            raise FileFormatError(f"{sidecar_path(path)}: key 'frame_dt' must be positive "
-                                  f"for {rows} frames, got {meta['frame_dt']!r}")
-    except BaseException:
-        matrix.close()
-        raise
-    return matrix, meta, dt
-
-
 def sidecar_count(path, meta: dict[str, str], key: str, count: int, what: str) -> None:
     """Check the sidecar's ``key`` against the ``count`` matrix ``what`` it describes."""
     declared = sidecar_value(path, meta, key, int)
@@ -415,8 +396,9 @@ def load_radar_cube(path) -> RadarCube:
 def write_matrix(matrix, path, format: str = "bin") -> Path:
     """Persist a real matrix as csv, bin, or pgm; a complex one raises ValueError.
 
-    ``matrix`` is an array or (for bin and csv) frames such as linspec.PowerFile;
-    its rows go through one MatrixWriter in its block_edges. A bad format raises
+    ``matrix`` is an array or frames such as linspec.PowerFile. Their rows go
+    through one MatrixWriter in their block_edges; a pgm gathers them whole
+    first, as its gray levels need. A bad format or a bad pgm block raises
     before the file is created, and a failed block removes the file begun.
     """
     if not hasattr(matrix, "blocks"):
@@ -429,7 +411,7 @@ def write_matrix(matrix, path, format: str = "bin") -> Path:
         raise ValueError(f"unknown matrix format {format!r}")
     path = Path(path)
     if format == "pgm":
-        _write_matrix_pgm(matrix, path)
+        _write_matrix_pgm(matrix if isinstance(matrix, np.ndarray) else gather_rows(matrix), path)
         return path
     with path.open("wb") as fh:
         try:
@@ -495,22 +477,9 @@ class MatrixWriter:
                              f"{self.shape[1]} matrix")
 
 
-def open_matrix(path) -> MatrixReader:
-    """Open a matrix file written by write_matrix (csv or bin) for reading (see MatrixReader)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileFormatError(f"matrix file not found: {path}")
-    fh = path.open("rb")
-    try:
-        return MatrixReader(fh, path)
-    except BaseException:
-        fh.close()
-        raise
-
-
 def load_matrix(path) -> np.ndarray:
     """Load a float64 matrix written by write_matrix (csv or bin), opening the file once."""
-    with open_matrix(path) as matrix:
+    with MatrixReader.open(path) as matrix:
         return matrix.read()
 
 
@@ -520,7 +489,7 @@ class MatrixReader:
     Constructing one reads the head of ``fh`` (named ``name`` in errors). A
     bin matrix has its header and its size on disk checked, and no payload
     is read yet; a csv matrix is parsed whole and ``fh`` closed. The reader
-    owns ``fh`` and closes it on ``close``.
+    owns ``fh`` and closes it on ``close``; ``open`` opens one on a path.
     """
 
     def __init__(self, fh, name):
@@ -538,6 +507,19 @@ class MatrixReader:
         self._matrix = _load_matrix_csv(name, text)
         self.shape = self._matrix.shape
         fh.close()
+
+    @classmethod
+    def open(cls, path):
+        """Open a matrix file written by write_matrix (csv or bin) for reading."""
+        path = Path(path)
+        if not path.exists():
+            raise FileFormatError(f"matrix file not found: {path}")
+        fh = path.open("rb")
+        try:
+            return cls(fh, path)
+        except BaseException:
+            fh.close()
+            raise
 
     def _check_bin_header(self, head: bytes) -> tuple[int, int]:
         """The header's shape, checked against the size of the file on disk."""

@@ -21,8 +21,9 @@ from .ingest import (
     RadarParams,
     block_edges,
     gather_rows,
-    open_framed_matrix,
+    read_sidecar,
     sidecar_count,
+    sidecar_path,
     sidecar_value,
     write_frames,
 )
@@ -145,40 +146,47 @@ class Frames:
         return gather_rows(self)
 
 
-class PowerFile(Frames):
-    """A power matrix left in its file, read in frame blocks through a MatrixReader.
+class PowerFile(MatrixReader, Frames):
+    """A power matrix left in its file: a MatrixReader whose blocks are checked.
 
     Each block is checked as check_power checks a whole matrix, and an error
-    names the file. ``max`` reads the file once for its peak unless the
-    peak was given. Closing it closes the reader.
+    names the file; ``read`` stays unchecked, as a Spectrogram built on the
+    whole matrix checks it. ``max`` reads the file once for its peak unless
+    ``peak`` was given.
     """
 
-    def __init__(self, matrix: MatrixReader, peak=None):
-        self._matrix, self._peak = matrix, peak
-        self.shape = matrix.shape
+    def __init__(self, fh, name, peak=None):
+        super().__init__(fh, name)
+        self._peak = peak
 
     def blocks(self, edges):
         """The checked rows first:stop for each (first, stop) of ``edges``; each block
         is overwritten by the next (see MatrixReader.blocks)."""
-        for (first, _), block in zip(edges, self._matrix.blocks(edges)):
+        for (first, _), block in zip(edges, super().blocks(edges)):
             try:
                 _checked(block, first)
             except ValueError as exc:
-                raise FileFormatError(f"{self._matrix.name}: {exc}") from None
+                raise FileFormatError(f"{self.name}: {exc}") from None
             yield block
 
-    def read(self) -> np.ndarray:
-        """The whole matrix, unchecked: a Spectrogram built on it checks it."""
-        return self._matrix.read()
 
-    def close(self) -> None:
-        self._matrix.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
+def open_framed_matrix(path, kind: str) -> tuple[PowerFile, dict[str, str], float]:
+    """A matrix of frames opened as a PowerFile, its ``kind`` sidecar, and the sidecar's
+    ``frame_dt``; the sidecar's ``num_frames`` must match the rows, and ``frame_dt``
+    must be positive unless there is a single frame."""
+    meta = read_sidecar(path, kind)
+    power = PowerFile.open(path)
+    try:
+        rows = power.shape[0]
+        sidecar_count(path, meta, "num_frames", rows, "rows")
+        dt = sidecar_value(path, meta, "frame_dt")
+        if rows > 1 and dt <= 0:
+            raise FileFormatError(f"{sidecar_path(path)}: key 'frame_dt' must be positive "
+                                  f"for {rows} frames, got {meta['frame_dt']!r}")
+    except BaseException:
+        power.close()
+        raise
+    return power, meta, dt
 
 
 def check_frame_dt(frame_dt: float, num_frames: int) -> None:
@@ -391,28 +399,33 @@ def save_spectrogram(spec: Spectrogram, path, format: str = "bin") -> Path:
     ])
 
 
-def load_spectrogram(path) -> Spectrogram:
-    """Read a spectrogram; sidecar counts must match the matrix, and errors name the file."""
-    spec = open_spectrogram(path)
-    with spec.power as power:
+def read_whole(framed, path):
+    """A Spectrogram or RASpectrogram opened on the file ``path``, with its power read
+    whole and checked; the file is closed, and a power check that fails names it."""
+    with framed.power:
         try:
-            return dataclasses.replace(spec, power=power.read())
+            return _in_memory(framed)
         except ValueError as exc:
             raise FileFormatError(f"{path}: {exc}") from None
+
+
+def load_spectrogram(path) -> Spectrogram:
+    """Read a spectrogram; sidecar counts must match the matrix, and errors name the file."""
+    return read_whole(open_spectrogram(path), path)
 
 
 def open_spectrogram(path) -> Spectrogram:
     """A spectrogram file with its power left in the file as a PowerFile, which the
     caller closes. The checks are load_spectrogram's, but the power is checked a block
     at a time as it is read."""
-    matrix, meta, frame_dt = open_framed_matrix(path, "spectrogram")
+    power, meta, frame_dt = open_framed_matrix(path, "spectrogram")
     try:
-        sidecar_count(path, meta, "num_freq_bins", matrix.shape[1], "columns")
+        sidecar_count(path, meta, "num_freq_bins", power.shape[1], "columns")
         f_max = sidecar_value(path, meta, "f_max")
         try:
-            return Spectrogram(power=PowerFile(matrix), f_max=f_max, frame_dt=frame_dt)
+            return Spectrogram(power=power, f_max=f_max, frame_dt=frame_dt)
         except ValueError as exc:
             raise FileFormatError(f"{path}: {exc}") from None
     except BaseException:
-        matrix.close()
+        power.close()
         raise

@@ -11,7 +11,6 @@ on the warped axis.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,10 +20,9 @@ import numpy as np
 
 from .errors import (DegenerateCornerError, DegenerateInputError, FileFormatError,
                      FilterBankError, ForcedCornerError)
-from .ingest import (block_edges, frame_blocks, open_framed_matrix, row_blocks, sidecar_path,
-                     sidecar_value, write_frames)
-from .linspec import (FRAME_BLOCK, Frames, PowerFile, Spectrogram, check_frame_dt, check_power,
-                      floored_log10, log_floor)
+from .ingest import block_edges, frame_blocks, row_blocks, sidecar_path, sidecar_value, write_frames
+from .linspec import (FRAME_BLOCK, Frames, Spectrogram, _in_memory, check_frame_dt, check_power,
+                      floored_log10, log_floor, open_framed_matrix, read_whole)
 
 __all__ = [
     "EnergyProfile",
@@ -381,8 +379,7 @@ def ra_transform(
     Output columns run from the most negative warped frequency to the most
     positive.
     """
-    ra = ra_frames(spec, num_filters, floor, force_fc)
-    return dataclasses.replace(ra, power=ra.power.read())
+    return _in_memory(ra_frames(spec, num_filters, floor, force_fc))
 
 
 def ra_frames(spec: Spectrogram, num_filters: int = 64, floor: float = 1e-12,
@@ -501,37 +498,31 @@ def load_ra_spectrogram(path) -> RASpectrogram:
     """Read what save_ra_spectrogram writes; sidecar counts must match the matrix,
     and a missing or bad key, or a value the types reject, names the sidecar. A
     power matrix that is not finite and non-negative names the matrix file."""
-    ra = open_ra_spectrogram(path)
-    with ra.power as power:
-        try:
-            return dataclasses.replace(ra, power=power.read())
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: {exc}") from None
+    return read_whole(open_ra_spectrogram(path), path)
 
 
 def open_ra_spectrogram(path) -> RASpectrogram:
     """An RA spectrogram file with its power left in the file as a PowerFile, which
     the caller closes. The checks are load_ra_spectrogram's, but the power is checked
     a block at a time as it is read."""
-    matrix, meta, frame_dt = open_framed_matrix(path, "ra_spectrogram")
+    power, meta, frame_dt = open_framed_matrix(path, "ra_spectrogram")
     try:
         sidecar = sidecar_path(path)
         num_filters = sidecar_value(path, meta, "num_filters", int)
-        if num_filters < 1 or 2 * num_filters != matrix.shape[1]:
+        if num_filters < 1 or 2 * num_filters != power.shape[1]:
             raise FileFormatError(f"{sidecar}: key 'num_filters' = {num_filters} must be at "
-                                  f"least 1 and half the {matrix.shape[1]} matrix columns")
+                                  f"least 1 and half the {power.shape[1]} matrix columns")
         corners = [sidecar_value(path, meta, f"{key}_bins", int)
                    for key in ("f_nc", "f_pc", "f_c")]
         forced = sidecar_value(path, meta, "forced", bool)
         objective = math.nan if forced else sidecar_value(path, meta, "objective_value")
         p = np.array([sidecar_value(path, meta, f"p_{m}") for m in range(num_filters + 2)])
         try:
-            return RASpectrogram(power=PowerFile(matrix),
-                                 corner=CornerResult(*corners, objective),
+            return RASpectrogram(power=power, corner=CornerResult(*corners, objective),
                                  bank=FilterBank(p), frame_dt=frame_dt,
                                  hz_per_bin=sidecar_value(path, meta, "hz_per_bin"))
         except ValueError as exc:
             raise FileFormatError(f"{sidecar}: {exc}") from None
     except BaseException:
-        matrix.close()
+        power.close()
         raise

@@ -47,7 +47,8 @@ def peak_track(power, axis: np.ndarray) -> np.ndarray:
     to the lower bin index, so flat frames resolve deterministically.
     Frames are reordered and searched PEAK_BLOCK elements at a time, so
     the matrix is never copied whole; ``power`` is a matrix, or a reader of
-    row blocks such as ingest.MatrixReader or linspec.PowerFile.
+    row blocks such as ingest.MatrixReader or its subclass linspec.PowerFile,
+    which checks each block it reads.
     """
     if not hasattr(power, "blocks"):
         power = np.asarray(power, dtype=np.float64)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import radoppler
@@ -241,12 +241,16 @@ class TestSpectrogram:
         assert not (tmp_path / "spec.pgm.meta").exists()
         assert (tmp_path / "spec.pgm.manifest").exists()
 
-    @pytest.mark.parametrize("command", ["spectrogram", "ra"])
-    def test_pgm_same_bytes_from_api_and_cli(self, workdir, tmp_path, command):
+    @pytest.mark.parametrize("command,source", [
+        ("spectrogram", "cube.iq"), ("ra", "spec.bin"),
+        # a spilled PowerFile that knows its peak, rebinned into an image
+        ("ra", "cube.iq"),
+    ], ids=["spectrogram", "ra", "ra-cube"])
+    def test_pgm_same_bytes_from_api_and_cli(self, workdir, tmp_path, command, source):
         """The savers write a pgm as the CLI does: frequency on rows, no sidecar."""
         from radoppler.ra_core import load_ra_spectrogram, save_ra_spectrogram
         cli_out, api_out = tmp_path / "cli.pgm", tmp_path / "api.pgm"
-        source = {"spectrogram": workdir / "cube.iq", "ra": workdir / "spec.bin"}[command]
+        source = workdir / source
         assert cli.main([command, str(source), str(workdir / "pipeline.cfg"), str(cli_out),
                          "--format", "pgm"]) == 0
         if command == "spectrogram":
@@ -839,6 +843,74 @@ class TestCubeReadFuzz:
                     assert code == 2, err
                     assert list(out.iterdir()) == [], err
                     assert (str(cube) in err) if fault else (error in err), err
+
+
+@pytest.fixture(scope="module")
+def matrix_fuzz_base(fuzz_base, tmp_path_factory):
+    """The fuzz cube's spectrogram as bin and csv and its RA matrix, with sidecars."""
+    root = tmp_path_factory.mktemp("matrix_fuzz")
+    cfg = str(fuzz_base / "pipeline.cfg")
+    shutil.copyfile(cfg, root / "pipeline.cfg")
+    for argv in (["spectrogram", fuzz_base / "cube.iq", cfg, root / "spec.bin"],
+                 ["spectrogram", fuzz_base / "cube.iq", cfg, root / "spec.csv", "--format", "csv"],
+                 ["ra", root / "spec.bin", cfg, root / "ra.bin"]):
+        assert cli.main([str(a) for a in argv]) == 0, argv
+    return root
+
+
+MATRIX_FILES = ["spec.bin", "spec.csv", "ra.bin"]
+# subcommand, inputs, output
+MATRIX_COMMANDS = ["ra spec.bin pipeline.cfg x.bin", "ra spec.csv pipeline.cfg x.bin",
+                   "track spec.bin x.csv", "track ra.bin x.csv", "track spec.csv x.csv"]
+
+
+class TestMatrixInputFuzz:
+    """A spectrogram or RA matrix, or its sidecar, cut short, with a byte flipped or with
+    a line edited: ra and track on it exit 0 or 2, never 1; an exit 2 leaves no output
+    or staged .part-* file, and no run leaves a file open (a ResourceWarning fails)."""
+
+    @seed(23)
+    @settings(max_examples=120, deadline=None)
+    @given(target=st.sampled_from(MATRIX_FILES + [f"{name}.meta" for name in MATRIX_FILES]),
+           mutation=st.sampled_from(["truncate", "flip", "drop", "duplicate", "garble"]),
+           where=st.integers(0, 1 << 20), flip=st.integers(1, 255), garble=GARBLE)
+    def test_exit_code_and_leftovers(self, matrix_fuzz_base, target, mutation, where, flip,
+                                     garble):
+        data = bytearray((matrix_fuzz_base / target).read_bytes())
+        if mutation == "truncate":
+            del data[where % len(data):]
+        elif mutation == "flip":
+            data[where % len(data)] ^= flip
+        else:
+            lines = bytes(data).split(b"\n")
+            index = where % len(lines)
+            if mutation == "drop":
+                del lines[index]
+            elif mutation == "duplicate":
+                lines.insert(index, lines[index])
+            else:
+                key, equals, _ = lines[index].partition(b"=")
+                lines[index] = key + equals + garble.encode()
+            data = bytearray(b"\n".join(lines))
+
+        with tempfile.TemporaryDirectory(dir=matrix_fuzz_base.parent) as tmp:
+            inputs = shutil.copytree(matrix_fuzz_base, Path(tmp) / "in")
+            (inputs / target).write_bytes(data)
+            for k, line in enumerate(MATRIX_COMMANDS):
+                command, *names, output = line.split()
+                out = Path(tmp) / f"out{k}"
+                out.mkdir()
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = cli.main([command] + [str(inputs / n) for n in names]
+                                    + [str(out / output)])
+                assert code in (0, 2), (line, err.getvalue())
+                left = sorted(f.name for f in out.iterdir())
+                if code == 2:
+                    assert left == [], (line, err.getvalue())
+                else:
+                    assert not any(name.startswith(".part-") for name in left), left
+                    assert f"{output}.manifest" in left, left
 
 
 class TestDiagnostics:

@@ -11,6 +11,7 @@ from radoppler import ingest
 from radoppler.errors import FileFormatError
 from radoppler.ingest import (
     SPEED_OF_LIGHT,
+    MatrixReader,
     PipelineConfig,
     RadarCube,
     RadarParams,
@@ -463,6 +464,27 @@ class TestMatrixFormats:
         path = write_matrix(m, tmp_path / "m.pgm", format="pgm")
         pixels = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
         assert pixels.reshape(3, 5)[1, 2] == 255
+
+    def test_pgm_of_power_file_is_pgm_of_its_matrix(self, tmp_path, rng):
+        """Frames write as pgm too: a PowerFile's blocks are gathered into one image."""
+        from radoppler.linspec import PowerFile
+        source = write_matrix(np.abs(rng.standard_normal((300, 6))), tmp_path / "m.bin")
+        with PowerFile.open(source) as power:
+            assert isinstance(power, MatrixReader)
+            frames = write_matrix(power, tmp_path / "frames.pgm", format="pgm")
+        whole = write_matrix(load_matrix(source), tmp_path / "whole.pgm", format="pgm")
+        assert frames.read_bytes() == whole.read_bytes()
+
+    def test_pgm_of_non_finite_power_file_names_it_and_writes_nothing(self, tmp_path, rng):
+        from radoppler.linspec import PowerFile
+        m = np.abs(rng.standard_normal((300, 6)))
+        m[200, 3] = np.nan
+        source = write_matrix(m, tmp_path / "m.bin")
+        with PowerFile.open(source) as power:
+            with pytest.raises(FileFormatError, match=re.escape(
+                    f"{source}: power must be finite and non-negative; frame 200 holds nan")):
+                write_matrix(power, tmp_path / "frames.pgm", format="pgm")
+        assert not (tmp_path / "frames.pgm").exists()
 
     def test_rejects_bad_inputs(self, tmp_path):
         with pytest.raises(ValueError, match="2-D"):
