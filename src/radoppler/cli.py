@@ -50,7 +50,8 @@ finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
-from .errors import ConfigMismatchError, FileFormatError, ForcedCornerError, RadopplerError
+from .errors import (ConfigMismatchError, DegenerateInputError, FileFormatError, FilterBankError,
+                     ForcedCornerError, RadopplerError)
 from .ingest import (
     MatrixReader,
     MatrixWriter,
@@ -280,6 +281,13 @@ def cmd_ra(args, argv, files: _Files) -> None:
             ra = ra_frames(spec, num_filters, cfg.log_floor, force_bins)
         except ForcedCornerError as exc:
             raise ForcedCornerError(f"--force-fc {args.force_fc:g}: {exc}") from None
+        except FilterBankError as exc:
+            source = (f"--M {args.M}" if args.M is not None
+                      else f"{args.config_path}: num_filters = {cfg.num_filters}")
+            raise FilterBankError(f"{source}: {exc}") from None
+        except (DegenerateInputError, ValueError) as exc:  # too few bins, or no signal
+            source = f"{args.config_path} on {in_path}" if in_path.suffix == ".iq" else in_path
+            raise DegenerateInputError(f"{source}: {exc}") from None
         corner = ra.corner
         _log("info", f"corner: f_nc={corner.f_nc} f_pc={corner.f_pc} f_c={corner.f_c} bins "
                      f"({corner.f_c * spec.hz_per_bin:.2f} Hz)"

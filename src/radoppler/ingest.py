@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import os
 import struct
 from dataclasses import MISSING, dataclass, fields
@@ -51,6 +52,15 @@ FRAME_BLOCK = 128  # frames per block of the STFT, the energy profile and spectr
 # domain types
 # ---------------------------------------------------------------------------
 
+def check_finite(obj) -> None:
+    """Raise ValueError naming the first real field of dataclass ``obj`` that is not
+    finite. Integers are finite (and may be too large for math.isfinite)."""
+    for name, value in field_pairs(obj):
+        if (isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral)
+                and not math.isfinite(value)):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RadarParams:
     """Acquisition geometry of one FMCW dwell.
@@ -68,12 +78,10 @@ class RadarParams:
     bandwidth: float
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"RadarParams.{f.name} must be finite, got {value!r}")
+        check_finite(self)
+        for name, value in field_pairs(self):
             if value <= 0:
-                raise ValueError(f"RadarParams.{f.name} must be strictly positive")
+                raise ValueError(f"RadarParams.{name} must be strictly positive")
         if self.chirp_repetition_freq > self.sample_rate:
             raise ValueError("chirp_repetition_freq must not exceed sample_rate")
 
@@ -129,10 +137,7 @@ class PipelineConfig:
     coherent: bool = True
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"PipelineConfig.{f.name} must be finite, got {value!r}")
+        check_finite(self)
         if not (0 <= self.range_bin_start <= self.range_bin_end):
             raise ValueError("need 0 <= range_bin_start <= range_bin_end")
         if not (1 <= self.hop <= self.window_length <= self.fft_length):
@@ -143,8 +148,9 @@ class PipelineConfig:
             raise ValueError(f"window_kind must be one of {WINDOW_KINDS}")
         if self.num_filters < 2:
             raise ValueError("num_filters must be >= 2")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
+        if not 0 < self.log_floor < 1:
+            # at 1 or above every cell is floored to one level, and e(f) is flat
+            raise ValueError(f"log_floor must lie in (0, 1), got {self.log_floor!r}")
         if self.notch_cutoff <= 0:
             raise ValueError("notch_cutoff must be positive")
         if self.notch_order < 2 or self.notch_order % 2:
@@ -411,7 +417,7 @@ def write_matrix(matrix, path, format: str = "bin") -> Path:
         raise ValueError(f"unknown matrix format {format!r}")
     path = Path(path)
     if format == "pgm":
-        _write_matrix_pgm(matrix if isinstance(matrix, np.ndarray) else gather_rows(matrix), path)
+        _write_matrix_pgm(gather_rows(matrix), path)
         return path
     with path.open("wb") as fh:
         try:
@@ -430,8 +436,7 @@ def write_frames(power, path, format: str, sidecar) -> Path:
     pairs ``sidecar``, or for ``pgm`` only an unloadable image with frequency on its rows
     (a steady tone reads as one bright row), whose gray levels need the frames whole."""
     if format == "pgm":
-        whole = power if isinstance(power, np.ndarray) else gather_rows(power)
-        return write_matrix(whole.T, path, format="pgm")
+        return write_matrix(gather_rows(power).T, path, format="pgm")
     out = write_matrix(power, path, format)
     sidecar_path(out).write_text(format_kv(sidecar))
     return out
@@ -598,7 +603,10 @@ def block_edges(matrix) -> list[tuple[int, int]]:
 
 
 def gather_rows(matrix) -> np.ndarray:
-    """One new array of the rows of ``matrix``, read in its block_edges."""
+    """The whole of ``matrix``: an array as it is, else one new array of its rows, read
+    in its block_edges (the one whole read of frames, see linspec.Frames.read)."""
+    if isinstance(matrix, np.ndarray):
+        return matrix
     whole, edges = np.empty(matrix.shape), block_edges(matrix)
     for (first, stop), block in zip(edges, row_blocks(matrix, edges)):
         whole[first:stop] = block
@@ -625,11 +633,11 @@ def _load_matrix_csv(path, text: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _write_matrix_pgm(matrix: np.ndarray, path: Path, floor: float = 1e-12) -> None:
+def _write_matrix_pgm(matrix: np.ndarray, path: Path) -> None:
     mags = np.abs(matrix).astype(np.float64)
     peak = mags.max()
     if peak > 0:
-        levels = np.log10(np.maximum(mags, floor * peak))
+        levels = np.log10(np.maximum(mags, 1e-12 * peak))  # gray levels span 12 decades at most
         lo, hi = levels.min(), levels.max()
         if hi > lo:
             pixels = np.rint((levels - lo) / (hi - lo) * 255.0)

@@ -301,7 +301,12 @@ def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
     _check_fit(cfg, params.num_fast_samples // 2, params.num_chirps, prf)
     if params.num_chirps < 2:
         raise ValueError("need at least 2 chirps to filter along slow time")
-    sos = highpass_sos(cfg.notch_order, cfg.notch_cutoff, prf)
+    try:
+        sos = highpass_sos(cfg.notch_order, cfg.notch_cutoff, prf)
+    except ValueError:  # all that cfg and _check_fit leave unchecked is the step state
+        raise ConfigMismatchError(f"notch_cutoff = {cfg.notch_cutoff!r} Hz rounds a pole of the "
+                                  f"order-{cfg.notch_order} high-pass onto z = 1 at {prf!r} Hz, "
+                                  f"the chirp rate") from None
     series = _slow_time_series(params, chunks, cfg, sos)
     if cfg.coherent:
         row = series[np.newaxis]
@@ -367,9 +372,10 @@ def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig,
 
 
 def log_floor(spec: Spectrogram, floor: float) -> float:
-    """floor * max(power), the level the power is clipped to before the log."""
-    if floor <= 0:
-        raise ValueError("floor must be positive")
+    """floor * max(power), the level the power is clipped to before the log. A floor
+    of 1 or above would clip every cell to one level, so it must lie in (0, 1)."""
+    if not 0 < floor < 1:
+        raise ValueError(f"floor must lie in (0, 1), got {floor!r}")
     peak = spec.power.max()
     if peak <= 0:
         raise DegenerateInputError("degenerate input: all-zero spectrogram has no log view")

@@ -97,7 +97,9 @@ def highpass_sos(order: int, cutoff: float, fs: float) -> np.ndarray:
     output="sos") step for step: every section holds the double zero at
     z = 1 and one conjugate pole pair, pairs nearer the unit circle come
     later, and the overall gain sits in the first section. Each design is
-    checked here: order even and >= 2, cutoff inside (0, fs/2).
+    checked here: order even and >= 2, cutoff inside (0, fs/2), and a pole
+    off z = 1 with a finite step state in every section. A cutoff below
+    about 2e-9 fs rounds a pole onto z = 1 and fails the last check.
     """
     if not 0 < cutoff < fs / 2:
         raise ValueError(f"cutoff must sit inside (0, {fs / 2}), got {cutoff}")
@@ -116,7 +118,22 @@ def highpass_sos(order: int, cutoff: float, fs: float) -> np.ndarray:
     sos[:, 4] = -2.0 * poles.real
     sos[:, 5] = poles.real**2 + poles.imag**2
     sos[0, :3] *= gain
+    if not _has_step_state(sos):
+        raise ValueError(f"cutoff {cutoff!r} Hz rounds a pole of the order-{order} high-pass "
+                         f"onto z = 1 at {fs!r} Hz, so it has no step state")
     return sos
+
+
+def _has_step_state(sos: np.ndarray) -> bool:
+    """Whether every section's denominator is positive at z = 1 and the step state
+    solves to finite values."""
+    if not np.all(sos[:, 3:].sum(axis=1) > 0):
+        return False
+    try:
+        with np.errstate(all="ignore"):
+            return bool(np.all(np.isfinite(step_state(sos))))
+    except np.linalg.LinAlgError:
+        return False
 
 
 def step_state(sos: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DegenerateCornerError, DegenerateInputError, FileFormatError,
                      FilterBankError, ForcedCornerError)
-from .ingest import block_edges, frame_blocks, row_blocks, sidecar_path, sidecar_value, write_frames
+from .ingest import frame_blocks, row_blocks, sidecar_path, sidecar_value, write_frames
 from .linspec import (FRAME_BLOCK, Frames, Spectrogram, _in_memory, check_frame_dt, check_power,
                       floored_log10, log_floor, open_framed_matrix, read_whole)
 
@@ -421,8 +421,9 @@ class RebinFrames(Frames):
     index 0) and negative half (bins 0..-half) are one product each with the
     bank's weights, and the negative product fills the first M columns
     mirrored (ROW_ORDER). A product may round differently with its row
-    count, so a whole read or write takes REBIN_BLOCK blocks (block_edges). Each
-    pass reads the spectrogram's power again, so it must stay open.
+    count, so a whole read (Frames.read) or write takes REBIN_BLOCK blocks
+    (block_edges). Each pass reads the spectrogram's power again, so it
+    must stay open.
     """
 
     block = REBIN_BLOCK
@@ -431,28 +432,18 @@ class RebinFrames(Frames):
         self._spec, self._bank = spec, bank
         self.shape = (spec.num_frames, 2 * bank.num_filters)
 
-    def read(self) -> np.ndarray:
-        """Every frame, rebinned a REBIN_BLOCK block at a time straight into one matrix."""
-        power = np.empty(self.shape)
-        for _ in self.blocks(block_edges(self), power):
-            pass
-        return power
-
-    def blocks(self, edges, power: np.ndarray | None = None):
-        """The RA power of frames first:stop for each (first, stop) of ``edges``: rows
-        first:stop of ``power`` when it is given, else one reused buffer that the next
-        block overwrites. Blocks of a reused buffer round as those of ``power`` do."""
+    def blocks(self, edges):
+        """The RA power of frames first:stop for each (first, stop) of ``edges``, in one
+        reused buffer that the next block overwrites."""
         half, num_filters = self._spec.num_freq_bins // 2, self._bank.num_filters
         largest = max(stop - first for first, stop in edges)
-        reuse = power is None
-        if reuse:
-            power = np.empty((largest, 2 * num_filters))
+        power = np.empty((largest, 2 * num_filters))
         # one reused buffer holds a block's positive half, then its negative half
         buffer = np.empty((largest, half + 1))
         negative = np.empty((largest, num_filters))
         weights = self._bank.weights.T
         for (first, stop), block in zip(edges, row_blocks(self._spec.power, edges)):
-            out = power[: stop - first] if reuse else power[first:stop]
+            out = power[: stop - first]
             rows = buffer[: stop - first]
             rows[:, :half] = block[:, half:]
             rows[:, half] = block[:, 0]

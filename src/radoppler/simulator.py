@@ -26,6 +26,7 @@ from .ingest import (
     SPEED_OF_LIGHT,
     RadarCube,
     RadarParams,
+    check_finite,
     field_pairs,
     format_kv,
     from_kv,
@@ -62,10 +63,7 @@ class ScattererSpec:
     rcs: float = 1.0  # linear amplitude
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"ScattererSpec.{f.name} must be finite, got {value!r}")
+        check_finite(self)
         if self.base_range <= 0:
             raise ValueError("base_range must be positive")
         if self.micro_freq < 0 or self.micro_amp < 0:
@@ -101,8 +99,7 @@ class Scenario:
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
         if not self.scatterers:
             raise ValueError("scenario needs at least one scatterer")
-        if not math.isfinite(self.noise_power):
-            raise ValueError(f"Scenario.noise_power must be finite, got {self.noise_power!r}")
+        check_finite(self)
         if self.noise_power < 0:
             raise ValueError("noise_power must be non-negative")
         if self.seed < 0:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
 import radoppler
@@ -637,6 +637,71 @@ class TestNotchAboveNyquist:
         assert list(out.iterdir()) == []
 
 
+class TestConfigOutOfRange:
+    @pytest.mark.parametrize("command", ["spectrogram", "ra"])
+    @pytest.mark.parametrize("coherent", ["true", "false"])
+    def test_low_cutoff_exits_two_before_reading_the_cube(self, workdir, tmp_path, capsys,
+                                                          monkeypatch, command, coherent):
+        """At the 2 kHz chirp rate a 1e-6 Hz cutoff rounds a pole onto z = 1, so the
+        high-pass has no step state; that is known before any chirp is read."""
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"notch_cutoff = 1e-6\ncoherent = {coherent}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        cube = workdir / "cube.iq"
+
+        def unread(reader):
+            pytest.fail("a chunk was read")
+            yield
+
+        monkeypatch.setattr(ingest.CubeReader, "__iter__", unread)
+        assert cli.main([command, str(cube), str(cfg), str(out / "x.bin")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: notch_cutoff = 1e-06 Hz rounds a pole of the order-4 high-pass "
+            f"onto z = 1 at 2000.0 Hz, the chirp rate of {cube}\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["spec.bin", "cube.iq"])
+    @pytest.mark.parametrize("floor", ["1", "10", "1e300"])
+    def test_log_floor_of_one_or_above_exits_two(self, workdir, tmp_path, capsys, source, floor):
+        """Such a floor clips every cell to one level: e(f) is flat and its corner noise."""
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"log_floor = {floor}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["ra", str(workdir / source), str(cfg), str(out / "x.bin")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: log_floor must lie in (0, 1), got {float(floor)!r}\n")
+        assert list(out.iterdir()) == []
+
+    def test_filter_count_names_its_source(self, workdir, tmp_path, capsys):
+        """The 256-bin axis takes at most 258 filters; a larger M names the flag, or the
+        config key it came from."""
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("num_filters = 300\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        spec = str(workdir / "spec.bin")
+        assert cli.main(["ra", spec, str(cfg), str(out / "x.bin")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: num_filters = 300: M = 300 ")
+        assert cli.main(["ra", spec, str(cfg), str(out / "x.bin"), "--M", "400"]) == 2
+        assert capsys.readouterr().err.startswith("error: --M 400: M = 400 ")
+        assert list(out.iterdir()) == []
+
+    def test_degenerate_spectrogram_names_its_source(self, workdir, tmp_path, capsys):
+        """Four bins leave no room for a corner: the error names the config and cube the
+        spectrogram came from."""
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("fft_length = 4\nwindow_length = 4\nhop = 4\nnum_filters = 2\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        cube = workdir / "cube.iq"
+        assert cli.main(["ra", str(cube), str(cfg), str(out / "x.bin")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg} on {cube}: energy profile needs at least 5 bins\n")
+        assert list(out.iterdir()) == []
+
+
 class TestNonFiniteParams:
     def test_cube_meta_exits_two_naming_the_key(self, workdir, tmp_path, capsys):
         shutil.copyfile(workdir / "cube.iq", tmp_path / "cube.iq")
@@ -911,6 +976,90 @@ class TestMatrixInputFuzz:
                 else:
                     assert not any(name.startswith(".part-") for name in left), left
                     assert f"{output}.manifest" in left, left
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_cube(tmp_path_factory):
+    """A 2000-chirp walk_like cube: 64 range bins at a 2 kHz chirp rate."""
+    root = tmp_path_factory.mktemp("config_fuzz")
+    scenario = preset("walk_like")
+    scenario = dataclasses.replace(
+        scenario, params=dataclasses.replace(scenario.params, num_chirps=2000))
+    save_scenario(scenario, root / "scene.scn")
+    assert cli.main(["simulate", str(root / "scene.scn"), str(root / "cube.iq")]) == 0
+    return root / "cube.iq"
+
+
+def rarely(draw, drawn, *values):
+    """A value of the strategy ``drawn``, or one time in eight one of ``values``."""
+    return draw(st.sampled_from(values)) if draw(st.sampled_from(range(8))) == 7 else draw(drawn)
+
+
+def log_uniform(low, high):
+    """Floats from 10**low to 10**high, uniform in their exponent."""
+    return st.floats(low, high).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def config_keys(draw):
+    """PipelineConfig keys that mostly fit together and the cube, each reaching its
+    extremes: range bins up to 70 of 64, windows, hops and FFT lengths up to 1024,
+    cutoffs from 1e-9 Hz to the 1 kHz Nyquist limit and floors up to 10."""
+    fft_length = rarely(draw, st.integers(1, 512).map(lambda half: 2 * half), 1023)
+    window_length = rarely(draw, st.integers(1, fft_length), 2048)
+    range_bin_end = draw(st.integers(0, 70))
+    return {
+        "range_bin_start": draw(st.integers(0, range_bin_end)),
+        "range_bin_end": range_bin_end,
+        "window_kind": draw(st.sampled_from(["hann", "hamming", "rect"])),
+        "window_length": window_length,
+        "hop": draw(st.integers(1, min(window_length, 1024))),
+        "fft_length": fft_length,
+        "notch_cutoff": rarely(draw, log_uniform(-9, 3), 1e-9, 1e-6, 3e-6),
+        "notch_order": rarely(draw, st.sampled_from([2, 4, 6, 8]), 3),
+        "num_filters": rarely(draw, st.integers(2, 64), 300, 1000),
+        "log_floor": rarely(draw, log_uniform(-300, -0.01), 1.0, 10.0),
+        "coherent": draw(st.booleans()),
+    }
+
+
+@st.composite
+def ra_flags(draw):
+    """--M and --force-fc (Hz), each left out half the time."""
+    flags = {"--M": rarely(draw, st.integers(2, 64), 300, 1000),
+             "--force-fc": rarely(draw, st.floats(0.0, 1000.0), -5.0, 1200.0)}
+    return {flag: value for flag, value in flags.items() if draw(st.booleans())}
+
+
+class TestConfigFuzz:
+    """A generated config, --M and --force-fc: spectrogram and ra on a cube exit 0 or 2,
+    never 1. An exit 2 names the config file, a config key or the flag and leaves no
+    output or staged .part-* file; an exit 0 leaves every output with its manifest."""
+
+    @seed(24)
+    @settings(max_examples=300, deadline=None)
+    @given(keys=config_keys(), flags=ra_flags())
+    def test_exit_code_and_outputs(self, config_fuzz_cube, keys, flags):
+        with tempfile.TemporaryDirectory(dir=config_fuzz_cube.parent) as tmp:
+            cfg = Path(tmp) / "p.cfg"
+            cfg.write_text(ingest.format_kv(keys.items()))
+            for command, extra in (("spectrogram", {}), ("ra", flags)):
+                out = Path(tmp) / command
+                out.mkdir()
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    # --flag=value: argparse takes "-1e-05" after a space for an option
+                    code = exit_code([command, str(config_fuzz_cube), str(cfg), str(out / "x.bin")]
+                                     + [f"{flag}={value!r}" for flag, value in extra.items()])
+                err = err.getvalue()
+                assert code in (0, 2), (command, err)
+                event(f"{command} exit {code}")
+                left = sorted(f.name for f in out.iterdir())
+                if code == 2:
+                    assert left == [], (command, err)
+                    assert any(name in err for name in [str(cfg), *keys, *extra]), (command, err)
+                else:
+                    assert left == ["x.bin", "x.bin.manifest", "x.bin.meta"], left
 
 
 class TestDiagnostics:

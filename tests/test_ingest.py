@@ -15,6 +15,7 @@ from radoppler.ingest import (
     PipelineConfig,
     RadarCube,
     RadarParams,
+    check_finite,
     field_pairs,
     format_kv,
     from_kv,
@@ -321,6 +322,10 @@ class TestKvDialect:
 
 
 class TestMatrixFormats:
+    def test_gather_rows_returns_an_array_as_it_is(self, rng):
+        m = rng.standard_normal((5, 7))
+        assert ingest.gather_rows(m) is m
+
     def test_bin_round_trip_real(self, tmp_path, rng):
         m = rng.standard_normal((5, 7))
         path = write_matrix(m, tmp_path / "m.bin", format="bin")
@@ -510,6 +515,7 @@ class TestPipelineConfig:
         (dict(log_floor=0.0), "log_floor"),
         (dict(notch_cutoff=-1.0), "notch_cutoff"),
         (dict(notch_order=3), "notch_order"),
+        (dict(log_floor=1.0), "log_floor"),
     ])
     def test_rejects_invalid(self, overrides, pattern):
         with pytest.raises(ValueError, match=pattern):
@@ -521,6 +527,21 @@ class TestPipelineConfig:
     def test_rejects_non_finite_floats(self, name, value):
         with pytest.raises(ValueError, match=rf"PipelineConfig\.{name} must be finite"):
             PipelineConfig(**{name: value})
+
+    def test_rejects_numpy_non_finite(self):
+        """The finiteness rule takes any real number, not only a Python float."""
+        with pytest.raises(ValueError, match=r"PipelineConfig\.log_floor must be finite, got "):
+            PipelineConfig(log_floor=np.float32("nan"))
+
+    def test_check_finite_passes_integers_of_any_size(self):
+        @dataclass
+        class Counts:
+            huge: int
+            ratio: float
+
+        check_finite(Counts(10**400, 0.5))
+        with pytest.raises(ValueError, match=r"^Counts\.ratio must be finite, got -inf$"):
+            check_finite(Counts(1, -math.inf))
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = PipelineConfig(range_bin_end=31, window_kind="hamming", hop=8,

@@ -135,6 +135,17 @@ class TestConfigFitsCube:
         assert isinstance(info.value, ValueError)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_low_cutoff_checked_before_the_first_chunk(self, coherent):
+        """At 2 kHz a 1e-6 Hz cutoff rounds a pole onto z = 1, where the filter's
+        step state has no solution."""
+        params = preset("walk_like").params
+        cfg = PipelineConfig(coherent=coherent, notch_cutoff=1e-6)
+        with pytest.raises(ConfigMismatchError) as info:
+            linspec._front_end(params, self.unread(), cfg)
+        assert str(info.value) == ("notch_cutoff = 1e-06 Hz rounds a pole of the order-4 "
+                                   "high-pass onto z = 1 at 2000.0 Hz, the chirp rate")
+
 
 class TestSpectrogramFromFile:
     @staticmethod
@@ -424,7 +435,8 @@ class TestLogFloor:
             log_floor(make_spec(np.zeros((2, 4))), 1e-12)
 
     def test_bad_floor(self, make_spec):
-        for floor in (0.0, -1e-12):
+        # at 1 or above every cell would be floored to one level: a flat profile
+        for floor in (0.0, -1e-12, 1.0, 10.0, 1e300):
             with pytest.raises(ValueError, match="floor"):
                 log_floor(make_spec(np.ones((2, 4))), floor)
 

@@ -137,6 +137,19 @@ class TestClutterFilter:
         with pytest.raises(ValueError, match="cutoff"):
             clutter_filter(profiles_from(rows, prf=1000.0), cutoff=0.0)
 
+    @pytest.mark.parametrize("order, cutoff", [(4, 1e-6), (4, 3e-6), (2, 1e-9), (8, 4e-6)])
+    def test_cutoff_too_low_for_a_step_state(self, order, cutoff):
+        """At a 2 kHz chirp rate these cutoffs round a pole onto z = 1."""
+        rows = np.ones((1, 10), dtype=complex)
+        with pytest.raises(ValueError, match=rf"cutoff {cutoff!r} Hz rounds a pole of the "
+                                             rf"order-{order} high-pass onto z = 1 at 2000.0 Hz"):
+            clutter_filter(profiles_from(rows, prf=2000.0), cutoff=cutoff, order=order)
+
+    def test_lowest_working_cutoffs_keep_their_design(self):
+        for cutoff in (5e-6, 1e-5):
+            sos = highpass_sos(4, cutoff, 2000.0)
+            assert np.all(np.isfinite(step_state(sos)))
+
     def test_order_validation(self):
         rows = np.ones((1, 10), dtype=complex)
         with pytest.raises(ValueError, match="order"):

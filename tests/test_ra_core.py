@@ -542,6 +542,12 @@ class TestRATransform:
         with pytest.raises(DegenerateInputError):
             ra_transform(make_spec(np.zeros((4, 32))), num_filters=4)
 
+    @pytest.mark.parametrize("transform", [energy_profile, ra_transform])
+    def test_floor_of_one_rejected(self, rng, transform):
+        """A floor of 1 clips every cell to the peak: e(f) is flat, its corner noise."""
+        with pytest.raises(ValueError, match=r"floor must lie in \(0, 1\), got 1.0"):
+            transform(make_spec(rng.uniform(0.5, 1.0, size=(4, 256))), floor=1.0)
+
     def test_force_fc_range_and_flags(self, rng):
         power = rng.uniform(0.5, 1.0, size=(4, 32))
         for force_fc, f_c in ((0.6, 1), (14.6, 15), (15.4, 15)):
