@@ -305,41 +305,36 @@ def _front_end(params: RadarParams, chunks, cfg: PipelineConfig) -> Spectrogram:
         sos = highpass_sos(cfg.notch_order, cfg.notch_cutoff, prf)
     except ValueError:  # all that cfg and _check_fit leave unchecked is the step state
         raise ConfigMismatchError(f"notch_cutoff = {cfg.notch_cutoff!r} Hz rounds a pole of the "
-                                  f"order-{cfg.notch_order} high-pass onto z = 1 at {prf!r} Hz, "
+                                  f"order-{cfg.notch_order} high-pass onto or too near z = 1 "
+                                  f"for a step state that cancels a constant at {prf!r} Hz, "
                                   f"the chirp rate") from None
-    series = _slow_time_series(params, chunks, cfg, sos)
-    if cfg.coherent:
-        row = series[np.newaxis]
-        sosfilt(sos, row, out=row)
-    return _stft(series, prf, cfg)
+    return _stft(_slow_time_series(params, chunks, cfg, sos), prf, cfg)
 
 
 def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig,
                       sos: np.ndarray) -> np.ndarray:
-    """The num_chirps slow-time series of the chunks, filtered by sos in non-coherent mode.
+    """The num_chirps slow-time series of the chunks, filtered by sos.
 
     Each chunk is cast to complex128 and reduced to one sample per chirp
     before the next is taken, so beside the 16 B/chirp series only one
-    chunk, its cast and (non-coherent mode) one filter group are held. The
-    cast is a temporary of the statement that uses it: bound to a name, it
-    would live on beside the next cast or the filter's working set. A
-    chunk must start on a BLOCK boundary and lie inside one CHIRP_BLOCK
-    group; a ValueError names the chirp of one that does not.
+    chunk, its cast and one filter group are held. The cast is a temporary
+    of the statement that uses it: bound to a name, it would live on beside
+    the next cast or the filter's working set. A chunk must start on a
+    BLOCK boundary and lie inside one CHIRP_BLOCK group; a ValueError names
+    the chirp of one that does not. A full group, or the last, is filtered
+    in place from the state the one before left; sosfilt's products round
+    by row count, so the groups, not the chunks, fix the bits.
 
     Coherent mode: range FFT plus the sum over [range_bin_start,
     range_bin_end] is one linear functional per chirp, w[i] = sum_r
-    exp(-2j*pi*r*i/N), applied as one product w @ chunk. Each output is a
-    dot product over fast time, so how the chirps are cut into chunks does
-    not move a bit (a threaded BLAS, too, splits the product by columns).
-    The filter is linear, time-invariant and starts from a state linear in
-    the first sample, so filtering this series afterwards equals summing
-    filtered bins.
+    exp(-2j*pi*r*i/N), applied as w @ chunk into the series, whose one-row
+    span is the group. Each output is a dot product over fast time, so no
+    cut into chunks or BLAS threads moves a bit; the filter and its start
+    are linear, so filtering the sum equals summing filtered bins.
 
     Non-coherent mode: magnitudes do not commute with the filter, so the
-    chunks' range-FFT bins fill one [bins, CHIRP_BLOCK] group, which is
-    filtered in place from the state the previous group left once it is
-    full or the chirps run out. sosfilt's block products round by row
-    length, so the groups, not the chunks, fix the bits.
+    chunks' range-FFT bins fill one [bins, CHIRP_BLOCK] group, whose
+    filtered magnitudes, summed over the bins, fill the series.
     """
     n, num_chirps = params.num_fast_samples, params.num_chirps
     bins = np.arange(cfg.range_bin_start, cfg.range_bin_end + 1)
@@ -360,12 +355,14 @@ def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig,
         if cfg.coherent:
             # one product per read; a CLI process runs it on one BLAS thread
             series[start : start + count] = w @ chunk.astype(np.complex128, copy=False)
+            kept = series[np.newaxis, start - first : start + count]
         else:
             group[:, first : first + count] = np.fft.fft(
                 chunk.astype(np.complex128, copy=False), n=n, axis=0)[bins]
-            if first + count == CHIRP_BLOCK or start + count == num_chirps:
-                kept = group[:, : first + count]
-                _, zi = sosfilt(sos, kept, zi, out=kept)
+            kept = group[:, : first + count]
+        if first + count == CHIRP_BLOCK or start + count == num_chirps:
+            _, zi = sosfilt(sos, kept, zi, out=kept)
+            if not cfg.coherent:
                 series[start - first : start + count] = np.abs(kept).sum(axis=0)
         start += count
     return series

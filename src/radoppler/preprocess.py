@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
 ]
 
 BLOCK = 64  # samples the filter runner advances per matrix product
+STEP_RESIDUAL = 1e-3  # largest share of a constant a design's step state may pass
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,11 @@ def highpass_sos(order: int, cutoff: float, fs: float) -> np.ndarray:
     output="sos") step for step: every section holds the double zero at
     z = 1 and one conjugate pole pair, pairs nearer the unit circle come
     later, and the overall gain sits in the first section. Each design is
-    checked here: order even and >= 2, cutoff inside (0, fs/2), and a pole
-    off z = 1 with a finite step state in every section. A cutoff below
-    about 2e-9 fs rounds a pole onto z = 1 and fails the last check.
+    checked here: order even and >= 2, cutoff inside (0, fs/2), and a
+    finite step state that cancels a constant, |b0 + zi[0, 0]| <=
+    STEP_RESIDUAL * |b0|. A cutoff below about 2e-9 fs rounds a pole onto
+    z = 1, where there is no step state; up to about 1e-7 fs the rounded
+    step state of some designs passes more than that share.
     """
     if not 0 < cutoff < fs / 2:
         raise ValueError(f"cutoff must sit inside (0, {fs / 2}), got {cutoff}")
@@ -118,22 +122,25 @@ def highpass_sos(order: int, cutoff: float, fs: float) -> np.ndarray:
     sos[:, 4] = -2.0 * poles.real
     sos[:, 5] = poles.real**2 + poles.imag**2
     sos[0, :3] *= gain
-    if not _has_step_state(sos):
+    if not _step_residual(sos) <= STEP_RESIDUAL:
         raise ValueError(f"cutoff {cutoff!r} Hz rounds a pole of the order-{order} high-pass "
-                         f"onto z = 1 at {fs!r} Hz, so it has no step state")
+                         f"onto or too near z = 1 at {fs!r} Hz for a step state that "
+                         f"cancels a constant")
     return sos
 
 
-def _has_step_state(sos: np.ndarray) -> bool:
-    """Whether every section's denominator is positive at z = 1 and the step state
-    solves to finite values."""
+def _step_residual(sos: np.ndarray) -> float:
+    """|b0 + zi[0, 0]| / |b0|, the share of a constant that the step state zi passes;
+    inf if a section's denominator is not positive at z = 1 or zi does not solve to
+    finite values."""
     if not np.all(sos[:, 3:].sum(axis=1) > 0):
-        return False
+        return np.inf
     try:
         with np.errstate(all="ignore"):
-            return bool(np.all(np.isfinite(step_state(sos))))
+            zi = step_state(sos)
     except np.linalg.LinAlgError:
-        return False
+        return np.inf
+    return abs(sos[0, 0] + zi[0, 0]) / abs(sos[0, 0]) if np.isfinite(zi).all() else np.inf
 
 
 def step_state(sos: np.ndarray) -> np.ndarray:
@@ -165,19 +172,19 @@ def sosfilt(sos: np.ndarray, x: np.ndarray, zi=None,
     cascade runs as a linear state-space system BLOCK samples at a time:
     each block's response is one matrix product with the lower-triangular
     Toeplitz of the impulse response, plus the response to the state
-    carried in from the previous block. zf is the state after x zero-padded
-    to a multiple of BLOCK, so a row filtered in pieces, each from the zf
-    of the one before, equals the whole row if only the last is partial.
-    Without zi, each row starts at rest on the step of its first sample.
-    y is written into ``out``, a complex128 [rows, n] array, or a new one;
-    ``out`` may be ``x`` itself, since x is copied into the real working
-    rows before any of y is written. Beside x and y the runner holds those
-    rows (16 B per sample) and the block products (about 17 B per sample).
-    """
+    carried in from the previous block (operators built once per design).
+    zf is the state after x zero-padded to a multiple of BLOCK, so rows
+    filtered in pieces, each from the zf of the one before, equal the whole
+    rows up to product rounding if only the last is partial. Without zi,
+    each row starts at rest on the step of its first sample. y is written
+    into ``out``, a complex128 [rows, n] array, or a new one, which may be
+    ``x`` itself: x is copied into the real working rows first. Beside x
+    and y the runner holds those rows (16 B per sample) and the block
+    products (about 17 B per sample)."""
     rows, n = x.shape
     if zi is None:
         zi = step_state(sos)[:, np.newaxis, :] * x[np.newaxis, :, 0, np.newaxis]
-    forward, observe, advance = _block_operators(sos)
+    forward, observe, advance = _block_operators(np.asarray(sos, dtype=np.float64).tobytes())
     blocks = -(-n // BLOCK)
     # real coefficients: real and imaginary parts run as separate rows
     u = np.zeros((2, rows, blocks * BLOCK))
@@ -200,13 +207,13 @@ def sosfilt(sos: np.ndarray, x: np.ndarray, zi=None,
     return out, np.moveaxis(zf, -2, 0)
 
 
-def _block_operators(sos: np.ndarray):
-    """(forward, observe, advance) matrices that step the cascade by BLOCK.
-
-    For a row state s (the section states flattened) and a block of input
-    u, the block's output is u @ forward[:, :BLOCK] + s @ observe and the
-    state after it is s @ advance + u @ forward[:, BLOCK:].
+@lru_cache(maxsize=16)
+def _block_operators(design: bytes):
+    """Read-only (forward, observe, advance) that step by BLOCK the cascade of sections
+    with float64 bytes ``design``: for a row state s and an input block u, the output is
+    u @ forward[:, :BLOCK] + s @ observe, the next state s @ advance + u @ forward[:, BLOCK:].
     """
+    sos = np.frombuffer(design).reshape(-1, 6)
     n_state = 2 * len(sos)
     # one step of the recurrence on each unit state and on a unit input
     # gives the row-vector state space s' = s A + u b, y = s c + u d
@@ -229,4 +236,7 @@ def _block_operators(sos: np.ndarray):
     lag = idx[None, :] - idx[:, None]  # output index minus input index
     toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
     drive = b @ powers[BLOCK - 1 :: -1]  # row j: b A^(BLOCK-1-j)
-    return np.hstack([toeplitz, drive]), observe, powers[BLOCK]
+    operators = np.hstack([toeplitz, drive]), observe, powers[BLOCK]
+    for matrix in operators:
+        matrix.setflags(write=False)
+    return operators

@@ -638,14 +638,12 @@ class TestNotchAboveNyquist:
 
 
 class TestConfigOutOfRange:
-    @pytest.mark.parametrize("command", ["spectrogram", "ra"])
-    @pytest.mark.parametrize("coherent", ["true", "false"])
-    def test_low_cutoff_exits_two_before_reading_the_cube(self, workdir, tmp_path, capsys,
-                                                          monkeypatch, command, coherent):
-        """At the 2 kHz chirp rate a 1e-6 Hz cutoff rounds a pole onto z = 1, so the
-        high-pass has no step state; that is known before any chirp is read."""
+    @staticmethod
+    def exits_two_unread(workdir, tmp_path, capsys, monkeypatch, command, coherent, cutoff):
+        """``command`` on the 2 kHz cube with ``notch_cutoff = cutoff`` exits 2 naming the
+        key, its value and the chirp rate, before a chunk is read and writing nothing."""
         cfg = tmp_path / "p.cfg"
-        cfg.write_text(f"notch_cutoff = 1e-6\ncoherent = {coherent}\n")
+        cfg.write_text(f"notch_cutoff = {cutoff}\ncoherent = {coherent}\n")
         out = tmp_path / "out"
         out.mkdir()
         cube = workdir / "cube.iq"
@@ -657,9 +655,27 @@ class TestConfigOutOfRange:
         monkeypatch.setattr(ingest.CubeReader, "__iter__", unread)
         assert cli.main([command, str(cube), str(cfg), str(out / "x.bin")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {cfg}: notch_cutoff = 1e-06 Hz rounds a pole of the order-4 high-pass "
-            f"onto z = 1 at 2000.0 Hz, the chirp rate of {cube}\n")
+            f"error: {cfg}: notch_cutoff = {float(cutoff)!r} Hz rounds a pole of the order-4 "
+            f"high-pass onto or too near z = 1 for a step state that cancels a constant at "
+            f"2000.0 Hz, the chirp rate of {cube}\n")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["spectrogram", "ra"])
+    @pytest.mark.parametrize("coherent", ["true", "false"])
+    def test_low_cutoff_exits_two_before_reading_the_cube(self, workdir, tmp_path, capsys,
+                                                          monkeypatch, command, coherent):
+        """At the 2 kHz chirp rate a 1e-6 Hz cutoff rounds a pole onto z = 1, so the
+        high-pass has no step state; that is known before any chirp is read."""
+        self.exits_two_unread(workdir, tmp_path, capsys, monkeypatch, command, coherent, "1e-6")
+
+    @pytest.mark.parametrize("command", ["spectrogram", "ra"])
+    @pytest.mark.parametrize("coherent", ["true", "false"])
+    @pytest.mark.parametrize("cutoff", ["8e-6", "5e-6", "4e-6"])
+    def test_step_state_that_passes_a_constant_exits_two(self, workdir, tmp_path, capsys,
+                                                         monkeypatch, command, coherent, cutoff):
+        """At 2 kHz these cutoffs keep their poles off z = 1, but the rounded step state
+        passes 0.2, 0.5 and 1.0 of a constant unit row, above STEP_RESIDUAL."""
+        self.exits_two_unread(workdir, tmp_path, capsys, monkeypatch, command, coherent, cutoff)
 
     @pytest.mark.parametrize("source", ["spec.bin", "cube.iq"])
     @pytest.mark.parametrize("floor", ["1", "10", "1e300"])
@@ -1618,17 +1634,36 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("coherent", [True, False])
     def test_front_end(self, long_cube, coherent):
-        """Beside the series the front end holds one read, its cast and the filter's
-        working set: in coherent mode the filter runs in place on the series, so the
-        peak stays below four series; in non-coherent mode it runs in place on one
-        [bins, CHIRP_BLOCK] group, so the peak stays below the series and four groups."""
+        """Beside the series the front end holds one read, its cast and one filter
+        group's working set. In coherent mode the group is the series' own span of
+        CHIRP_BLOCK chirps and the read is half its complex128 cast, so the peak stays
+        below the series and two casts; in non-coherent mode the group is one
+        [bins, CHIRP_BLOCK] array, so the peak stays below the series and four groups."""
         from radoppler.linspec import open_cube_spectrogram
         cfg = PipelineConfig(coherent=coherent)
-        series = 16 * ingest.CubeReader(long_cube).params.num_chirps
+        params = ingest.CubeReader(long_cube).params
+        series = 16 * params.num_chirps
+        cast = 16 * params.num_fast_samples * ingest.CHIRP_SLICE
         group = 16 * (cfg.range_bin_end - cfg.range_bin_start + 1) * ingest.CHIRP_BLOCK
         _, peak = self.traced_peak(lambda: open_cube_spectrogram(long_cube, cfg))
-        bound = 4 * series if coherent else series + 4 * group
+        bound = series + 2 * cast if coherent else series + 4 * group
         assert peak < bound, f"{peak / 2**20:.2f} MB against {bound / 2**20:.2f} MB"
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_front_end_grows_by_its_series(self, dwell, long_cube, coherent):
+        """From 30 000 to 120 000 chirps the front end's peak grows by less than 1.1
+        times the series' 16 B/chirp: the filter runs per CHIRP_BLOCK group in both
+        modes, so nothing else it holds grows with the dwell."""
+        from radoppler.linspec import open_cube_spectrogram
+        cfg = PipelineConfig(coherent=coherent)
+        open_cube_spectrogram(dwell, cfg)  # imports and the filter's operators, untraced
+        peaks = [self.traced_peak(lambda: open_cube_spectrogram(path, cfg))[1]
+                 for path in (dwell, long_cube)]
+        growth = 16 * (ingest.CubeReader(long_cube).params.num_chirps
+                       - ingest.CubeReader(dwell).params.num_chirps)
+        assert peaks[1] - peaks[0] < 1.1 * growth, (
+            f"{(peaks[1] - peaks[0]) / 2**20:.2f} MB against a series growth of "
+            f"{growth / 2**20:.2f} MB")
 
     @pytest.mark.parametrize("command", ["spectrogram", "ra_cube", "ra_spec", "track_spec",
                                          "track_ra"])

@@ -144,7 +144,8 @@ class TestConfigFitsCube:
         with pytest.raises(ConfigMismatchError) as info:
             linspec._front_end(params, self.unread(), cfg)
         assert str(info.value) == ("notch_cutoff = 1e-06 Hz rounds a pole of the order-4 "
-                                   "high-pass onto z = 1 at 2000.0 Hz, the chirp rate")
+                                   "high-pass onto or too near z = 1 for a step state that "
+                                   "cancels a constant at 2000.0 Hz, the chirp rate")
 
 
 class TestSpectrogramFromFile:
@@ -246,7 +247,7 @@ class TestStreamedNonCoherent:
     @pytest.mark.parametrize("coherent", [True, False])
     def test_chunking_keeps_the_bits(self, blocks3, coherent):
         """Reads of 64, CHIRP_SLICE or CHIRP_BLOCK chirps give the same power: the
-        coherent product is cut by columns, and the non-coherent filter runs on the
+        coherent product is cut by columns, and in both modes the filter runs on the
         same groups whatever fills them."""
         cube = blocks3[0]
         cfg = PipelineConfig(coherent=coherent)

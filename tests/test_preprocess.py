@@ -6,7 +6,9 @@ from _oracles import sos_response
 from radoppler.ingest import RadarCube, RadarParams
 from radoppler.preprocess import (
     BLOCK,
+    STEP_RESIDUAL,
     RangeProfileMatrix,
+    _block_operators,
     clutter_filter,
     highpass_sos,
     range_transform,
@@ -137,18 +139,35 @@ class TestClutterFilter:
         with pytest.raises(ValueError, match="cutoff"):
             clutter_filter(profiles_from(rows, prf=1000.0), cutoff=0.0)
 
-    @pytest.mark.parametrize("order, cutoff", [(4, 1e-6), (4, 3e-6), (2, 1e-9), (8, 4e-6)])
+    @pytest.mark.parametrize("order, cutoff", [(4, 1e-6), (4, 3e-6), (2, 1e-9), (8, 4e-6),
+                                               (4, 8e-6), (4, 5e-6), (4, 4e-6)])
     def test_cutoff_too_low_for_a_step_state(self, order, cutoff):
-        """At a 2 kHz chirp rate these cutoffs round a pole onto z = 1."""
+        """At a 2 kHz chirp rate the first four cutoffs round a pole onto z = 1; at the
+        last three the rounded step state passes 0.2, 0.5 and 1.0 of a constant."""
         rows = np.ones((1, 10), dtype=complex)
         with pytest.raises(ValueError, match=rf"cutoff {cutoff!r} Hz rounds a pole of the "
-                                             rf"order-{order} high-pass onto z = 1 at 2000.0 Hz"):
+                                             rf"order-{order} high-pass onto or too near z = 1 "
+                                             rf"at 2000.0 Hz for a step state that cancels a "
+                                             rf"constant"):
             clutter_filter(profiles_from(rows, prf=2000.0), cutoff=cutoff, order=order)
 
     def test_lowest_working_cutoffs_keep_their_design(self):
-        for cutoff in (5e-6, 1e-5):
+        for cutoff in (6e-6, 1e-5):
             sos = highpass_sos(4, cutoff, 2000.0)
             assert np.all(np.isfinite(step_state(sos)))
+
+    @pytest.mark.parametrize("fs", [20.0, 2000.0, 20_000.0])
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    def test_accepted_designs_cancel_a_constant(self, order, fs):
+        """Every design highpass_sos accepts, down to where poles round onto z = 1,
+        leaves at most STEP_RESIDUAL of a constant unit row started on its step."""
+        for cutoff in np.geomspace(1e-10 * fs, 1e-2 * fs, 200):
+            try:
+                sos = highpass_sos(order, cutoff, fs)
+            except ValueError:
+                continue
+            y, _ = sosfilt(sos, np.ones((1, 200), dtype=complex))
+            assert np.abs(y).max() <= STEP_RESIDUAL, f"cutoff {cutoff!r} Hz"
 
     def test_order_validation(self):
         rows = np.ones((1, 10), dtype=complex)
@@ -242,6 +261,23 @@ class TestInRepoFilter:
         if pieces[-1] % BLOCK == 0:  # zf continues the row only after a whole block
             assert zf.shape == ref_zf.shape
             np.testing.assert_allclose(zf, ref_zf, rtol=0, atol=tol)
+
+    def test_operators_shared_per_design(self, rng):
+        """Block operators are built once per design and shared read-only; filtering
+        with two designs in turn gives the bits of operators built afresh for each."""
+        designs = [highpass_sos(4, 0.01, 2000.0), highpass_sos(6, 5.0, 100.0)]
+        x = rng.standard_normal((2, 5 * BLOCK + 3)) + 1j * rng.standard_normal((2, 5 * BLOCK + 3))
+        fresh = []
+        for sos in designs:
+            _block_operators.cache_clear()
+            fresh.append(sosfilt(sos, x))
+        for sos, (y, zf) in [*zip(designs, fresh), *zip(designs, fresh)]:
+            got_y, got_zf = sosfilt(sos, x)
+            np.testing.assert_array_equal(got_y.view(np.uint64), y.view(np.uint64))
+            np.testing.assert_array_equal(got_zf.view(np.uint64), zf.view(np.uint64))
+        operators = _block_operators(designs[0].tobytes())
+        assert operators is _block_operators(designs[0].tobytes())
+        assert not any(matrix.flags.writeable for matrix in operators)
 
     def test_design_checks_its_arguments(self):
         with pytest.raises(ValueError, match=r"cutoff must sit inside \(0, 50.0\), got 50.0"):
