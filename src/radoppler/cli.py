@@ -68,6 +68,7 @@ from .ingest import (
 
 HASH_CHUNK = 1 << 20  # bytes per read while hashing manifest inputs and outputs
 LOG_LEVELS = {"error": 40, "info": 20, "debug": 10}  # RADOPPLER_LOG value -> rank
+FLOAT_OPTIONS = ("--force-fc", "--q", "--r")  # options whose value may be negative
 
 
 def _log(level: str, message: str) -> None:
@@ -359,6 +360,31 @@ def _filter_count(text: str) -> int:
     return value
 
 
+def _joined_values(argv: list[str]) -> list[str]:
+    """argv with ``--force-fc``, ``--q`` or ``--r`` (or an abbreviation) and a following
+    number that starts with '-' spelled as one ``--opt=value`` token: argparse takes a
+    negative number in exponent notation, such as -1e-05, for an option, and then names
+    no value. Tokens after ``--`` are left as they are."""
+    out = []
+    for k, token in enumerate(argv):
+        if token == "--":
+            return out + argv[k:]
+        if (out and out[-1].startswith("--") and any(o.startswith(out[-1]) for o in FLOAT_OPTIONS)
+                and token.startswith("-") and _is_float(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radoppler",
@@ -399,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(raw_argv)
+    args = build_parser().parse_args(_joined_values(raw_argv))
     try:
         with _subcommand_files(args) as files:
             args.func(args, raw_argv, files)

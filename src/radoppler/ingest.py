@@ -22,7 +22,6 @@ Matrix ``pgm``
 
 from __future__ import annotations
 
-import io
 import math
 import numbers
 import os
@@ -44,7 +43,6 @@ WINDOW_KINDS = ("hann", "hamming", "rect")
 
 CHIRP_BLOCK = 4096  # chirps per rendered tile of a cube, and per non-coherent filter group
 CHIRP_SLICE = 1024  # chirps per cube block written, read, cast or reduced at once
-CSV_ROWS = 128  # matrix rows formatted at a time by a csv write
 FRAME_BLOCK = 128  # frames per block of the STFT, the energy profile and spectrogram writes
 
 
@@ -447,8 +445,8 @@ class MatrixWriter:
 
     The bin header goes first, so the row count is fixed before any row is
     known; ``finish`` checks that exactly that many rows came. A csv block is
-    np.savetxt of its rows, CSV_ROWS at a time, which gives the bytes of one
-    np.savetxt of the whole matrix.
+    one np.savetxt of its rows, which writes a row at a time, so any cut into
+    blocks gives the bytes of one np.savetxt of the whole matrix.
     """
 
     def __init__(self, fh, rows: int, cols: int, format: str = "bin"):
@@ -469,10 +467,7 @@ class MatrixWriter:
         if self.format == "bin":
             self._fh.write(np.ascontiguousarray(block, dtype="<f8"))
         else:
-            for first in range(0, len(block), CSV_ROWS):
-                text = io.StringIO()
-                np.savetxt(text, block[first : first + CSV_ROWS], fmt="%.17g", delimiter=",")
-                self._fh.write(text.getvalue().encode("ascii"))
+            np.savetxt(self._fh, block, fmt="%.17g", delimiter=",")
         self.written += len(block)
 
     def finish(self) -> None:

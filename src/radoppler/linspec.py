@@ -170,10 +170,12 @@ class PowerFile(MatrixReader, Frames):
             yield block
 
 
-def open_framed_matrix(path, kind: str) -> tuple[PowerFile, dict[str, str], float]:
-    """A matrix of frames opened as a PowerFile, its ``kind`` sidecar, and the sidecar's
-    ``frame_dt``; the sidecar's ``num_frames`` must match the rows, and ``frame_dt``
-    must be positive unless there is a single frame."""
+def open_framed_matrix(path, kind: str, build):
+    """``build(power, meta, frame_dt)`` on a matrix of frames opened as a PowerFile, its
+    ``kind`` sidecar ``meta`` and the sidecar's ``frame_dt``. The sidecar's ``num_frames``
+    must match the rows, and ``frame_dt`` must be positive unless there is a single frame.
+    On any failure the file is closed, and a ValueError from ``build`` (a sidecar value
+    the typed object rejects) becomes a FileFormatError that names the sidecar."""
     meta = read_sidecar(path, kind)
     power = PowerFile.open(path)
     try:
@@ -183,10 +185,13 @@ def open_framed_matrix(path, kind: str) -> tuple[PowerFile, dict[str, str], floa
         if rows > 1 and dt <= 0:
             raise FileFormatError(f"{sidecar_path(path)}: key 'frame_dt' must be positive "
                                   f"for {rows} frames, got {meta['frame_dt']!r}")
+        return build(power, meta, dt)
+    except ValueError as exc:
+        power.close()
+        raise FileFormatError(f"{sidecar_path(path)}: {exc}") from None
     except BaseException:
         power.close()
         raise
-    return power, meta, dt
 
 
 def check_frame_dt(frame_dt: float, num_frames: int) -> None:
@@ -379,12 +384,6 @@ def log_floor(spec: Spectrogram, floor: float) -> float:
     return floor * peak
 
 
-def floored_log10(power: np.ndarray, threshold: float, out=None) -> np.ndarray:
-    """log10(max(power, threshold)) in one buffer: ``out``, or a new array."""
-    out = np.maximum(power, threshold, out=out)
-    return np.log10(out, out=out)
-
-
 # ---------------------------------------------------------------------------
 # persistence: matrix payload + axis sidecar
 # ---------------------------------------------------------------------------
@@ -413,22 +412,19 @@ def read_whole(framed, path):
 
 
 def load_spectrogram(path) -> Spectrogram:
-    """Read a spectrogram; sidecar counts must match the matrix, and errors name the file."""
+    """Read a spectrogram; sidecar counts must match the matrix, and a missing or bad
+    key, or a value Spectrogram rejects, names the sidecar. A power matrix that is not
+    finite and non-negative names the matrix file."""
     return read_whole(open_spectrogram(path), path)
 
 
 def open_spectrogram(path) -> Spectrogram:
     """A spectrogram file with its power left in the file as a PowerFile, which the
     caller closes. The checks are load_spectrogram's, but the power is checked a block
-    at a time as it is read."""
-    power, meta, frame_dt = open_framed_matrix(path, "spectrogram")
-    try:
+    at a time as it is read; a sidecar value that Spectrogram rejects names the sidecar
+    (see open_framed_matrix)."""
+    def build(power, meta, frame_dt):
         sidecar_count(path, meta, "num_freq_bins", power.shape[1], "columns")
-        f_max = sidecar_value(path, meta, "f_max")
-        try:
-            return Spectrogram(power=power, f_max=f_max, frame_dt=frame_dt)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: {exc}") from None
-    except BaseException:
-        power.close()
-        raise
+        return Spectrogram(power=power, f_max=sidecar_value(path, meta, "f_max"),
+                           frame_dt=frame_dt)
+    return open_framed_matrix(path, "spectrogram", build)

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DegenerateCornerError, DegenerateInputError, FileFormatError,
-                     FilterBankError, ForcedCornerError)
-from .ingest import frame_blocks, row_blocks, sidecar_path, sidecar_value, write_frames
+from .errors import (DegenerateCornerError, DegenerateInputError, FilterBankError,
+                     ForcedCornerError)
+from .ingest import frame_blocks, row_blocks, sidecar_value, write_frames
 from .linspec import (FRAME_BLOCK, Frames, Spectrogram, _in_memory, check_frame_dt, check_power,
-                      floored_log10, log_floor, open_framed_matrix, read_whole)
+                      log_floor, open_framed_matrix, read_whole)
 
 __all__ = [
     "EnergyProfile",
@@ -222,7 +222,7 @@ def energy_profile(spec: Spectrogram, floor: float = 1e-12) -> EnergyProfile:
     buffer = np.zeros((max(stop - first for first, stop in blocks) + 1, spec.num_freq_bins))
     for (first, stop), block in zip(blocks, row_blocks(spec.power, blocks)):
         rows = buffer[: stop - first + 1]
-        floored_log10(block, threshold, out=rows[1:])
+        np.log10(np.maximum(block, threshold, out=rows[1:]), out=rows[1:])
         e = rows.sum(axis=0)
         buffer[0] = e
     return EnergyProfile(e=e, zero_index=spec.num_freq_bins // 2)
@@ -495,25 +495,18 @@ def load_ra_spectrogram(path) -> RASpectrogram:
 def open_ra_spectrogram(path) -> RASpectrogram:
     """An RA spectrogram file with its power left in the file as a PowerFile, which
     the caller closes. The checks are load_ra_spectrogram's, but the power is checked
-    a block at a time as it is read."""
-    power, meta, frame_dt = open_framed_matrix(path, "ra_spectrogram")
-    try:
-        sidecar = sidecar_path(path)
+    a block at a time as it is read (see open_framed_matrix)."""
+    def build(power, meta, frame_dt):
         num_filters = sidecar_value(path, meta, "num_filters", int)
         if num_filters < 1 or 2 * num_filters != power.shape[1]:
-            raise FileFormatError(f"{sidecar}: key 'num_filters' = {num_filters} must be at "
-                                  f"least 1 and half the {power.shape[1]} matrix columns")
+            raise ValueError(f"key 'num_filters' = {num_filters} must be at least 1 and "
+                             f"half the {power.shape[1]} matrix columns")
         corners = [sidecar_value(path, meta, f"{key}_bins", int)
                    for key in ("f_nc", "f_pc", "f_c")]
         forced = sidecar_value(path, meta, "forced", bool)
         objective = math.nan if forced else sidecar_value(path, meta, "objective_value")
         p = np.array([sidecar_value(path, meta, f"p_{m}") for m in range(num_filters + 2)])
-        try:
-            return RASpectrogram(power=power, corner=CornerResult(*corners, objective),
-                                 bank=FilterBank(p), frame_dt=frame_dt,
-                                 hz_per_bin=sidecar_value(path, meta, "hz_per_bin"))
-        except ValueError as exc:
-            raise FileFormatError(f"{sidecar}: {exc}") from None
-    except BaseException:
-        power.close()
-        raise
+        return RASpectrogram(power=power, corner=CornerResult(*corners, objective),
+                             bank=FilterBank(p), frame_dt=frame_dt,
+                             hz_per_bin=sidecar_value(path, meta, "hz_per_bin"))
+    return open_framed_matrix(path, "ra_spectrogram", build)

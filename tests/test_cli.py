@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,7 @@ class TestTrack:
         ("ra.bin", "num_filters = 64", "num_filters = lots",
          "key 'num_filters': cannot parse 'lots' as int"),
         ("spec.bin", "f_max = ", "f_max = x", "key 'f_max': cannot parse 'x' as float"),
+        ("spec.bin", "f_max = ", "f_max = -100.0", "f_max must be positive and finite"),
         ("spec.bin", "frame_dt = ", "frame_dt = nan", "key 'frame_dt' must be finite"),
         ("ra.bin", "num_filters = 64", "num_filters = 8",
          "key 'num_filters' = 8 must be at least 1 and half the 128 matrix columns"),
@@ -448,13 +450,15 @@ class TestTrack:
         ("ra.bin", "p_1 = ", "p_1 = 0", "key 'p_1' = 0.0 must exceed 0.0: p_1..p_64 rise strictly"),
         ("ra.bin", "p_2 = ", "p_2 = -1.5", "key 'p_2' = -1.5 must exceed "),
         ("ra.bin", "p_64 = ", "p_64 = 1.0", "key 'p_64' = 1.0 must exceed "),
-    ], ids=["no_p_3", "num_filters_lots", "f_max_x", "frame_dt_nan", "num_filters_8",
-            "num_filters_negative", "frame_dt_negative", "ra_frame_dt_zero",
+    ], ids=["no_p_3", "num_filters_lots", "f_max_x", "f_max_negative", "frame_dt_nan",
+            "num_filters_8", "num_filters_negative", "frame_dt_negative", "ra_frame_dt_zero",
             "num_frames_5", "num_freq_bins_7", "ra_num_frames_5", "hz_per_bin_zero",
             "hz_per_bin_negative", "p_1_zero", "p_2_falls", "p_64_falls"])
     def test_bad_sidecar_value_exits_two(self, workdir, tmp_path, capsys, matrix, old, new,
                                          named):
-        """track, and ra for a spectrogram, exit 2 naming the key and the sidecar."""
+        """track, and ra for a spectrogram, exit 2 naming the key and the sidecar, and
+        leave no file open: none counted after the exit, and none left for the garbage
+        collector to close with a ResourceWarning (which the count cannot see)."""
         path = tmp_path / matrix
         shutil.copyfile(workdir / matrix, path)
         lines = (workdir / (matrix + ".meta")).read_text().splitlines()
@@ -469,10 +473,15 @@ class TestTrack:
         if matrix == "spec.bin":
             commands.append(["ra", str(path), str(workdir / "pipeline.cfg"),
                              str(tmp_path / "r.bin")])
+        fds = TestFailedRunLeavesNoTrace.open_fds()
         for command in commands:
-            assert cli.main(command) == 2
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                assert cli.main(command) == 2
+            assert [w.message for w in caught if w.category is ResourceWarning] == []
             err = capsys.readouterr().err
             assert named in err and f"{path}.meta" in err
+            assert TestFailedRunLeavesNoTrace.open_fds() == fds
         assert not (tmp_path / "t.csv").exists() and not (tmp_path / "r.bin").exists()
 
     @pytest.mark.parametrize("matrix,sidecar,frame,bad", [("spec.bin", False, 7, np.nan),
@@ -603,6 +612,38 @@ class TestNonFiniteInputs:
         assert exit_code([str(paths.get(a, a)) for a in command]) == 2
         assert name in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+
+class TestNegativeExponentValues:
+    @pytest.mark.parametrize("command,named", [
+        (["ra", "SPEC", "CFG", "OUT", "--force-fc", "-1e-05"],
+         "error: --force-fc -1e-05: forced corner -1.28e-06 bins (-1e-05 Hz) does not round"),
+        (["ra", "SPEC", "CFG", "OUT", "--forc", "-1e-05"],
+         "error: --force-fc -1e-05: forced corner -1.28e-06 bins (-1e-05 Hz) does not round"),
+        (["track", "SPEC", "OUT", "--q", "-1e-3"],
+         "error: q must be finite and positive, got -0.001"),
+        (["track", "SPEC", "OUT", "--r", "-2.5E+1"],
+         "error: r must be finite and positive, got -25.0"),
+        (["track", "SPEC", "OUT", "--r", "-inf"], "expected a finite number, got '-inf'"),
+    ], ids=["force_fc", "force_fc_abbreviated", "q", "r", "r_inf"])
+    def test_spaced_value_reads_as_the_joined_one(self, workdir, tmp_path, capsys, command,
+                                                 named):
+        """argparse takes a negative number in exponent notation for an option; given
+        after a space, it reaches the same check and stderr as ``--opt=value``."""
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("")
+        paths = {"SPEC": workdir / "spec.bin", "CFG": cfg, "OUT": tmp_path / "out"}
+        argv = [str(paths.get(a, a)) for a in command]
+        errs = []
+        for spelling in (argv, argv[:-2] + [f"{argv[-2]}={argv[-1]}"]):
+            assert exit_code(spelling) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and named in errs[0]
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_values_after_double_dash_stay_positional(self):
+        assert cli._joined_values(["track", "--q", "-1e-3", "--", "--r", "-1e-3"]) == [
+            "track", "--q=-1e-3", "--", "--r", "-1e-3"]
 
 
 class TestNotchAboveNyquist:

@@ -321,6 +321,18 @@ class TestKvDialect:
             read_sidecar(matrix, "spectrogram")
 
 
+class _Frames:
+    """A matrix handed out in FRAME_BLOCK-row blocks, as frames are (see block_edges)."""
+
+    block = ingest.FRAME_BLOCK
+
+    def __init__(self, matrix):
+        self._matrix, self.shape = matrix, matrix.shape
+
+    def blocks(self, edges):
+        return (self._matrix[first:stop] for first, stop in edges)
+
+
 class TestMatrixFormats:
     def test_gather_rows_returns_an_array_as_it_is(self, rng):
         m = rng.standard_normal((5, 7))
@@ -351,11 +363,15 @@ class TestMatrixFormats:
         path = write_matrix(m, tmp_path / "m.csv", format="csv")
         np.testing.assert_array_equal(load_matrix(path), m)
 
-    def test_csv_cells_are_17_digit_floats(self, tmp_path):
-        m = np.array([[-0.0, 5e-324, math.inf], [1 / 3, -math.inf, 1.7976931348623157e308]])
-        path = write_matrix(m, tmp_path / "m.csv", format="csv")
-        expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in m)
-        assert path.read_bytes() == expected.encode()
+    def test_csv_cells_are_17_digit_floats(self, tmp_path, rng):
+        """Frames written in their FRAME_BLOCK blocks (513 rows: four of them) give the
+        text of each cell formatted alone."""
+        for rows in (2, 127, 128, 129, 513):
+            m = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+            m[:2] = [[-0.0, 5e-324, math.inf], [1 / 3, -math.inf, 1.7976931348623157e308]]
+            path = write_matrix(_Frames(m), tmp_path / f"m{rows}.csv", format="csv")
+            expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in m)
+            assert path.read_bytes() == expected.encode(), rows
 
     def test_csv_complex_cell_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
