@@ -44,6 +44,7 @@ __all__ = [
 TINY_MEAN = 1e-300
 
 CORNER_BLOCK = 1 << 16  # objective values per corner-search block
+PROFILE_BLOCK = 1 << 15  # log-power values per energy-profile frame block
 # frames per rebin block: each block is two threaded BLAS products, and each
 # product can stall while the host is busy, so the blocks are few
 REBIN_BLOCK = 2 * FRAME_BLOCK
@@ -212,13 +213,14 @@ ROW_ORDER = "negative side m=M..1, then positive side m=1..M (warped frequency a
 def energy_profile(spec: Spectrogram, floor: float = 1e-12) -> EnergyProfile:
     """Sum the floored log-power over frames: e(f) on the signed bin axis.
 
-    Each frame block is floored and logged into rows 1.. of one buffer whose
-    row 0 carries the running sum. numpy sums axis 0 of a C-ordered matrix
-    row by row, so e(f) equals the sum of the whole log view bit for bit,
-    whatever the blocks.
+    Each block of PROFILE_BLOCK // bins frames (128 at 256 bins, 16 at
+    2048; the last block takes the rest) is floored and logged into rows 1..
+    of one buffer whose row 0 carries the running sum. numpy sums axis 0 of
+    a C-ordered matrix row by row, so e(f) equals the sum of the whole log
+    view bit for bit, whatever the blocks.
     """
     threshold = log_floor(spec, floor)
-    blocks = frame_blocks(spec.num_frames)
+    blocks = frame_blocks(spec.num_frames, max(1, PROFILE_BLOCK // spec.num_freq_bins))
     buffer = np.zeros((max(stop - first for first, stop in blocks) + 1, spec.num_freq_bins))
     for (first, stop), block in zip(blocks, row_blocks(spec.power, blocks)):
         rows = buffer[: stop - first + 1]
@@ -233,6 +235,18 @@ def corner_backends() -> tuple[str, ...]:
     return ("python",)
 
 
+def _segment_lengths(zero_index: int, length: int) -> np.ndarray:
+    """n2 = i2 - i1 + 1 for i1 in [1, zero_index) (rows) and i2 in
+    (zero_index, length - 2] (columns), as floats: a read-only Toeplitz view
+    of the one vector 3, 4, .., length - 2, each row starting one element
+    before the row above it."""
+    lengths = np.arange(3.0, length - 1)
+    step = lengths.itemsize
+    return np.lib.stride_tricks.as_strided(
+        lengths[zero_index - 2 :], shape=(zero_index - 1, length - 2 - zero_index),
+        strides=(-step, step), writeable=False)
+
+
 def _search(prefix: np.ndarray, zero_index: int) -> tuple[int, int, float]:
     """Minimize the three-segment objective on a prefix-summed profile.
 
@@ -241,11 +255,11 @@ def _search(prefix: np.ndarray, zero_index: int) -> tuple[int, int, float]:
     right split index in (zero_index, L-2], and the objective value.
 
     The (i1, i2) grid is scored CORNER_BLOCK values at a time, a block of
-    i1 rows against every i2, so memory stays bounded at any axis length.
-    Each value is the segment mean floored at 1e-300 before the log, and
-    the objective is associated as (t1 + t2) + t3. Ties resolve to the
-    tightest band and then the smaller i2; that key is carried across
-    blocks, so the block size never changes the result.
+    i1 rows against every i2, in one reused buffer, so memory stays bounded
+    at any axis length. Each value is the segment mean floored at 1e-300
+    before the log, and the objective is associated as (t1 + t2) + t3. Ties
+    resolve to the tightest band and then the smaller i2; that key is
+    carried across blocks, so the block size never changes the result.
     """
     L = prefix.shape[0] - 1
     i1 = np.arange(1, zero_index)
@@ -256,24 +270,26 @@ def _search(prefix: np.ndarray, zero_index: int) -> tuple[int, int, float]:
     n3 = (L - i2).astype(np.float64)
     t3 = n3 * np.log10(np.maximum((prefix[L] - prefix[i2]) / n3, TINY_MEAN))
     right = prefix[i2 + 1]
+    lengths = _segment_lengths(zero_index, L)
 
     rows = max(1, CORNER_BLOCK // i2.size)
+    buffer = np.empty((min(rows, i1.size), i2.size))
     best = None  # (J, span, i2) of the best split so far
     for start in range(0, i1.size, rows):
-        left = i1[start : start + rows]
-        n2 = (i2[None, :] - left[:, None] + 1).astype(np.float64)
-        t2 = right[None, :] - prefix[left][:, None]
-        t2 /= n2
-        np.maximum(t2, TINY_MEAN, out=t2)
-        np.log10(t2, out=t2)
-        t2 *= n2
-        J = t1[start : start + rows, None] + t2
+        stop = min(start + rows, i1.size)
+        n2, J = lengths[start:stop], buffer[: stop - start]
+        np.subtract(right, prefix[start + 1 : stop + 1, None], out=J)
+        J /= n2
+        np.maximum(J, TINY_MEAN, out=J)
+        np.log10(J, out=J)
+        J *= n2
+        J += t1[start:stop, None]
         J += t3
         j = J.min()
         if best is not None and j > best[0]:
             continue
         r, c = np.nonzero(J == j)
-        span = i2[c] - left[r]
+        span = i2[c] - i1[start + r]
         pick = np.lexsort((i2[c], span))[0]
         key = (float(j), int(span[pick]), int(i2[c[pick]]))
         if best is None or key < best:

@@ -131,6 +131,19 @@ class TestEnergyProfile:
         # log view weighed one spectrogram
         assert peak <= spec.power.nbytes / 8, f"peak {peak / 2**20:.1f} MB"
 
+    def test_peak_memory_at_2048_bins(self, rng):
+        # the ra_batch shape: 368 frames of 2048 bins (5.75 MB); blocks of 128 to 255
+        # frames held a 241 x 2048 buffer (3.8 MB), blocks of PROFILE_BLOCK values
+        # hold 17 x 2048 (0.27 MB)
+        spec = make_spec(rng.uniform(0.1, 1.0, size=(368, 2048)))
+        tracemalloc.start()
+        try:
+            energy_profile(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, f"energy_profile peaked at {peak / 2**20:.2f} MB"
+
     def test_validation(self):
         with pytest.raises(ValueError, match="5 bins"):
             EnergyProfile(e=np.ones(4), zero_index=2)
@@ -260,6 +273,8 @@ class TestBlockedSearch:
         # in the segment lengths: split (4, 7) ties (5, 9) in a later i1 row
         yield EnergyProfile(e=np.array([1, 1, 1, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0.0]),
                             zero_index=6)
+        # the smallest grid: one split, i1 = 1 against i2 = 3
+        yield EnergyProfile(e=np.array([1.0, 2.0, 3.0, 2.0, 1.0]), zero_index=2)
         for length in (9, 10, 31, 64, 257, 1024, 4096):
             zero = length // 2
             yield EnergyProfile(e=gen.uniform(0.1, 10.0, size=length), zero_index=zero)
@@ -275,7 +290,9 @@ class TestBlockedSearch:
             prefix = prefix_sums(ep.e)
             i1, i2, j = dense_corner_search(prefix, zero)
             columns = ep.e.size - 2 - zero
-            for block in (columns, 3 * columns, 7 * columns, default):
+            # 1-row blocks, a last block of one row (zero - 2 rows, then 1), and
+            # blocks of 3 and 7 rows
+            for block in (columns, (zero - 2) * columns, 3 * columns, 7 * columns, default):
                 monkeypatch.setattr(ra_core, "CORNER_BLOCK", block)
                 got = ra_core._search(prefix, zero)
                 assert got[:2] == (i1, i2) and bits(got[2]) == bits(j)
@@ -297,8 +314,19 @@ class TestBlockedSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the whole-grid search peaks at about 168 MB here
-        assert peak <= 8 * 2**20, f"find_corners peaked at {peak / 2**20:.1f} MB"
+        # the whole-grid search peaks at about 168 MB here; one reused 0.5 MB block
+        # buffer and the segment lengths as a view leave about 0.8 MB
+        assert peak <= 1.5 * 2**20, f"find_corners peaked at {peak / 2**20:.2f} MB"
+
+    @pytest.mark.parametrize("zero_index, length", [(2, 5), (3, 7), (6, 13), (1024, 2048)])
+    def test_segment_lengths_view(self, zero_index, length):
+        lengths = ra_core._segment_lengths(zero_index, length)
+        i1, i2 = np.arange(1, zero_index), np.arange(zero_index + 1, length - 1)
+        np.testing.assert_array_equal(lengths, i2[None, :] - i1[:, None] + 1)
+        assert lengths.dtype == np.float64 and lengths.strides == (-8, 8)
+        assert not lengths.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lengths[0, 0] = 0.0
 
 
 class TestScale:
@@ -621,7 +649,7 @@ class TestRATransform:
 
 
 class TestFrameBlocks:
-    """energy_profile runs FRAME_BLOCK rows at a time and the rebin REBIN_BLOCK rows,
+    """energy_profile runs PROFILE_BLOCK values at a time and the rebin REBIN_BLOCK rows,
     bit for bit equal to the whole-matrix formulas."""
 
     @pytest.mark.parametrize("frames", [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1,
@@ -659,6 +687,25 @@ class TestFrameBlocks:
         np.testing.assert_array_equal(energy_profile(spec).e, energy_profile_whole(power, 1e-12))
         ra = ra_transform(spec, num_filters=num_filters)
         np.testing.assert_array_equal(ra.power, rebin_whole(power, ra.bank.weights))
+
+    @pytest.mark.parametrize("bins", [1024, 2048])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_profile_blocks_equal_whole_matrix(self, rng, tmp_path, bins, offset, blocks):
+        """energy_profile reads PROFILE_BLOCK // bins frames a block (32 at 1024 bins,
+        16 at 2048), the last block taking the rest: one frame below, at and above
+        each multiple gives the whole-matrix sum, in memory and from its file."""
+        frames = blocks * (ra_core.PROFILE_BLOCK // bins) + offset
+        power = rng.uniform(0.1, 1.0, size=(frames, bins))
+        power[:, bins // 2 - bins // 16 : bins // 2 + bins // 16] += 50.0
+        power[0, 3] = 0.0  # one cell below the log floor
+        whole = energy_profile_whole(power, 1e-12)
+        spec = make_spec(power)
+        np.testing.assert_array_equal(energy_profile(spec).e, whole)
+        save_spectrogram(spec, tmp_path / "s.bin")
+        opened = open_spectrogram(tmp_path / "s.bin")
+        with opened.power:
+            np.testing.assert_array_equal(energy_profile(opened).e, whole)
 
     @pytest.mark.parametrize("frames", [1, REBIN_BLOCK, 2 * REBIN_BLOCK + 1])
     def test_power_left_in_its_file(self, rng, tmp_path, frames):
