@@ -41,9 +41,9 @@ _MATRIX_HEADER = struct.Struct("<4sB3sII")
 
 WINDOW_KINDS = ("hann", "hamming", "rect")
 
-CHIRP_BLOCK = 4096  # chirps per rendered tile of a cube, and per non-coherent filter group
+CHIRP_BLOCK = 4096  # chirps per clutter-filter group, which fixes the bits, and rendered tile
 CHIRP_SLICE = 1024  # chirps per cube block written, read, cast or reduced at once
-FRAME_BLOCK = 128  # frames per block of the STFT, the energy profile and spectrogram writes
+BLOCK_VALUES = 2**15  # values per row block of every pass over a matrix (block_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,7 @@ def write_matrix(matrix, path, format: str = "bin") -> Path:
 
     ``matrix`` is an array or frames such as linspec.PowerFile. Their rows go
     through one MatrixWriter in their block_edges; a pgm gathers them whole
-    first, as its gray levels need. A bad format or a bad pgm block raises
+    first, as its gray levels need. A bad format, pgm block or pgm cell raises
     before the file is created, and a failed block removes the file begun.
     """
     if not hasattr(matrix, "blocks"):
@@ -579,7 +579,12 @@ def row_blocks(matrix, edges):
     return matrix.blocks(edges)
 
 
-def frame_blocks(num_frames: int, size: int = FRAME_BLOCK) -> list[tuple[int, int]]:
+def block_rows(cols: int) -> int:
+    """Rows of ``cols`` values in one block of BLOCK_VALUES values, at least one."""
+    return max(1, BLOCK_VALUES // cols)
+
+
+def frame_blocks(num_frames: int, size: int) -> list[tuple[int, int]]:
     """(first, stop) frame ranges of ``size`` rows; the last one takes the rest.
 
     Every block of a matrix with at least ``size`` frames holds ``size`` to
@@ -592,9 +597,10 @@ def frame_blocks(num_frames: int, size: int = FRAME_BLOCK) -> list[tuple[int, in
 
 
 def block_edges(matrix) -> list[tuple[int, int]]:
-    """The (first, stop) row blocks in which a whole ``matrix`` is read: frame_blocks
-    of its own ``block`` size for frames (see linspec.Frames), one block otherwise."""
-    return frame_blocks(matrix.shape[0], getattr(matrix, "block", max(1, matrix.shape[0])))
+    """The (first, stop) row blocks of every whole pass over ``matrix``, an array or
+    frames: frame_blocks of block_rows of its width, or of its own ``block`` size for
+    frames that set one (ra_core.RebinFrames)."""
+    return frame_blocks(matrix.shape[0], getattr(matrix, "block", block_rows(matrix.shape[1])))
 
 
 def gather_rows(matrix) -> np.ndarray:
@@ -630,7 +636,11 @@ def _load_matrix_csv(path, text: str) -> np.ndarray:
 
 def _write_matrix_pgm(matrix: np.ndarray, path: Path) -> None:
     mags = np.abs(matrix).astype(np.float64)
-    peak = mags.max()
+    peak = mags.max()  # NaN if any cell is
+    if not math.isfinite(peak):
+        frame, column = divmod(int(np.isfinite(mags).argmin()), mags.shape[1])
+        raise ValueError(f"pgm cells must be finite; frame {frame} holds "
+                         f"{matrix[frame, column]} in column {column}")
     if peak > 0:
         levels = np.log10(np.maximum(mags, 1e-12 * peak))  # gray levels span 12 decades at most
         lo, hi = levels.min(), levels.max()

@@ -13,7 +13,6 @@ from .errors import ConfigMismatchError, DegenerateInputError, FileFormatError
 from .ingest import (
     CHIRP_BLOCK,
     CHIRP_SLICE,
-    FRAME_BLOCK,
     CubeReader,
     MatrixReader,
     PipelineConfig,
@@ -130,11 +129,11 @@ class Frames:
 
     A kind of Frames gives ``blocks(edges)``: rows first:stop for each
     (first, stop) of ``edges``, each block valid until the next is taken.
-    ``max`` is one pass over ``block``-frame blocks, kept for later calls;
-    ``read`` gathers such blocks into one matrix.
+    ``max`` is one pass over the blocks of block_edges, kept for later calls;
+    ``read`` gathers such blocks into one matrix. A kind whose bits depend on
+    its block size sets its own ``block`` of frames (ra_core.RebinFrames).
     """
 
-    block = FRAME_BLOCK  # frames per block of a whole read or write (block_edges)
     _peak = None
 
     def max(self):

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import (DegenerateCornerError, DegenerateInputError, FilterBankError,
                      ForcedCornerError)
-from .ingest import frame_blocks, row_blocks, sidecar_value, write_frames
-from .linspec import (FRAME_BLOCK, Frames, Spectrogram, _in_memory, check_frame_dt, check_power,
-                      log_floor, open_framed_matrix, read_whole)
+from .ingest import block_edges, row_blocks, sidecar_value, write_frames
+from .linspec import (Frames, Spectrogram, _in_memory, check_frame_dt, check_power, log_floor,
+                      open_framed_matrix, read_whole)
 
 __all__ = [
     "EnergyProfile",
@@ -43,11 +43,9 @@ __all__ = [
 
 TINY_MEAN = 1e-300
 
-CORNER_BLOCK = 1 << 16  # objective values per corner-search block
-PROFILE_BLOCK = 1 << 15  # log-power values per energy-profile frame block
-# frames per rebin block: each block is two threaded BLAS products, and each
-# product can stall while the host is busy, so the blocks are few
-REBIN_BLOCK = 2 * FRAME_BLOCK
+# frames per rebin block at any width: its BLAS products round by row count, so it fixes
+# the bits; each is two threaded products that can stall on a busy host, so blocks are few
+REBIN_BLOCK = 256
 
 LOG10_2 = math.log10(2.0)
 
@@ -213,14 +211,13 @@ ROW_ORDER = "negative side m=M..1, then positive side m=1..M (warped frequency a
 def energy_profile(spec: Spectrogram, floor: float = 1e-12) -> EnergyProfile:
     """Sum the floored log-power over frames: e(f) on the signed bin axis.
 
-    Each block of PROFILE_BLOCK // bins frames (128 at 256 bins, 16 at
-    2048; the last block takes the rest) is floored and logged into rows 1..
-    of one buffer whose row 0 carries the running sum. numpy sums axis 0 of
-    a C-ordered matrix row by row, so e(f) equals the sum of the whole log
+    Each block of block_edges is floored and logged into rows 1.. of one
+    buffer whose row 0 carries the running sum. numpy sums axis 0 of a
+    C-ordered matrix row by row, so e(f) equals the sum of the whole log
     view bit for bit, whatever the blocks.
     """
     threshold = log_floor(spec, floor)
-    blocks = frame_blocks(spec.num_frames, max(1, PROFILE_BLOCK // spec.num_freq_bins))
+    blocks = block_edges(spec.power)
     buffer = np.zeros((max(stop - first for first, stop in blocks) + 1, spec.num_freq_bins))
     for (first, stop), block in zip(blocks, row_blocks(spec.power, blocks)):
         rows = buffer[: stop - first + 1]
@@ -254,8 +251,8 @@ def _search(prefix: np.ndarray, zero_index: int) -> tuple[int, int, float]:
     Returns (i1, i2, J): the left split index in [1, zero_index), the
     right split index in (zero_index, L-2], and the objective value.
 
-    The (i1, i2) grid is scored CORNER_BLOCK values at a time, a block of
-    i1 rows against every i2, in one reused buffer, so memory stays bounded
+    The (i1, i2) grid is scored a row block (block_edges) at a time, i1
+    rows against every i2, in one reused buffer, so memory stays bounded
     at any axis length. Each value is the segment mean floored at 1e-300
     before the log, and the objective is associated as (t1 + t2) + t3. Ties
     resolve to the tightest band and then the smaller i2; that key is
@@ -272,12 +269,11 @@ def _search(prefix: np.ndarray, zero_index: int) -> tuple[int, int, float]:
     right = prefix[i2 + 1]
     lengths = _segment_lengths(zero_index, L)
 
-    rows = max(1, CORNER_BLOCK // i2.size)
-    buffer = np.empty((min(rows, i1.size), i2.size))
+    blocks = block_edges(lengths)  # the grid's shape
+    buffer = np.empty((max(stop - start for start, stop in blocks), i2.size))
     best = None  # (J, span, i2) of the best split so far
-    for start in range(0, i1.size, rows):
-        stop = min(start + rows, i1.size)
-        n2, J = lengths[start:stop], buffer[: stop - start]
+    for (start, stop), n2 in zip(blocks, row_blocks(lengths, blocks)):
+        J = buffer[: stop - start]
         np.subtract(right, prefix[start + 1 : stop + 1, None], out=J)
         J /= n2
         np.maximum(J, TINY_MEAN, out=J)
@@ -305,7 +301,7 @@ def find_corners(profile: EnergyProfile) -> CornerResult:
     [1, max_bin-1] as the sum of three shared-endpoint segment scores and
     returns the global minimum. Ties resolve to the tightest band, then
     the smaller positive corner. Cost is O(F²) time via prefix sums of e²,
-    in blocks of CORNER_BLOCK objective values.
+    in row blocks of ingest.BLOCK_VALUES objective values.
     """
     if profile.zero_index < 2 or profile.max_bin < 2:
         raise DegenerateInputError(
@@ -438,8 +434,8 @@ class RebinFrames(Frames):
     bank's weights, and the negative product fills the first M columns
     mirrored (ROW_ORDER). A product may round differently with its row
     count, so a whole read (Frames.read) or write takes REBIN_BLOCK blocks
-    (block_edges). Each pass reads the spectrogram's power again, so it
-    must stay open.
+    at any width (block_edges). Each pass reads the spectrogram's power
+    again, so it must stay open.
     """
 
     block = REBIN_BLOCK

@@ -26,8 +26,10 @@ from .ingest import (
     SPEED_OF_LIGHT,
     RadarCube,
     RadarParams,
+    block_rows,
     check_finite,
     field_pairs,
+    frame_blocks,
     format_kv,
     from_kv,
     parse_kv,
@@ -43,8 +45,6 @@ __all__ = [
     "save_scenario",
     "load_scenario",
 ]
-
-ROW_BLOCK = 8  # fast-time rows per rendering task of CHIRP_BLOCK-chirp tiles
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def chirp_blocks(scenario: Scenario, width: int | None = None):
 
     Each block is filled on a thread pool with one worker per available
     core (numpy's exp and arithmetic release the GIL), one task per group of
-    fast-time rows, in tiles of about ROW_BLOCK x CHIRP_BLOCK samples so
+    fast-time rows: block_rows of a tile of up to CHIRP_BLOCK chirps, so
     that the temporaries stay small. Each element goes through the
     whole-grid formula's operations in its order, and each row's noise is
     its run of the one noise stream (real rows, then imaginary rows), so
@@ -159,9 +159,7 @@ def _render_blocks(scenario: Scenario, width: int):
     sigma = math.sqrt(scenario.noise_power / 2.0)
     # a block narrower than CHIRP_BLOCK gives each task more rows: two workers
     # that run short numpy calls wait on each other for the GIL around each one
-    task_rows = ROW_BLOCK * max(1, CHIRP_BLOCK // min(width, p.num_chirps))
-    groups = [(start, min(start + task_rows, p.num_fast_samples))
-              for start in range(0, p.num_fast_samples, task_rows)]
+    groups = frame_blocks(p.num_fast_samples, block_rows(min(width, p.num_chirps, CHIRP_BLOCK)))
     generators = None
     buffer = np.empty(p.num_fast_samples * min(width, p.num_chirps), dtype=np.complex128)
     with ThreadPoolExecutor(min(_available_cores(), len(groups))) as pool:

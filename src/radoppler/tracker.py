@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import row_blocks
+from .ingest import block_edges, row_blocks
 
 __all__ = [
     "SignatureTrack",
@@ -17,8 +17,6 @@ __all__ = [
     "track_signature",
     "write_track_csv",
 ]
-
-PEAK_BLOCK = 1 << 16  # matrix elements per peak-picking block
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ def peak_track(power, axis: np.ndarray) -> np.ndarray:
 
     Ties go to the bin whose axis value is nearest zero frequency, then
     to the lower bin index, so flat frames resolve deterministically.
-    Frames are reordered and searched PEAK_BLOCK elements at a time, so
+    Frames are reordered and searched in the row blocks of block_edges, so
     the matrix is never copied whole; ``power`` is a matrix, or a reader of
     row blocks such as ingest.MatrixReader or its subclass linspec.PowerFile,
     which checks each block it reads.
@@ -58,12 +56,12 @@ def peak_track(power, axis: np.ndarray) -> np.ndarray:
     if axis.shape != (power.shape[1],):
         raise ValueError("axis length must match the column count")
     prefer = np.lexsort((np.arange(axis.size), np.abs(axis)))
-    rows = max(1, PEAK_BLOCK // axis.size)
-    edges = [(start, min(start + rows, power.shape[0]))
-             for start in range(0, power.shape[0], rows)]
+    edges = block_edges(power)
+    # frames reordered into one reused buffer (take's default mode would buffer its out)
+    reordered = np.empty((max(stop - start for start, stop in edges), axis.size))
     pick = np.empty(power.shape[0], dtype=np.intp)
     for (start, stop), frames in zip(edges, row_blocks(power, edges)):
-        block = frames[:, prefer]
+        block = np.take(frames, prefer, axis=1, out=reordered[: stop - start], mode="clip")
         finite = np.isfinite(block)
         if not finite.all():
             row = int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -158,9 +156,7 @@ def track_signature(
 
 def write_track_csv(track: SignatureTrack, path, axis_kind: str = "doppler_hz") -> Path:
     path = Path(path)
-    with path.open("w") as fh:
-        fh.write(f"# axis: {axis_kind}\n")
-        fh.write("frame_time,raw_peak,smoothed\n")
-        for t, raw, sm in zip(track.frame_times, track.raw_peaks, track.smoothed):
-            fh.write("%.17g,%.17g,%.17g\n" % (t, raw, sm))
+    rows = np.column_stack((track.frame_times, track.raw_peaks, track.smoothed))
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", comments="",
+               header=f"# axis: {axis_kind}\nframe_time,raw_peak,smoothed")
     return path

@@ -1436,8 +1436,9 @@ EDGE_CFG = dict(window_length=64, hop=4, fft_length=128, num_filters=16)
 
 @pytest.fixture(scope="module")
 def edge_cubes(tmp_path_factory):
-    """limp_like cubes whose spectrograms hold 1 to 513 frames, around the FRAME_BLOCK
-    and REBIN_BLOCK edges, and a config file per mode."""
+    """limp_like cubes whose spectrograms hold 1 to 513 frames, around the block edges
+    of their 128 bins (256 frames) and of the rebin (REBIN_BLOCK), and a config file
+    per mode."""
     root = tmp_path_factory.mktemp("edges")
     scene = preset("limp_like")
     chirps = EDGE_CFG["window_length"] + EDGE_CFG["hop"] * (max(EDGE_FRAMES) - 1)

@@ -322,9 +322,10 @@ class TestKvDialect:
 
 
 class _Frames:
-    """A matrix handed out in FRAME_BLOCK-row blocks, as frames are (see block_edges)."""
+    """A matrix handed out in 128-row blocks, as frames that set their own ``block`` are
+    (see block_edges)."""
 
-    block = ingest.FRAME_BLOCK
+    block = 128
 
     def __init__(self, matrix):
         self._matrix, self.shape = matrix, matrix.shape
@@ -364,7 +365,7 @@ class TestMatrixFormats:
         np.testing.assert_array_equal(load_matrix(path), m)
 
     def test_csv_cells_are_17_digit_floats(self, tmp_path, rng):
-        """Frames written in their FRAME_BLOCK blocks (513 rows: four of them) give the
+        """Frames written in their 128-row blocks (513 rows: four of them) give the
         text of each cell formatted alone."""
         for rows in (2, 127, 128, 129, 513):
             m = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
@@ -506,6 +507,29 @@ class TestMatrixFormats:
                     f"{source}: power must be finite and non-negative; frame 200 holds nan")):
                 write_matrix(power, tmp_path / "frames.pgm", format="pgm")
         assert not (tmp_path / "frames.pgm").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pgm_of_non_finite_array_names_the_cell_and_writes_nothing(self, tmp_path, bad):
+        m = np.ones((3, 4))
+        m[1, 2] = m[2, 0] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"pgm cells must be finite; frame 1 holds {bad} in column 2")):
+            write_matrix(m, tmp_path / "m.pgm", format="pgm")
+        assert not (tmp_path / "m.pgm").exists()
+
+    @pytest.mark.parametrize("bins", [1024, 2048, 4096])
+    def test_float32_array_written_in_blocks(self, tmp_path, rng, bins):
+        """A float32 array is cast to float64 a block of 2^15 values at a time, 0.5 MB
+        at most, not whole (2.9 to 11.5 MB for these 368 rows)."""
+        m = rng.uniform(0, 1, size=(368, bins)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            path = write_matrix(m, tmp_path / "m.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"write_matrix peaked at {peak / 2**20:.2f} MB"
+        np.testing.assert_array_equal(load_matrix(path), m)
 
     def test_rejects_bad_inputs(self, tmp_path):
         with pytest.raises(ValueError, match="2-D"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import dft_frame
-from radoppler import linspec
+from radoppler import ingest, linspec
 from radoppler.errors import ConfigMismatchError, DegenerateInputError, FileFormatError
 from radoppler.ingest import (
     CHIRP_BLOCK,
@@ -18,6 +18,7 @@ from radoppler.linspec import (
     Spectrogram,
     load_spectrogram,
     log_floor,
+    open_spectrogram,
     save_spectrogram,
     slow_time_signal,
     spectrogram_from_cube,
@@ -278,14 +279,13 @@ class TestStreamedNonCoherent:
 class TestStftSpectrogram:
     def test_frame_blocks_match_one_batch(self, rng, monkeypatch):
         signal = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
-        blocks = (7, linspec.FRAME_BLOCK)
         # one batch: more frames per batch than the signal has samples
-        monkeypatch.setattr(linspec.StftFrames, "block", signal.size)
+        monkeypatch.setattr(ingest, "BLOCK_VALUES", signal.size * CFG.fft_length)
         whole = stft_spectrogram(profiles_of(signal), CFG)
-        assert whole.num_frames < linspec.StftFrames.block
-        for block in blocks:
+        assert whole.num_frames < ingest.block_rows(CFG.fft_length)
+        for block in (7, 128):
             assert whole.num_frames > block
-            monkeypatch.setattr(linspec.StftFrames, "block", block)
+            monkeypatch.setattr(ingest, "BLOCK_VALUES", block * CFG.fft_length)
             blocked = stft_spectrogram(profiles_of(signal), CFG)
             np.testing.assert_array_equal(blocked.power, whole.power)
 
@@ -456,6 +456,25 @@ class TestPersistence:
         spec = make_spec(rng.uniform(0, 5, size=(4, 6)))
         path = save_spectrogram(spec, tmp_path / "s.csv", format="csv")
         np.testing.assert_array_equal(load_spectrogram(path).power, spec.power)
+
+    @pytest.mark.parametrize("bins", [1024, 2048, 4096])
+    def test_power_file_passes_hold_one_block(self, tmp_path, rng, make_spec, bins):
+        """PowerFile.max and save_spectrogram of a PowerFile read the 368 frames (2.9 to
+        11.5 MB) in blocks of 2^15 values, 0.5 MB at most: blocks of 128 to 255 frames
+        held 1.9 to 7.5 MB."""
+        save_spectrogram(make_spec(rng.uniform(0, 5, size=(368, bins))), tmp_path / "s.bin")
+        for run in (lambda spec: spec.power.max(),
+                    lambda spec: save_spectrogram(spec, tmp_path / "copy.bin")):
+            spec = open_spectrogram(tmp_path / "s.bin")
+            with spec.power:
+                tracemalloc.start()
+                try:
+                    run(spec)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < 2**20, f"peaked at {peak / 2**20:.2f} MB"
+        assert (tmp_path / "copy.bin").read_bytes() == (tmp_path / "s.bin").read_bytes()
 
     def test_missing_sidecar(self, tmp_path, rng, make_spec):
         spec = make_spec(rng.uniform(0, 5, size=(4, 6)))

@@ -17,7 +17,7 @@ from _oracles import (
     rebin_whole,
     triangle_weight,
 )
-from radoppler import ra_core
+from radoppler import ingest, ra_core
 from radoppler.errors import (
     DegenerateCornerError,
     DegenerateInputError,
@@ -25,9 +25,8 @@ from radoppler.errors import (
     FilterBankError,
     ForcedCornerError,
 )
-from radoppler.ingest import PipelineConfig, read_sidecar
+from radoppler.ingest import PipelineConfig, block_rows, frame_blocks, read_sidecar
 from radoppler.linspec import (
-    FRAME_BLOCK,
     Spectrogram,
     open_cube_spectrogram,
     open_spectrogram,
@@ -42,7 +41,6 @@ from radoppler.ra_core import (
     build_filter_bank,
     energy_profile,
     find_corners,
-    frame_blocks,
     load_ra_spectrogram,
     open_ra_spectrogram,
     ra_frames,
@@ -133,7 +131,7 @@ class TestEnergyProfile:
 
     def test_peak_memory_at_2048_bins(self, rng):
         # the ra_batch shape: 368 frames of 2048 bins (5.75 MB); blocks of 128 to 255
-        # frames held a 241 x 2048 buffer (3.8 MB), blocks of PROFILE_BLOCK values
+        # frames held a 241 x 2048 buffer (3.8 MB), blocks of 2^15 values
         # hold 17 x 2048 (0.27 MB)
         spec = make_spec(rng.uniform(0.1, 1.0, size=(368, 2048)))
         tracemalloc.start()
@@ -284,16 +282,17 @@ class TestBlockedSearch:
             yield EnergyProfile(e=np.ones(length), zero_index=zero)
 
     def test_matches_dense_search_at_every_block_size(self, rng, monkeypatch):
-        default = ra_core.CORNER_BLOCK
+        default = ingest.BLOCK_VALUES
         for ep in self.profiles(rng):
             zero = ep.zero_index
             prefix = prefix_sums(ep.e)
             i1, i2, j = dense_corner_search(prefix, zero)
             columns = ep.e.size - 2 - zero
-            # 1-row blocks, a last block of one row (zero - 2 rows, then 1), and
-            # blocks of 3 and 7 rows
+            # 1-row blocks; a block of zero - 2 rows that absorbs the tail row (1-row
+            # blocks at zero = 3, and a budget of 0 values, so 1 row, at the smallest
+            # grid); blocks of 3 and 7 rows; and the default
             for block in (columns, (zero - 2) * columns, 3 * columns, 7 * columns, default):
-                monkeypatch.setattr(ra_core, "CORNER_BLOCK", block)
+                monkeypatch.setattr(ingest, "BLOCK_VALUES", block)
                 got = ra_core._search(prefix, zero)
                 assert got[:2] == (i1, i2) and bits(got[2]) == bits(j)
                 if max(zero - i1, i2 - zero) < 2:  # flat: the corner collapses
@@ -648,21 +647,24 @@ class TestRATransform:
                 dataclasses.replace(ra, hz_per_bin=hz)
 
 
-class TestFrameBlocks:
-    """energy_profile runs PROFILE_BLOCK values at a time and the rebin REBIN_BLOCK rows,
-    bit for bit equal to the whole-matrix formulas."""
+BLOCK_256 = block_rows(256)  # frames per block at 256 bins: 128
 
-    @pytest.mark.parametrize("frames", [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1,
-                                        2 * FRAME_BLOCK - 1, 7493])
+
+class TestFrameBlocks:
+    """energy_profile runs ingest.BLOCK_VALUES values at a time and the rebin REBIN_BLOCK
+    rows, bit for bit equal to the whole-matrix formulas."""
+
+    @pytest.mark.parametrize("frames", [1, BLOCK_256 - 1, BLOCK_256, BLOCK_256 + 1,
+                                        2 * BLOCK_256 - 1, 7493])
     def test_blocks_partition_the_frames(self, frames):
-        blocks = frame_blocks(frames)
+        blocks = frame_blocks(frames, BLOCK_256)
         assert blocks[0][0] == 0 and blocks[-1][1] == frames
         assert all(stop == first for (_, stop), (first, _) in zip(blocks, blocks[1:]))
         sizes = [stop - first for first, stop in blocks]
-        if frames < 2 * FRAME_BLOCK:
+        if frames < 2 * BLOCK_256:
             assert sizes == [frames]
         else:
-            assert all(FRAME_BLOCK <= size < 2 * FRAME_BLOCK for size in sizes)
+            assert all(BLOCK_256 <= size < 2 * BLOCK_256 for size in sizes)
 
     @pytest.mark.parametrize("frames", [REBIN_BLOCK - 1, REBIN_BLOCK, 2 * REBIN_BLOCK - 1,
                                         2 * REBIN_BLOCK, 7493])
@@ -677,7 +679,7 @@ class TestFrameBlocks:
             assert all(REBIN_BLOCK <= size < 2 * REBIN_BLOCK for size in sizes)
 
     @pytest.mark.parametrize("bins, num_filters", [(256, 64), (1024, 128), (2048, 256)])
-    @pytest.mark.parametrize("frames", [1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1,
+    @pytest.mark.parametrize("frames", [1, BLOCK_256 - 1, BLOCK_256, BLOCK_256 + 1,
                                         REBIN_BLOCK, 2 * REBIN_BLOCK + 1, 7493])
     def test_equal_to_whole_matrix(self, rng, frames, bins, num_filters):
         power = rng.uniform(0.1, 1.0, size=(frames, bins))
@@ -692,10 +694,10 @@ class TestFrameBlocks:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("blocks", [1, 2, 3])
     def test_profile_blocks_equal_whole_matrix(self, rng, tmp_path, bins, offset, blocks):
-        """energy_profile reads PROFILE_BLOCK // bins frames a block (32 at 1024 bins,
-        16 at 2048), the last block taking the rest: one frame below, at and above
-        each multiple gives the whole-matrix sum, in memory and from its file."""
-        frames = blocks * (ra_core.PROFILE_BLOCK // bins) + offset
+        """energy_profile reads block_rows(bins) frames a block (32 at 1024 bins, 16
+        at 2048), the last block taking the rest: one frame below, at and above each
+        multiple gives the whole-matrix sum, in memory and from its file."""
+        frames = blocks * block_rows(bins) + offset
         power = rng.uniform(0.1, 1.0, size=(frames, bins))
         power[:, bins // 2 - bins // 16 : bins // 2 + bins // 16] += 50.0
         power[0, 3] = 0.0  # one cell below the log floor

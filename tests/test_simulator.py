@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radoppler import simulator
+from radoppler import ingest, simulator
 from radoppler.errors import AliasingError, FileFormatError
 from radoppler.ingest import SPEED_OF_LIGHT, PipelineConfig, RadarParams
 from radoppler.linspec import stft_spectrogram
@@ -202,7 +202,7 @@ class TestBlockedRender:
 
     @pytest.mark.parametrize("num_fast_samples, num_chirps", [(13, 300), (128, 1), (5, 1)])
     def test_partial_blocks(self, num_fast_samples, num_chirps):
-        assert num_fast_samples % simulator.ROW_BLOCK != 0 or num_chirps == 1
+        assert num_fast_samples % ingest.block_rows(num_chirps) != 0 or num_chirps == 1
         scenario = dataclasses.replace(NOISY_SCENE, params=dataclasses.replace(
             NOISY_SCENE.params, num_fast_samples=num_fast_samples, num_chirps=num_chirps))
         assert_bits_equal(synthesize(scenario).samples, synthesize_reference(scenario))
@@ -222,9 +222,10 @@ class TestBlockedRender:
     def test_independent_of_blocks_and_threads(self, monkeypatch, row_block, chirp_block, cores,
                                                chirp_slice):
         # more workers than cores and frequent thread switches: a row whose
-        # noise lands before its render finishes would change the bits
+        # noise lands before its render finishes would change the bits. The budget
+        # gives tasks of row_block rows wherever a tile is chirp_block chirps wide
         expect = synthesize_reference(NOISY_SCENE)
-        monkeypatch.setattr(simulator, "ROW_BLOCK", row_block)
+        monkeypatch.setattr(ingest, "BLOCK_VALUES", row_block * chirp_block)
         monkeypatch.setattr(simulator, "CHIRP_BLOCK", chirp_block)
         monkeypatch.setattr(simulator, "CHIRP_SLICE", chirp_slice)
         monkeypatch.setattr(simulator, "_available_cores", lambda: cores)

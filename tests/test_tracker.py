@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from _oracles import kalman_smooth_reference, peak_track_reference
-from radoppler import tracker
-from radoppler.ingest import PipelineConfig
+from radoppler import ingest, tracker
+from radoppler.ingest import PipelineConfig, write_matrix
 from radoppler.linspec import spectrogram_from_cube
 from radoppler.ra_core import ra_transform
 from radoppler.simulator import PRESET_NAMES, preset, synthesize
@@ -57,9 +57,10 @@ class TestPeakTrack:
 
     @pytest.mark.parametrize("block", [1, 40, 1000, None])
     def test_matches_whole_matrix_argmax(self, rng, monkeypatch, block):
-        # flat, mirror-tied and quantised frames, in blocks of 1, 3, 76 and all rows
+        # flat, mirror-tied and quantised frames, in blocks of 1, 3 and 76 rows (the
+        # last 5 and 124 rows) and all rows
         if block is not None:
-            monkeypatch.setattr(tracker, "PEAK_BLOCK", block)
+            monkeypatch.setattr(ingest, "BLOCK_VALUES", block)
         axis = shifted_axis(13)
         power = rng.integers(0, 3, size=(200, 13)).astype(np.float64)
         power[::5] = 1.0
@@ -68,22 +69,31 @@ class TestPeakTrack:
         np.testing.assert_array_equal(peak_track(power, axis),
                                       peak_track_reference(power, axis))
 
-    def test_memory_well_below_one_matrix(self, rng):
-        power = rng.uniform(0, 1, size=(4000, 256))  # 7.8 MB
-        axis = shifted_axis(256)
-        tracemalloc.start()
-        try:
-            peak_track(power, axis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < power.nbytes / 4, f"peak_track peaked at {peak / 2**20:.2f} MB"
+    def test_memory_well_below_one_matrix(self, rng, tmp_path):
+        """Beside the power (7.8, 5.75 and 11.5 MB in memory), peak_track holds one
+        block's frames reordered in one reused buffer, their finite mask and, from a
+        file, the read buffer: blocks of 2^15 values, under 0.5 MB each. New reordered
+        copies of 2^16-value blocks peaked at 1.1 MB in memory and 1.6 MB from a file."""
+        from radoppler.linspec import PowerFile
+        for frames, bins in ((4000, 256), (368, 2048), (368, 4096)):
+            power = rng.uniform(0, 1, size=(frames, bins))
+            axis = shifted_axis(bins)
+            with PowerFile.open(write_matrix(power, tmp_path / f"p{bins}.bin")) as opened:
+                for source in (power, opened):
+                    tracemalloc.start()
+                    try:
+                        peak_track(source, axis)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak < 2**20, f"{peak / 2**20:.2f} MB at {bins} bins"
 
     @pytest.mark.parametrize("block", [1, 40, None])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_power(self, rng, monkeypatch, block, bad):
+        # frame 150 sits in a later block of 1 or 3 rows, or in the one block
         if block is not None:
-            monkeypatch.setattr(tracker, "PEAK_BLOCK", block)
+            monkeypatch.setattr(ingest, "BLOCK_VALUES", block)
         power = rng.uniform(0, 1, size=(200, 13))
         power[150, [9, 4]] = bad
         power[170, 0] = np.nan
@@ -301,3 +311,18 @@ class TestTrackCsv:
         np.testing.assert_array_equal(body[:, 0], times)
         np.testing.assert_array_equal(body[:, 1], track.raw_peaks)
         np.testing.assert_array_equal(body[:, 2], track.smoothed)
+
+    def test_cells_are_17_digit_floats(self, tmp_path):
+        """Each cell is formatted alone as %.17g, under a two-line header."""
+        cells = np.array([[0.0, -0.0, 5e-324],
+                          [0.016, 1 / 3, 1.7976931348623157e308],
+                          [0.032, -1.7976931348623157e308, -0.0]])
+        track = SignatureTrack(raw_peaks=cells[:, 1], smoothed=cells[:, 2],
+                               frame_times=cells[:, 0])
+        path = write_track_csv(track, tmp_path / "track.csv")
+        assert path.read_bytes() == (
+            b"# axis: doppler_hz\n"
+            b"frame_time,raw_peak,smoothed\n"
+            b"0,-0,4.9406564584124654e-324\n"
+            b"0.016,0.33333333333333331,1.7976931348623157e+308\n"
+            b"0.032000000000000001,-1.7976931348623157e+308,-0\n")
