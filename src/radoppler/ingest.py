@@ -14,7 +14,8 @@ Matrix ``bin``
 Matrix sidecar ``<matrix file name>.meta``
     ``key = value`` lines; ``kind`` says what the matrix holds.
 Matrix ``csv``
-    One matrix row per line, comma-separated floats, ``%.17g`` formatting.
+    One matrix row per line, comma-separated floats, ``%.17g`` formatting;
+    an export, not loadable.
 Matrix ``pgm``
     8-bit binary PGM of the log-scaled, min-max-normalized magnitudes;
     display-only, not loadable.
@@ -478,39 +479,42 @@ class MatrixWriter:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load a float64 matrix written by write_matrix (csv or bin), opening the file once."""
+    """Load a float64 matrix that write_matrix wrote as bin, opening the file once."""
     with MatrixReader.open(path) as matrix:
         return matrix.read()
 
 
 class MatrixReader:
-    """A loadable matrix in an open binary file, read whole or in row blocks.
+    """A bin matrix in an open binary file, read whole or in row blocks.
 
-    Constructing one reads the head of ``fh`` (named ``name`` in errors). A
-    bin matrix has its header and its size on disk checked, and no payload
-    is read yet; a csv matrix is parsed whole and ``fh`` closed. The reader
-    owns ``fh`` and closes it on ``close``; ``open`` opens one on a path.
+    Constructing one checks the header of ``fh`` (named ``name`` in errors)
+    and the file's size on disk; no payload is read yet. A file without the
+    RDMX magic, such as a csv or pgm export, is rejected. The reader owns
+    ``fh`` and closes it on ``close``; ``open`` opens one on a path.
     """
 
     def __init__(self, fh, name):
-        self.name, self._fh, self._matrix = name, fh, None
+        self.name, self._fh = name, fh
         head = fh.read(_MATRIX_HEADER.size)
-        if head[:4] == _MATRIX_MAGIC:
-            self.shape = self._check_bin_header(head)
-            return
-        if head[:2] in (b"P5", b"P2"):
-            raise FileFormatError(f"{name}: pgm is a display format and cannot be loaded")
-        text = (head + fh.read()).decode(errors="replace")
-        # csv text is UTF-8 without NULs, and a binary header almost always holds one
-        if b"\0" in head or "\ufffd" in text:
-            raise FileFormatError(f"{name}: neither a bin matrix (no RDMX magic) nor csv text")
-        self._matrix = _load_matrix_csv(name, text)
-        self.shape = self._matrix.shape
-        fh.close()
+        if head[:4] != _MATRIX_MAGIC:
+            raise FileFormatError(f"{name}: not a bin matrix (no RDMX magic); csv and pgm "
+                                  "are export formats and cannot be loaded")
+        if len(head) < _MATRIX_HEADER.size:
+            raise FileFormatError(f"{name}: truncated header")
+        _, dtype, _, rows, cols = _MATRIX_HEADER.unpack(head)
+        if dtype != 0:
+            raise FileFormatError(f"{name}: unknown dtype code {dtype}")
+        if not rows or not cols:
+            raise FileFormatError(f"{name}: header declares an empty {rows} x {cols} matrix")
+        expected = _MATRIX_HEADER.size + rows * cols * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FileFormatError(f"{name}: payload is {size} bytes, header declares {expected}")
+        self.shape = rows, cols
 
     @classmethod
     def open(cls, path):
-        """Open a matrix file written by write_matrix (csv or bin) for reading."""
+        """Open a bin matrix file written by write_matrix for reading."""
         path = Path(path)
         if not path.exists():
             raise FileFormatError(f"matrix file not found: {path}")
@@ -521,42 +525,20 @@ class MatrixReader:
             fh.close()
             raise
 
-    def _check_bin_header(self, head: bytes) -> tuple[int, int]:
-        """The header's shape, checked against the size of the file on disk."""
-        if len(head) < _MATRIX_HEADER.size:
-            raise FileFormatError(f"{self.name}: truncated header")
-        _, dtype, _, rows, cols = _MATRIX_HEADER.unpack(head)
-        if dtype != 0:
-            raise FileFormatError(f"{self.name}: unknown dtype code {dtype}")
-        if not rows or not cols:
-            raise FileFormatError(f"{self.name}: header declares an empty {rows} x {cols} matrix")
-        expected = _MATRIX_HEADER.size + rows * cols * 8
-        size = os.fstat(self._fh.fileno()).st_size
-        if size != expected:
-            raise FileFormatError(f"{self.name}: payload is {size} bytes, header declares "
-                                  f"{expected}")
-        return rows, cols
-
     def _read_rows(self, first: int, out: np.ndarray) -> np.ndarray:
-        """Read rows first.. of a bin payload into ``out``, a C-ordered f8 array."""
+        """Read rows first.. of the payload into ``out``, a C-ordered f8 array."""
         self._fh.seek(_MATRIX_HEADER.size + first * 8 * self.shape[1])
         if self._fh.readinto(memoryview(out).cast("B")) != out.nbytes:
             raise FileFormatError(f"{self.name}: payload ended while being read")
         return out
 
     def read(self) -> np.ndarray:
-        """The whole matrix: a bin payload is read into one new array."""
-        if self._matrix is not None:
-            return self._matrix
+        """The whole matrix, read into one new array."""
         return self._read_rows(0, np.empty(self.shape, dtype="<f8"))
 
     def blocks(self, edges):
-        """Yield rows first:stop for each (first, stop) of ``edges`` in turn. A bin
-        payload is read into one reused buffer, so consume or copy each block before
-        taking the next."""
-        if self._matrix is not None:
-            yield from (self._matrix[first:stop] for first, stop in edges)
-            return
+        """Yield rows first:stop for each (first, stop) of ``edges`` in turn, read into
+        one reused buffer, so consume or copy each block before taking the next."""
         buffer = np.empty((max(stop - first for first, stop in edges), self.shape[1]), "<f8")
         for first, stop in edges:
             yield self._read_rows(first, buffer[: stop - first])
@@ -614,46 +596,27 @@ def gather_rows(matrix) -> np.ndarray:
     return whole
 
 
-def _load_matrix_csv(path, text: str) -> np.ndarray:
-    rows = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise FileFormatError(f"{path}:{lineno}: ragged row ({len(cells)} != {width})")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise FileFormatError(f"{path}: empty matrix file")
-    return np.array(rows, dtype=np.float64)
-
-
 def _write_matrix_pgm(matrix: np.ndarray, path: Path) -> None:
-    mags = np.abs(matrix).astype(np.float64)
-    peak = mags.max()  # NaN if any cell is
+    """The gray levels are computed in place in one float64 buffer of the magnitudes."""
+    levels = np.abs(matrix, dtype=np.float64)
+    peak = levels.max()  # NaN if any cell is
     if not math.isfinite(peak):
-        frame, column = divmod(int(np.isfinite(mags).argmin()), mags.shape[1])
+        frame, column = divmod(int(np.isfinite(levels).argmin()), levels.shape[1])
         raise ValueError(f"pgm cells must be finite; frame {frame} holds "
                          f"{matrix[frame, column]} in column {column}")
-    if peak > 0:
-        levels = np.log10(np.maximum(mags, 1e-12 * peak))  # gray levels span 12 decades at most
+    if peak > 0:  # else every level is already 0
+        # gray levels span 12 decades at most; equal levels all become 0
+        np.log10(np.maximum(levels, 1e-12 * peak, out=levels), out=levels)
         lo, hi = levels.min(), levels.max()
+        levels -= lo
         if hi > lo:
-            pixels = np.rint((levels - lo) / (hi - lo) * 255.0)
-        else:
-            pixels = np.zeros_like(levels)
-    else:
-        pixels = np.zeros_like(mags)
+            levels /= hi - lo
+            levels *= 255.0
+            np.rint(levels, out=levels)
     rows, cols = matrix.shape
     with path.open("wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-        fh.write(pixels.astype(np.uint8).tobytes())
+        fh.write(levels.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------

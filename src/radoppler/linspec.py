@@ -173,11 +173,12 @@ def open_framed_matrix(path, kind: str, build):
     """``build(power, meta, frame_dt)`` on a matrix of frames opened as a PowerFile, its
     ``kind`` sidecar ``meta`` and the sidecar's ``frame_dt``. The sidecar's ``num_frames``
     must match the rows, and ``frame_dt`` must be positive unless there is a single frame.
-    On any failure the file is closed, and a ValueError from ``build`` (a sidecar value
-    the typed object rejects) becomes a FileFormatError that names the sidecar."""
-    meta = read_sidecar(path, kind)
+    The matrix is opened first, so a csv or pgm export is named as one before its sidecar
+    is read. On any failure the file is closed, and a ValueError from ``build`` (a sidecar
+    value the typed object rejects) becomes a FileFormatError that names the sidecar."""
     power = PowerFile.open(path)
     try:
+        meta = read_sidecar(path, kind)
         rows = power.shape[0]
         sidecar_count(path, meta, "num_frames", rows, "rows")
         dt = sidecar_value(path, meta, "frame_dt")

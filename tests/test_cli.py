@@ -228,7 +228,8 @@ class TestSpectrogram:
         out = tmp_path / "spec.csv"
         assert cli.main(["spectrogram", str(workdir / "cube.iq"),
                          str(workdir / "pipeline.cfg"), str(out), "--format", "csv"]) == 0
-        np.testing.assert_array_equal(load_matrix(out), load_matrix(workdir / "spec.bin"))
+        np.testing.assert_array_equal(np.loadtxt(out, delimiter=","),
+                                      load_matrix(workdir / "spec.bin"))
 
     def test_pgm_format(self, workdir, tmp_path):
         out = tmp_path / "spec.pgm"
@@ -969,21 +970,20 @@ class TestCubeReadFuzz:
 
 @pytest.fixture(scope="module")
 def matrix_fuzz_base(fuzz_base, tmp_path_factory):
-    """The fuzz cube's spectrogram as bin and csv and its RA matrix, with sidecars."""
+    """The fuzz cube's spectrogram and its RA matrix, with sidecars."""
     root = tmp_path_factory.mktemp("matrix_fuzz")
     cfg = str(fuzz_base / "pipeline.cfg")
     shutil.copyfile(cfg, root / "pipeline.cfg")
     for argv in (["spectrogram", fuzz_base / "cube.iq", cfg, root / "spec.bin"],
-                 ["spectrogram", fuzz_base / "cube.iq", cfg, root / "spec.csv", "--format", "csv"],
                  ["ra", root / "spec.bin", cfg, root / "ra.bin"]):
         assert cli.main([str(a) for a in argv]) == 0, argv
     return root
 
 
-MATRIX_FILES = ["spec.bin", "spec.csv", "ra.bin"]
+MATRIX_FILES = ["spec.bin", "ra.bin"]
 # subcommand, inputs, output
-MATRIX_COMMANDS = ["ra spec.bin pipeline.cfg x.bin", "ra spec.csv pipeline.cfg x.bin",
-                   "track spec.bin x.csv", "track ra.bin x.csv", "track spec.csv x.csv"]
+MATRIX_COMMANDS = ["ra spec.bin pipeline.cfg x.bin", "track spec.bin x.csv",
+                   "track ra.bin x.csv"]
 
 
 class TestMatrixInputFuzz:
@@ -1470,7 +1470,7 @@ def output_digests_hash_their_files(directory):
 class TestStreamedOutputs:
     """The CLI writes its spectrogram and RA matrices a frame block at a time through the
     API's savers and hashes the staged files; the bytes equal the API's save of the
-    in-memory result."""
+    in-memory result. ra and track read the bin files, the one loadable format."""
 
     @pytest.mark.parametrize("fmt", ["bin", "csv"])
     @pytest.mark.parametrize("mode", ["coherent", "noncoherent"])
@@ -1484,11 +1484,15 @@ class TestStreamedOutputs:
         out.mkdir()
         api.mkdir()
         spec_name, ra_name = f"spec.{fmt}", f"ra.{fmt}"
-        for argv in (["spectrogram", cube, cfg_path, out / spec_name, "--format", fmt],
-                     ["ra", cube, cfg_path, out / ra_name, "--format", fmt],
-                     ["ra", out / spec_name, cfg_path, out / f"ra_spec.{fmt}", "--format", fmt],
-                     ["track", out / spec_name, out / "track_spec.csv"],
-                     ["track", out / ra_name, out / "track_ra.csv"]):
+        runs = [["spectrogram", cube, cfg_path, out / spec_name, "--format", fmt],
+                ["ra", cube, cfg_path, out / ra_name, "--format", fmt]]
+        if fmt != "bin":  # the inputs of the runs below
+            runs += [["spectrogram", cube, cfg_path, out / "spec.bin"],
+                     ["ra", cube, cfg_path, out / "ra.bin"]]
+        runs += [["ra", out / "spec.bin", cfg_path, out / f"ra_spec.{fmt}", "--format", fmt],
+                 ["track", out / "spec.bin", out / "track_spec.csv"],
+                 ["track", out / "ra.bin", out / "track_ra.csv"]]
+        for argv in runs:
             assert cli.main([str(a) for a in argv]) == 0, argv
 
         spec = spectrogram_from_file(cube, cfg)
@@ -1507,7 +1511,7 @@ class TestStreamedOutputs:
         pairs += [(a + ".meta", b + ".meta") for a, b in pairs[:3]]
         for cli_name, api_name in pairs:
             assert (out / cli_name).read_bytes() == (api / api_name).read_bytes(), cli_name
-        np.testing.assert_array_equal(load_ra_spectrogram(out / ra_name).power, ra.power)
+        np.testing.assert_array_equal(load_ra_spectrogram(out / "ra.bin").power, ra.power)
         output_digests_hash_their_files(out)
 
 
@@ -1588,6 +1592,25 @@ class TestFailedRunLeavesNoTrace:
         assert not list(out.glob(".part-*"))
         assert self.open_fds() == fds
 
+    @pytest.mark.parametrize("command", ["ra", "track"])
+    @pytest.mark.parametrize("fmt", ["csv", "pgm"])
+    def test_export_input_rejected(self, workdir, tmp_path, capsys, command, fmt):
+        """csv and pgm are written, never read: ra and track on one exit 2 naming it
+        before any output is staged."""
+        source = tmp_path / f"spec.{fmt}"
+        assert cli.main(["spectrogram", str(workdir / "cube.iq"), str(workdir / "pipeline.cfg"),
+                         str(source), "--format", fmt]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"ra": ["ra", source, workdir / "pipeline.cfg", out / "ra.bin"],
+                "track": ["track", source, out / "t.csv"]}[command]
+        fds = self.open_fds()
+        assert cli.main([str(a) for a in argv]) == 2
+        assert (f"error: {source}: not a bin matrix (no RDMX magic); csv and pgm are export "
+                "formats and cannot be loaded") in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert self.open_fds() == fds
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_cube(self, tmp_path, capsys):
