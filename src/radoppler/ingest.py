@@ -288,9 +288,12 @@ def sidecar_count(path, meta: dict[str, str], key: str, count: int, what: str) -
 # ---------------------------------------------------------------------------
 
 def _cube_paths(path) -> tuple[Path, Path]:
+    """``<name>.iq`` and ``<name>.meta`` for a cube path ``<name>.iq`` or ``<name>``;
+    any other suffix raises FileFormatError, so no file the caller did not name is used."""
     payload = Path(path)
-    if payload.suffix != ".iq":
-        payload = payload.with_suffix(".iq")
+    if payload.suffix not in ("", ".iq"):
+        raise FileFormatError(f"{path}: a radar cube path ends in .iq or has no suffix")
+    payload = payload.with_suffix(".iq")
     return payload, payload.with_suffix(".meta")
 
 

@@ -333,9 +333,13 @@ def _slow_time_series(params: RadarParams, chunks, cfg: PipelineConfig,
     Coherent mode: range FFT plus the sum over [range_bin_start,
     range_bin_end] is one linear functional per chirp, w[i] = sum_r
     exp(-2j*pi*r*i/N), applied as w @ chunk into the series, whose one-row
-    span is the group. Each output is a dot product over fast time, so no
-    cut into chunks or BLAS threads moves a bit; the filter and its start
-    are linear, so filtering the sum equals summing filtered bins.
+    span is the group. Each output is a dot product over fast time, but
+    BLAS rounds it by the chirp's column position in the chunk: on a
+    13 065-chirp cube, chunks cut at chirps 1, 100, 4099 or 12289 moved the
+    coherent series' bits, and cuts on the BLOCK grid did not. So the BLOCK
+    check is what makes the bits independent of the chunking, and it must
+    stay. The filter and its start are linear, so filtering the sum equals
+    summing filtered bins.
 
     Non-coherent mode: magnitudes do not commute with the filter, so the
     chunks' range-FFT bins fill one [bins, CHIRP_BLOCK] group, whose

@@ -119,7 +119,7 @@ def _check_aliasing(scenario: Scenario) -> None:
 
 def synthesize(scenario: Scenario) -> RadarCube:
     """Render a scenario into a raw radar cube: chirp_blocks with one block
-    spanning the dwell, so its noise is drawn in a single pass."""
+    spanning the dwell, whose noise is drawn with no generator copied."""
     (samples,) = chirp_blocks(scenario, scenario.params.num_chirps)
     return RadarCube(params=scenario.params, samples=samples)
 
@@ -141,8 +141,10 @@ def chirp_blocks(scenario: Scenario, width: int | None = None):
     that the temporaries stay small. Each element goes through the
     whole-grid formula's operations in its order, and each row's noise is
     its run of the one noise stream (real rows, then imaginary rows), so
-    the bytes depend neither on the block sizes nor on the thread count
-    (see _row_noise).
+    the bytes depend neither on the block sizes nor on the thread count.
+    The first block's noise, added on the main thread, is the one walk of
+    that stream, and it leaves each row a generator at the row's next
+    block for the pool tasks of the later blocks (see _add_noise).
     """
     width = CHIRP_SLICE if width is None else width
     if width < 1:
@@ -160,7 +162,8 @@ def _render_blocks(scenario: Scenario, width: int):
     # a block narrower than CHIRP_BLOCK gives each task more rows: two workers
     # that run short numpy calls wait on each other for the GIL around each one
     groups = frame_blocks(p.num_fast_samples, block_rows(min(width, p.num_chirps, CHIRP_BLOCK)))
-    generators = None
+    # every row starts on the one stream; a first block that others follow copies it per row
+    generators = [np.random.default_rng(scenario.seed)] * (2 * p.num_fast_samples)
     buffer = np.empty(p.num_fast_samples * min(width, p.num_chirps), dtype=np.complex128)
     with ThreadPoolExecutor(min(_available_cores(), len(groups))) as pool:
         for first in range(0, p.num_chirps, width):
@@ -174,16 +177,16 @@ def _render_blocks(scenario: Scenario, width: int):
                 terms.append((beat, carrier, sc.rcs))
             block = buffer[: p.num_fast_samples * t_slow.size].reshape(p.num_fast_samples, -1)
             add_noise = None
-            if generators is not None:
+            if scenario.noise_power > 0 and first:
                 # each task adds its own rows' noise
                 add_noise = functools.partial(_add_noise, block, generators, sigma)
             rendered = [pool.submit(_render_rows, block, rows, terms, p.sample_rate, add_noise)
                         for rows in groups]
-            if scenario.noise_power > 0 and generators is None:
-                # the pre-pass runs while the pool renders
-                generators = _row_noise(scenario, width)
-                # a group's noise is added only once it holds the full scatterer sum
-                _add_noise(block, generators, sigma, groups, lambda k: rendered[k].result())
+            if scenario.noise_power > 0 and not first:
+                # the main thread walks the stream while the pool renders; a group's
+                # noise is added only once it holds the full scatterer sum
+                _add_noise(block, generators, sigma, groups, lambda k: rendered[k].result(),
+                           p.num_chirps - t_slow.size)
             for done in rendered:
                 done.result()
             yield block
@@ -217,48 +220,33 @@ def _render_rows(block: np.ndarray, rows: tuple[int, int], terms, sample_rate: f
         add_noise([rows])
 
 
-def _add_noise(block: np.ndarray, generators, sigma: float, groups, ready=None) -> None:
+def _add_noise(block: np.ndarray, generators, sigma: float, groups, ready=None, rest=0) -> None:
     """Add noise to each (start, stop) row group of ``groups``: to the real
     parts of all groups, then to the imaginary parts. Row r's real part is
     drawn from ``generators[r]``, its imaginary part from ``generators[R + r]``
     (R rows), and a group's draws are added once ``ready(k)``, if given, has
-    returned for its index k."""
+    returned for its index k. With ``rest`` > 0 chirps after the block,
+    a row's draws from the generator the rows share are followed by a copy
+    of it for the row's next block and by a skip over the rest of the row's
+    run; split standard_normal draws equal one draw of their total length.
+    """
     re_im = block.view(np.float64)
     noise = np.empty((max(stop - start for start, stop in groups), block.shape[1]))
+    skip = np.empty(min(CHIRP_BLOCK, rest))
     for lanes, offset in ((slice(0, None, 2), 0), (slice(1, None, 2), len(block))):
         for k, (start, stop) in enumerate(groups):
             draws = noise[: stop - start]
             for row, values in enumerate(draws, start + offset):
-                generators[row].standard_normal(out=values)
+                rng = generators[row]
+                rng.standard_normal(out=values)
+                if rest:
+                    generators[row] = copy.deepcopy(rng)
+                    for first in range(0, rest, skip.size):
+                        rng.standard_normal(out=skip[: rest - first])
             draws *= sigma
             if ready is not None:
                 ready(k)
             re_im[start:stop, lanes] += draws
-
-
-def _row_noise(scenario: Scenario, width: int) -> list[np.random.Generator]:
-    """The generator of each noise row (the real rows, then the imaginary
-    rows), standing at the start of the row's run of the scenario's noise
-    stream.
-
-    A block spanning the dwell draws its rows in stream order, so every row
-    shares the one generator and the first block's draws are the one pass.
-    Narrower blocks draw each row a block at a time from its own copy, which
-    a pre-pass takes at each row start; split standard_normal draws equal
-    one draw of their total length. The main thread draws the first block's
-    rows, and each pool task draws its own rows of the later blocks.
-    """
-    p = scenario.params
-    rng = np.random.default_rng(scenario.seed)
-    rows = 2 * p.num_fast_samples
-    if width >= p.num_chirps:
-        return [rng] * rows
-    generators, skip = [], np.empty(min(CHIRP_BLOCK, p.num_chirps))
-    for _ in range(rows):
-        generators.append(copy.deepcopy(rng))
-        for first in range(0, p.num_chirps, skip.size):
-            rng.standard_normal(out=skip[: p.num_chirps - first])
-    return generators
 
 
 def _available_cores() -> int:

@@ -165,6 +165,23 @@ class TestSimulate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, cube", [
+        (["simulate", "SCN", "CUBE"], "cube.bin"),
+        (["spectrogram", "CUBE", "CFG", "out.bin"], "spec.bin"),
+    ], ids=["simulate", "spectrogram"])
+    def test_cube_path_with_a_foreign_suffix_exits_two(self, workdir, tmp_path, capsys,
+                                                       command, cube):
+        """A cube path is <name>.iq or <name>: any other suffix is refused as typed,
+        not swapped for a .iq that simulate would write over or spectrogram would read."""
+        shutil.copyfile(workdir / "spec.bin", tmp_path / "spec.bin")
+        paths = {"SCN": workdir / "scene.scn", "CFG": workdir / "pipeline.cfg",
+                 "CUBE": tmp_path / cube}
+        assert cli.main([command[0]] + [str(paths.get(a, tmp_path / a))
+                                        for a in command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / cube}: a radar cube path ends in .iq or has no suffix\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.bin"]
+
     def test_aliasing_scenario_exits_two(self, tmp_path, capsys):
         path = tmp_path / "fast.scn"
         path.write_text(

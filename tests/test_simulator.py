@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import sys
@@ -258,9 +259,26 @@ def stream(scenario, width=None):
                           axis=1)
 
 
+class CountingGenerator:
+    """A Generator whose standard_normal draws add their sizes to a shared list;
+    its deep copies add to the same list."""
+
+    def __init__(self, rng, sizes):
+        self.rng, self.sizes = rng, sizes
+
+    def standard_normal(self, *args, **kwargs):
+        values = self.rng.standard_normal(*args, **kwargs)
+        self.sizes.append(values.size)  # one append per draw, so pool tasks may share it
+        return values
+
+    def __deepcopy__(self, memo):
+        return CountingGenerator(copy.deepcopy(self.rng, memo), self.sizes)
+
+
 class TestChirpBlocks:
     """chirp_blocks renders the cube of synthesize, bit for bit, in blocks of any width;
-    blocks narrower than the dwell restore each row's noise from a pre-pass."""
+    when blocks narrower than the dwell follow, the first block's walk of the noise stream
+    leaves each row a generator at the row's next block."""
 
     @pytest.mark.parametrize("width", [7, 1000, 4999, 5000, 10**6])
     def test_equals_synthesize(self, width):
@@ -287,6 +305,21 @@ class TestChirpBlocks:
         monkeypatch.setattr(simulator.copy, "deepcopy",
                             lambda obj: pytest.fail("synthesize took a pre-pass"))
         assert_bits_equal(synthesize(NOISY_SCENE).samples, expect)
+
+    def test_walks_the_noise_stream_once(self, monkeypatch):
+        """The first block's values are drawn once: the first block draws them and
+        skips the rest of each row's run, which the later blocks draw from their copies,
+        so each row is drawn 2N - w times (N chirps, w the block width), not 2N."""
+        expect = synthesize(NOISY_SCENE).samples
+        sizes, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: CountingGenerator(default_rng(seed), sizes))
+        rows, chirps = 2 * NOISY_SCENE.params.num_fast_samples, NOISY_SCENE.params.num_chirps
+        assert_bits_equal(stream(NOISY_SCENE, 1000), expect)
+        assert sum(sizes) == rows * (2 * chirps - 1000) == 720_000
+        sizes.clear()
+        assert_bits_equal(synthesize(NOISY_SCENE).samples, expect)
+        assert sum(sizes) == rows * chirps == 400_000
 
     def test_aliasing_raises_before_the_first_block(self):
         scenario = Scenario(params=SHORT_PARAMS,
